@@ -61,6 +61,7 @@ from .kernels import (
     KernelFamily,
     KernelSpec,
     binary_kernel,
+    cross_gram,
     fr_kernel,
     input_gram,
     median_heuristic,
@@ -68,6 +69,7 @@ from .kernels import (
     se_kernel,
 )
 from .estimators import (
+    ESTIMATOR_NAMES,
     DoseResponseCurve,
     IterativeConfig,
     IterativeResult,
@@ -75,9 +77,12 @@ from .estimators import (
     dose_response,
     iterative_srvf_estimate,
     kernel_dynamic_effect,
+    kernel_setup,
     krr_fit,
     potential_outcome,
     register_outcomes,
+    run_estimator,
+    select_hyperparameters,
     select_regularization,
 )
 from .inference import EffectCI, Regime, TTestResult, effect_ci, pointwise_ci, welch_t_test

@@ -1,8 +1,9 @@
 """Command-line front end: simulate, estimate, benchmark, register.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error.  The env var
-FUNCAUSE_THREADS caps benchmark parallelism.  Every command is
-deterministic given its config and seed.
+Parses arguments and does the file I/O; every estimator runs through
+``funcause.estimators.run_estimator``.  Exit codes: 0 success, 1 runtime
+error, 2 usage error.  Every command is deterministic given its config and
+seed.
 """
 from __future__ import annotations
 
@@ -14,42 +15,16 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
 
 import numpy as np
 
-from . import classical, elastic, estimators, frechet, plots, simgen
+from . import estimators, plots, simgen
 from .errors import FuncauseError
-from .fdata import Curve, Dataset, load_dataset, save_dataset
-from .frechet import Metric, Weighting
+from .estimators import ESTIMATOR_NAMES, run_estimator
+from .fdata import load_dataset, save_dataset
 from .inference import effect_ci
-from .kernels import KernelFamily, KernelSpec, median_heuristic, output_gram
 
 SCHEMA_VERSION = 1
-
-ESTIMATOR_NAMES = (
-    "ipw",
-    "dr",
-    "frechet-euclid",
-    "frechet-fr",
-    "kernel",
-    "operator-kernel",
-    "srvf-operator-kernel",
-    "iterative-srvf",
-)
-
-_KERNEL_ESTIMATORS = {"kernel", "operator-kernel", "srvf-operator-kernel", "iterative-srvf"}
-
-_LAM_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1)
-_SCALE_GRID = (0.5, 1.0, 2.0)
-
-
-def _thread_count() -> int:
-    env = os.environ.get("FUNCAUSE_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _git_hash() -> str:
@@ -66,111 +41,6 @@ def _git_hash() -> str:
     except OSError:
         pass
     return "unknown"
-
-
-def _kernel_setup(ds: Dataset, scale: float = 1.0):
-    """Default treatment and covariate kernel specs for a dataset."""
-    if ds.is_binary():
-        kx = KernelSpec(KernelFamily.BINARY_INDICATOR)
-    else:
-        kx = KernelSpec(
-            KernelFamily.SQUARED_EXPONENTIAL, scale * median_heuristic(ds.treatments)
-        )
-    if ds.covariate_grid is not None:
-        med = median_heuristic([s.covariate_curve for s in ds.samples], metric="fisher_rao")
-        kv = KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN, 1.0 / (2.0 * (scale * med) ** 2))
-    elif ds.covariate_matrix.shape[1] > 0:
-        kv = KernelSpec(
-            KernelFamily.SQUARED_EXPONENTIAL, scale * median_heuristic(ds.covariate_matrix)
-        )
-    else:
-        kv = None
-    return kx, kv
-
-
-def _search_hyperparameters(ds: Dataset, k_y=None, seed: int = 0):
-    """Grid search over bandwidth scales and lambdas on a 20% holdout."""
-    best = (None, None, _LAM_GRID[0], float("inf"))
-    for scale in _SCALE_GRID:
-        kx, kv = _kernel_setup(ds, scale)
-        for lam in _LAM_GRID:
-            err = estimators.holdout_error(ds, kx, kv, k_y=k_y, lam=lam, seed=seed)
-            if err < best[3]:
-                best = (kx, kv, lam, err)
-    if best[0] is None:
-        kx, kv = _kernel_setup(ds)
-        return kx, kv, 1e-2
-    return best[0], best[1], best[2]
-
-
-def _contrast_levels(ds: Dataset):
-    if ds.is_binary():
-        return 1.0, 0.0
-    xbar = float(ds.treatments.mean())
-    return xbar + 0.5, xbar - 0.5
-
-
-def _kernel_delta(model) -> frechet.DynamicEffect:
-    x1, x0 = _contrast_levels_from_model(model)
-    return frechet.effect_from_means(
-        estimators.potential_outcome(model, x1),
-        estimators.potential_outcome(model, x0),
-        Metric.EUCLIDEAN,
-    )
-
-
-def _contrast_levels_from_model(model):
-    x = model.treatments
-    if np.all((x == 0.0) | (x == 1.0)):
-        return 1.0, 0.0
-    xbar = float(x.mean())
-    return xbar + 0.5, xbar - 0.5
-
-
-def run_estimator(
-    ds: Dataset,
-    name: str,
-    lam: Optional[float] = None,
-    search: bool = False,
-    seed: int = 0,
-) -> frechet.DynamicEffect:
-    """Run one named estimator and return its dynamic effect."""
-    if name not in ESTIMATOR_NAMES:
-        raise ValueError(f"unknown estimator: {name}")
-
-    if name == "ipw":
-        return classical.ipw_effect(ds, classical.fit_propensity(ds))
-    if name == "dr":
-        pm = classical.fit_propensity(ds)
-        om = classical.fit_outcome_models(ds)
-        return classical.dr_effect(ds, pm, om)
-    if name == "frechet-euclid":
-        f1, f0 = frechet.group_potential_outcomes(ds, Metric.EUCLIDEAN, Weighting.UNIFORM)
-        return frechet.dynamic_effect(f1, f0)
-    if name == "frechet-fr":
-        f1, f0 = frechet.group_potential_outcomes(ds, Metric.FISHER_RAO_SRSF, Weighting.UNIFORM)
-        return frechet.dynamic_effect(f1, f0, Metric.EUCLIDEAN)
-
-    if name == "iterative-srvf":
-        cfg = estimators.IterativeConfig(lam=lam if lam is not None else 1e-2)
-        return estimators.iterative_srvf_estimate(ds, cfg).effect
-
-    work_ds = ds
-    if name == "srvf-operator-kernel":
-        work_ds, _ = estimators.register_outcomes(ds, per_arm=True, max_iter=5)
-    k_y = None
-    if name in ("operator-kernel", "srvf-operator-kernel"):
-        k_y = output_gram(work_ds.outcome_grid)
-
-    if search:
-        kx, kv, chosen = _search_hyperparameters(work_ds, k_y=k_y, seed=seed)
-        lam = chosen if lam is None else lam
-    else:
-        kx, kv = _kernel_setup(work_ds)
-        if lam is None:
-            lam = 1e-2
-    model = estimators.krr_fit(work_ds, kx, kv, k_y=k_y, lam=lam)
-    return _kernel_delta(model)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +120,7 @@ def cmd_register(args) -> int:
         raise ValueError("dataset has no covariate curves to register")
 
     # plain elastic registration without the estimator-side smoothing split;
-    # with the penalized identity fallback this is a fixed point, so running
-    # the command twice leaves the curves unchanged
+    # not a fixed point: on noisy curves a second run moves them again
     current = ds
     if do_cov:
         current, _ = estimators.register_covariate_curves(current, penalty=0.05)
@@ -342,12 +211,10 @@ def cmd_benchmark(args) -> int:
     outdir = cfg["output"]
     os.makedirs(outdir, exist_ok=True)
 
-    tasks = [(n, rep) for n in cfg["sizes"] for rep in range(cfg["replicates"])]
     records = []
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        for batch in pool.map(lambda nr: _benchmark_task(cfg, *nr), tasks):
-            records.extend(batch)
-    # deterministic output order regardless of thread scheduling
+    for n in cfg["sizes"]:
+        for rep in range(cfg["replicates"]):
+            records.extend(_benchmark_task(cfg, n, rep))
     records.sort(key=lambda r: (r["estimator"], r["n"], r["replicate"]))
 
     with open(os.path.join(outdir, "summary.csv"), "w", newline="", encoding="utf-8") as fh:

@@ -3,8 +3,9 @@
 Fits the Kronecker-structured system (K_XV (x) K_Y + lambda I) alpha =
 vec(Y) through the paired eigendecompositions of the two factors, so the
 nT x nT matrix is never materialized.  Builds potential-outcome curves,
-binary dynamic effects, dose-response curves, outcome pre-registration and
-the iterative SRVF-registration estimation loop.
+dynamic effects, dose-response curves, outcome pre-registration, the
+iterative SRVF-registration estimation loop and the holdout hyperparameter
+search, and runs every named estimator through ``run_estimator``.
 """
 from __future__ import annotations
 
@@ -14,22 +15,24 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import elastic
+from . import classical, elastic, frechet
 from .elastic import warp_curve
 from .errors import NumericalError
-from .fdata import Curve, Dataset, Grid
-from .frechet import DynamicEffect, Metric, effect_from_means
+from .fdata import Curve, Dataset, Grid, _moving_average
+from .frechet import DynamicEffect, Metric, Weighting, effect_from_means
 from .kernels import (
     GramMatrix,
     KernelFamily,
     KernelSpec,
-    _srsf_feature_matrix,
+    _covariate_points,
+    cross_gram,
     input_gram,
     median_heuristic,
     output_gram,
 )
 
 __all__ = [
+    "ESTIMATOR_NAMES",
     "KrrModel",
     "DoseResponseCurve",
     "IterativeConfig",
@@ -40,9 +43,26 @@ __all__ = [
     "kernel_dynamic_effect",
     "dose_response",
     "register_outcomes",
+    "kernel_setup",
     "select_regularization",
+    "select_hyperparameters",
     "iterative_srvf_estimate",
+    "run_estimator",
 ]
+
+ESTIMATOR_NAMES = (
+    "ipw",
+    "dr",
+    "frechet-euclid",
+    "frechet-fr",
+    "kernel",
+    "operator-kernel",
+    "srvf-operator-kernel",
+    "iterative-srvf",
+)
+
+_LAM_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1)
+_SCALE_GRID = (0.5, 1.0, 2.0)
 
 
 @dataclass
@@ -54,8 +74,7 @@ class KrrModel:
     kx: KernelSpec
     kv: Optional[KernelSpec]
     treatments: np.ndarray
-    covariates: np.ndarray  # n x d baseline covariates (d may be 0)
-    covariate_features: Optional[np.ndarray]  # SRSF features for FR kernels
+    covariate_points: np.ndarray  # rows kv acts on (SRSF features for FR kernels)
     k_y: Optional[np.ndarray]  # output Gram, None means identity
     grid: Grid
 
@@ -73,36 +92,60 @@ class DoseResponseCurve:
     curves: list = field(default_factory=list)
 
 
-def _kx_cross(model: KrrModel, x: float) -> np.ndarray:
-    xt = model.treatments
-    if model.kx.family is KernelFamily.BINARY_INDICATOR:
-        return (xt == x).astype(float)
-    if model.kx.family is KernelFamily.SQUARED_EXPONENTIAL:
-        return np.exp(-((xt - x) ** 2) / (2.0 * model.kx.lengthscale**2))
-    if model.kx.family is KernelFamily.CONSTANT:
-        return np.ones_like(xt)
-    raise ValueError(f"unsupported treatment kernel: {model.kx.family}")
+def kernel_setup(ds: Dataset, scale: float = 1.0):
+    """Default treatment and covariate kernel specs for a dataset, with every
+    median-heuristic bandwidth multiplied by ``scale``."""
+    if ds.is_binary():
+        kx = KernelSpec(KernelFamily.BINARY_INDICATOR)
+    else:
+        kx = KernelSpec(
+            KernelFamily.SQUARED_EXPONENTIAL, scale * median_heuristic(ds.treatments)
+        )
+    if ds.covariate_grid is not None:
+        med = median_heuristic([s.covariate_curve for s in ds.samples], metric="fisher_rao")
+        kv = KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN, 1.0 / (2.0 * (scale * med) ** 2))
+    elif ds.covariate_matrix.shape[1] > 0:
+        kv = KernelSpec(
+            KernelFamily.SQUARED_EXPONENTIAL, scale * median_heuristic(ds.covariate_matrix)
+        )
+    else:
+        kv = None
+    return kx, kv
 
 
-def _kv_cross(model: KrrModel, i: int) -> np.ndarray:
-    """Covariate-kernel row between training unit i and all training units."""
-    kv = model.kv
-    n = model.treatments.size
-    if kv is None:
-        return np.ones(n)
-    if kv.family is KernelFamily.FISHER_RAO_GAUSSIAN:
-        feats = model.covariate_features
-        d2 = np.sum((feats - feats[i]) ** 2, axis=1)
-        return np.exp(-kv.lengthscale * d2)
-    if kv.family is KernelFamily.SQUARED_EXPONENTIAL:
-        v = model.covariates
-        if v.shape[1] == 0:
-            return np.ones(n)
-        d2 = np.sum((v - v[i]) ** 2, axis=1)
-        return np.exp(-d2 / (2.0 * kv.lengthscale**2))
-    if kv.family is KernelFamily.CONSTANT:
-        return np.ones(n)
-    raise ValueError(f"unsupported covariate kernel: {kv.family}")
+def _ridge_path(k_in: np.ndarray, y: np.ndarray, k_y: Optional[np.ndarray]):
+    """Return lam -> alpha solving (K_in (x) K_Y + lam I) vec(alpha) = vec(Y).
+
+    Eigendecomposes both Gram factors once and rescales in the joint
+    eigenbasis for each lambda; with identity K_Y (None) this reduces to a
+    single n x n solve applied to every output column.
+    """
+    d1, u1 = np.linalg.eigh(k_in)
+    if k_y is None:
+        ytil = u1.T @ y
+        denom = d1[:, None]
+    else:
+        d2, u2 = np.linalg.eigh(k_y)
+        ytil = u1.T @ y @ u2
+        denom = d1[:, None] * d2[None, :]
+
+    def solve(lam: float) -> np.ndarray:
+        if lam <= 0:
+            raise ValueError("lambda must be positive")
+        alpha = u1 @ (ytil / (denom + lam))
+        if k_y is not None:
+            alpha = alpha @ u2.T
+        if not np.all(np.isfinite(alpha)):
+            raise NumericalError("KRR solve produced non-finite coefficients")
+        return alpha
+
+    return solve
+
+
+def _outputs(rows: np.ndarray, alpha: np.ndarray, k_y: Optional[np.ndarray]) -> np.ndarray:
+    """Predicted curves for input-kernel rows against the training units."""
+    out = rows @ alpha
+    return out if k_y is None else out @ k_y
 
 
 def krr_fit(
@@ -112,76 +155,55 @@ def krr_fit(
     k_y: Optional[GramMatrix] = None,
     lam: float = 1e-3,
 ) -> KrrModel:
-    """Solve (K_XV (x) K_Y + lambda I) vec(alpha) = vec(Y).
-
-    Eigendecomposes both Gram factors, rescales in the joint eigenbasis and
-    transforms back; with identity K_Y this reduces to a single n x n solve
-    applied to every output column.
-    """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
-    k_in = input_gram(ds, kx, kv).entries
-    y = ds.outcome_matrix
-    if k_y is None:
-        evals, evecs = np.linalg.eigh(k_in)
-        alpha = evecs @ ((evecs.T @ y) / (evals[:, None] + lam))
-        ky_mat = None
-    else:
-        ky_mat = k_y.entries
-        d1, u1 = np.linalg.eigh(k_in)
-        d2, u2 = np.linalg.eigh(ky_mat)
-        ytil = u1.T @ y @ u2
-        denom = d1[:, None] * d2[None, :] + lam
-        alpha = u1 @ (ytil / denom) @ u2.T
-    if not np.all(np.isfinite(alpha)):
-        raise NumericalError("KRR solve produced non-finite coefficients")
-
-    if ds.covariate_grid is not None:
-        feats = _srsf_feature_matrix([s.covariate_curve for s in ds.samples])
-    else:
-        feats = None
+    """Solve (K_XV (x) K_Y + lambda I) vec(alpha) = vec(Y)."""
+    ky_mat = None if k_y is None else k_y.entries
+    alpha = _ridge_path(input_gram(ds, kx, kv).entries, ds.outcome_matrix, ky_mat)(lam)
     return KrrModel(
         alpha=alpha,
         lam=lam,
         kx=kx,
         kv=kv,
         treatments=ds.treatments,
-        covariates=ds.covariate_matrix,
-        covariate_features=feats,
+        covariate_points=_covariate_points(ds.samples, kv),
         k_y=ky_mat,
         grid=ds.outcome_grid,
+    )
+
+
+def _kernel_rows(model: KrrModel, x, points) -> np.ndarray:
+    """Input-kernel rows between units (x[j], points[j]) and the training units."""
+    return cross_gram(model.kx, x, model.treatments) * cross_gram(
+        model.kv, points, model.covariate_points
     )
 
 
 def predict_curve(model: KrrModel, x: float, v_index: int) -> np.ndarray:
     """Predicted outcome curve at treatment x with training unit v_index's
     covariates."""
-    row = _kx_cross(model, x) * _kv_cross(model, v_index)
-    out = row @ model.alpha
-    if model.k_y is not None:
-        out = out @ model.k_y
-    return out
+    row = _kernel_rows(model, [x], model.covariate_points[v_index : v_index + 1])
+    return _outputs(row, model.alpha, model.k_y)[0]
 
 
 def potential_outcome(model: KrrModel, x: float) -> Curve:
     """Expected potential outcome curve: the prediction averaged over the
     training covariate distribution (equivalently, the averaged kernel row
     applied to the coefficients)."""
-    n = model.treatments.size
-    kx_row = _kx_cross(model, x)
-    row = np.zeros(n)
-    for i in range(n):
-        row += kx_row * _kv_cross(model, i)
-    row /= n
-    out = row @ model.alpha
-    if model.k_y is not None:
-        out = out @ model.k_y
-    return Curve(model.grid, out)
+    v = model.covariate_points
+    row = cross_gram(model.kx, [x], model.treatments)[0] * cross_gram(model.kv, v, v).mean(axis=0)
+    return Curve(model.grid, _outputs(row, model.alpha, model.k_y))
 
 
 def kernel_dynamic_effect(model: KrrModel, metric: Metric = Metric.EUCLIDEAN) -> DynamicEffect:
-    """Binary effect from potential outcomes at x = 1 and x = 0."""
-    return effect_from_means(potential_outcome(model, 1.0), potential_outcome(model, 0.0), metric)
+    """Effect between the potential outcomes at x = 1 and x = 0 for binary
+    treatments, and at the mean treatment level plus and minus 0.5
+    otherwise."""
+    x = model.treatments
+    if np.all((x == 0.0) | (x == 1.0)):
+        x1, x0 = 1.0, 0.0
+    else:
+        xbar = float(x.mean())
+        x1, x0 = xbar + 0.5, xbar - 0.5
+    return effect_from_means(potential_outcome(model, x1), potential_outcome(model, x0), metric)
 
 
 def dose_response(
@@ -197,32 +219,12 @@ def dose_response(
     return DoseResponseCurve(levels=list(levels), effects=effects, curves=curves)
 
 
-def _shrink_warp(g, shrink: float):
-    if shrink >= 1.0:
-        return g
-    grid = g.grid
-    vals = shrink * g.values + (1.0 - shrink) * grid.points
-    vals[0], vals[-1] = 0.0, 1.0
-    return elastic.WarpingFunction(grid, vals)
-
-
-def _smooth_rows(y: np.ndarray, window: int) -> np.ndarray:
-    kernel = np.ones(window) / window
-    pad = window // 2
-    out = np.empty_like(y)
-    for i, row in enumerate(y):
-        padded = np.pad(row, pad, mode="edge")
-        out[i] = np.convolve(padded, kernel, mode="same")[pad : pad + row.size]
-    return out
-
-
 def register_outcomes(
     ds: Dataset,
     max_iter: int = 10,
     tol: float = 1e-6,
     penalty: float = 0.05,
     smooth_window: Optional[int] = None,
-    shrink: float = 1.0,
     per_arm: bool = False,
 ):
     """Register every outcome curve to the elastic Karcher mean.
@@ -233,17 +235,16 @@ def register_outcomes(
     applied to the smooth part only, and the residual is added back
     unwarped.  Warping rough observation noise makes it locally smooth,
     which defeats downstream output smoothing; this split avoids that.
-    ``shrink`` < 1 pulls each warp toward the identity, and ``per_arm``
-    registers each treatment arm to its own (phase-centered) mean, which
-    preserves the arm contrast.  Returns the registered dataset and the
-    per-sample warps.
+    ``per_arm`` registers each treatment arm to its own (phase-centered)
+    mean, which preserves the arm contrast.  Returns the registered dataset
+    and the per-sample warps.
     """
     grid = ds.outcome_grid
     y = ds.outcome_matrix
     if smooth_window is None:
         smooth_window = max(3, len(grid) // 5) | 1
     if smooth_window > 1:
-        smooth = _smooth_rows(y, smooth_window)
+        smooth = np.array([_moving_average(row, smooth_window) for row in y])
         resid = y - smooth
     else:
         smooth = y
@@ -264,7 +265,6 @@ def register_outcomes(
             penalty=penalty,
         )
         for i, g in zip(idx, result.warps):
-            g = _shrink_warp(g, shrink)
             warps[i] = g
             registered[i] = warp_curve(Curve(grid, smooth[i]), g).values + resid[i]
     return ds.with_outcomes(registered), warps
@@ -296,6 +296,37 @@ def _holdout_split(ds: Dataset, holdout: float, seed: int):
     return train, test
 
 
+def _holdout_errors(
+    ds: Dataset,
+    kx: KernelSpec,
+    kv: Optional[KernelSpec],
+    k_y: Optional[GramMatrix],
+    lam_grid: Sequence[float],
+    holdout: float = 0.2,
+    seed: int = 0,
+) -> list:
+    """Squared prediction error on a random holdout for every lambda.
+
+    Fits on the remaining units from one eigendecomposition of their Gram
+    and scores each held-out unit at its own treatment and covariates.
+    Every error is inf when the split degenerates.
+    """
+    train, test = _holdout_split(ds, holdout, seed)
+    try:
+        ds_train = Dataset(train)
+    except ValueError:
+        return [math.inf] * len(lam_grid)
+    ky_mat = None if k_y is None else k_y.entries
+    solve = _ridge_path(input_gram(ds_train, kx, kv).entries, ds_train.outcome_matrix, ky_mat)
+    rows = cross_gram(kx, [s.treatment for s in test], ds_train.treatments) * cross_gram(
+        kv, _covariate_points(test, kv), _covariate_points(train, kv)
+    )
+    y_test = np.array([s.outcome.values for s in test])
+    return [
+        float(np.sum((_outputs(rows, solve(lam), ky_mat) - y_test) ** 2)) for lam in lam_grid
+    ]
+
+
 def holdout_error(
     ds: Dataset,
     kx: KernelSpec,
@@ -305,27 +336,9 @@ def holdout_error(
     holdout: float = 0.2,
     seed: int = 0,
 ) -> float:
-    """Squared prediction error on a random 20% holdout.
-
-    Fits on the remaining units and scores each held-out unit at its own
-    treatment and covariates.  Returns inf when the split degenerates.
-    """
-    train, test = _holdout_split(ds, holdout, seed)
-    if len(train) < 2:
-        return math.inf
-    try:
-        ds_train = Dataset(train)
-    except ValueError:
-        return math.inf
-    model = krr_fit(ds_train, kx, kv, k_y=k_y, lam=lam)
-    err = 0.0
-    for s in test:
-        row = _kx_cross(model, s.treatment) * _cross_kv_sample(model, ds_train, s)
-        pred = row @ model.alpha
-        if model.k_y is not None:
-            pred = pred @ model.k_y
-        err += float(np.sum((pred - s.outcome.values) ** 2))
-    return err
+    """Squared prediction error on a random 20% holdout; inf when the split
+    degenerates."""
+    return _holdout_errors(ds, kx, kv, k_y, (lam,), holdout, seed)[0]
 
 
 def select_regularization(
@@ -333,43 +346,38 @@ def select_regularization(
     kx: KernelSpec,
     kv: Optional[KernelSpec],
     k_y: Optional[GramMatrix] = None,
-    lam_grid: Sequence[float] = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1),
+    lam_grid: Sequence[float] = _LAM_GRID,
     holdout: float = 0.2,
     seed: int = 0,
 ) -> float:
-    """Pick lambda by 20% holdout prediction error."""
-    best_lam, best_err = lam_grid[0], math.inf
-    for lam in lam_grid:
-        err = holdout_error(ds, kx, kv, k_y=k_y, lam=lam, holdout=holdout, seed=seed)
-        if err < best_err:
-            best_lam, best_err = lam, err
-    return best_lam
+    """Pick lambda by 20% holdout prediction error (the first minimum)."""
+    return lam_grid[int(np.argmin(_holdout_errors(ds, kx, kv, k_y, lam_grid, holdout, seed)))]
 
 
-def _cross_kv_sample(model: KrrModel, ds_train: Dataset, sample) -> np.ndarray:
-    """Covariate-kernel row between an out-of-sample unit and the training set."""
-    kv = model.kv
-    n = model.treatments.size
-    if kv is None or kv.family is KernelFamily.CONSTANT:
-        return np.ones(n)
-    if kv.family is KernelFamily.FISHER_RAO_GAUSSIAN:
-        feat = _srsf_feature_matrix([sample.covariate_curve])[0]
-        d2 = np.sum((model.covariate_features - feat) ** 2, axis=1)
-        return np.exp(-kv.lengthscale * d2)
-    v = np.asarray(sample.covariates, dtype=float)
-    if v.size == 0:
-        return np.ones(n)
-    d2 = np.sum((model.covariates - v) ** 2, axis=1)
-    return np.exp(-d2 / (2.0 * kv.lengthscale**2))
+def select_hyperparameters(ds: Dataset, k_y: Optional[GramMatrix] = None, seed: int = 0):
+    """Grid search over bandwidth scales and lambdas on a 20% holdout.
+
+    Returns (kx, kv, lam) with the first minimum error in scale-major
+    order, or the default kernels with lambda = 1e-2 when every error is
+    inf.
+    """
+    candidates = []
+    for scale in _SCALE_GRID:
+        kx, kv = kernel_setup(ds, scale)
+        errs = _holdout_errors(ds, kx, kv, k_y, _LAM_GRID, seed=seed)
+        candidates += [(err, kx, kv, lam) for lam, err in zip(_LAM_GRID, errs)]
+    err, kx, kv, lam = min(candidates, key=lambda c: c[0])
+    if err == math.inf:
+        return (*kernel_setup(ds), 1e-2)
+    return kx, kv, lam
 
 
 @dataclass
 class IterativeConfig:
-    """Settings for the iterative registration + KRR loop."""
+    """Settings for the iterative registration + KRR loop; the kernels are
+    ``kernel_setup``'s defaults for the registered curves."""
 
     lam: float = 1e-2
-    kx: Optional[KernelSpec] = None  # defaults to binary or SE per treatment type
-    zeta: Optional[float] = None  # FR covariate-kernel rate; median heuristic if None
     r_max: int = 10
     eps: float = 1e-4
     karcher_max_iter: int = 5
@@ -389,13 +397,6 @@ class IterativeResult:
     model: KrrModel
 
 
-def _default_kx(ds: Dataset) -> KernelSpec:
-    if ds.is_binary():
-        return KernelSpec(KernelFamily.BINARY_INDICATOR)
-    ell = median_heuristic(ds.treatments)
-    return KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, ell)
-
-
 def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = None) -> IterativeResult:
     """Iterate registration of covariate and outcome curves with KRR refits.
 
@@ -406,7 +407,6 @@ def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = Non
     covariate curves this reduces to a single outcome-registration pass.
     """
     cfg = config or IterativeConfig()
-    kx = cfg.kx or _default_kx(ds)
     has_vcurves = ds.covariate_grid is not None
 
     current = ds
@@ -435,25 +435,8 @@ def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = Non
             penalty=cfg.penalty,
             smooth_window=window,
         )
-        if has_vcurves:
-            zeta = cfg.zeta
-            if zeta is None:
-                med = median_heuristic(
-                    [s.covariate_curve for s in current.samples], metric="fisher_rao"
-                )
-                zeta = 1.0 / (2.0 * med**2)
-            kv = KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN, zeta)
-        else:
-            v = current.covariate_matrix
-            kv = (
-                KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, median_heuristic(v))
-                if v.shape[1] > 0
-                else None
-            )
-        model = krr_fit(current, kx, kv, k_y=None, lam=cfg.lam)
-        pred = np.array(
-            [predict_curve(model, model.treatments[i], i) for i in range(len(current))]
-        )
+        model = krr_fit(current, *kernel_setup(current), lam=cfg.lam)
+        pred = _kernel_rows(model, model.treatments, model.covariate_points) @ model.alpha
         if prev_pred is not None:
             diff = float(np.linalg.norm(pred - prev_pred))
             trace.append(diff)
@@ -465,23 +448,54 @@ def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = Non
         converged = True
 
     if ds.is_binary() or cfg.levels is None:
-        if ds.is_binary():
-            x1, x0 = 1.0, 0.0
-        else:
-            # per-unit dose contrast around the mean treatment level
-            xbar = float(ds.treatments.mean())
-            x1, x0 = xbar + 0.5, xbar - 0.5
-        n = len(current)
-        deltas = np.array(
-            [predict_curve(model, x1, i) - predict_curve(model, x0, i) for i in range(n)]
-        )
-        grid = current.outcome_grid
-        delta = deltas.mean(axis=0)
-        effect = effect_from_means(
-            Curve(grid, delta), Curve(grid, np.zeros(len(grid))), cfg.metric
-        )
+        effect = kernel_dynamic_effect(model, cfg.metric)
     else:
         effect = dose_response(model, cfg.levels, cfg.metric)
     return IterativeResult(
         effect=effect, registered=current, trace=trace, converged=converged, model=model
     )
+
+
+def run_estimator(
+    ds: Dataset,
+    name: str,
+    lam: Optional[float] = None,
+    search: bool = False,
+    seed: int = 0,
+) -> DynamicEffect:
+    """Run one named estimator and return its dynamic effect."""
+    if name not in ESTIMATOR_NAMES:
+        raise ValueError(f"unknown estimator: {name}")
+
+    if name == "ipw":
+        return classical.ipw_effect(ds, classical.fit_propensity(ds))
+    if name == "dr":
+        pm = classical.fit_propensity(ds)
+        om = classical.fit_outcome_models(ds)
+        return classical.dr_effect(ds, pm, om)
+    if name == "frechet-euclid":
+        f1, f0 = frechet.group_potential_outcomes(ds, Metric.EUCLIDEAN, Weighting.UNIFORM)
+        return frechet.dynamic_effect(f1, f0)
+    if name == "frechet-fr":
+        f1, f0 = frechet.group_potential_outcomes(ds, Metric.FISHER_RAO_SRSF, Weighting.UNIFORM)
+        return frechet.dynamic_effect(f1, f0, Metric.EUCLIDEAN)
+
+    if name == "iterative-srvf":
+        cfg = IterativeConfig(lam=lam if lam is not None else 1e-2)
+        return iterative_srvf_estimate(ds, cfg).effect
+
+    work_ds = ds
+    if name == "srvf-operator-kernel":
+        work_ds, _ = register_outcomes(ds, per_arm=True, max_iter=5)
+    k_y = None
+    if name in ("operator-kernel", "srvf-operator-kernel"):
+        k_y = output_gram(work_ds.outcome_grid)
+
+    if search:
+        kx, kv, chosen = select_hyperparameters(work_ds, k_y=k_y, seed=seed)
+        lam = chosen if lam is None else lam
+    else:
+        kx, kv = kernel_setup(work_ds)
+        if lam is None:
+            lam = 1e-2
+    return kernel_dynamic_effect(krr_fit(work_ds, kx, kv, k_y=k_y, lam=lam))

@@ -201,6 +201,13 @@ class Dataset:
         )
 
 
+def _moving_average(v: np.ndarray, window: int) -> np.ndarray:
+    """Centred moving average of a 1-D array, with edge padding."""
+    pad = window // 2
+    padded = np.pad(v, pad, mode="edge")
+    return np.convolve(padded, np.ones(window) / window, mode="same")[pad : pad + v.size]
+
+
 def derivative(c: Curve, smooth_window: int = 0) -> Curve:
     """Second-order finite-difference derivative on the same grid.
 
@@ -212,10 +219,7 @@ def derivative(c: Curve, smooth_window: int = 0) -> Curve:
         raise GridTooSmall("derivative needs at least 3 grid points")
     v = c.values
     if smooth_window > 1:
-        kernel = np.ones(smooth_window) / smooth_window
-        pad = smooth_window // 2
-        padded = np.pad(v, pad, mode="edge")
-        v = np.convolve(padded, kernel, mode="same")[pad : pad + v.size]
+        v = _moving_average(v, smooth_window)
     dv = np.gradient(v, c.grid.spacing, edge_order=2)
     return Curve(c.grid, dv)
 
@@ -311,30 +315,42 @@ def _parse_csv_header(header: list):
     return d, t, (tc if tc else None)
 
 
+# what invalid JSON, or valid JSON of the wrong shape, raises while it is read
+_PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, GridTooSmall)
+
+
+def _dataset_from_json(payload) -> Dataset:
+    grid = Grid(payload["outcome_grid"])
+    cgrid = None if payload["covariate_grid"] is None else Grid(payload["covariate_grid"])
+    samples = []
+    for i, rec in enumerate(payload["samples"]):
+        try:
+            samples.append(
+                ObservationalSample(
+                    id=rec["id"],
+                    treatment=float(rec["treatment"]),
+                    covariates=np.asarray(rec["covariates"], dtype=float),
+                    outcome=Curve(grid, rec["outcome"]),
+                    covariate_curve=None
+                    if rec["covariate_curve"] is None
+                    else Curve(cgrid, rec["covariate_curve"]),
+                )
+            )
+        except _PAYLOAD_ERRORS as exc:
+            raise SchemaError(str(exc), row=i) from exc
+    return Dataset(samples)
+
+
 def load_dataset(path, format: Optional[str] = None) -> Dataset:
+    """Read a dataset written by ``save_dataset``; a file that does not
+    follow the schema raises ``SchemaError``."""
     fmt = format or ("json" if str(path).endswith(".json") else "csv")
     if fmt == "json":
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        grid = Grid(payload["outcome_grid"])
-        cgrid = None if payload["covariate_grid"] is None else Grid(payload["covariate_grid"])
-        samples = []
-        for i, rec in enumerate(payload["samples"]):
             try:
-                samples.append(
-                    ObservationalSample(
-                        id=rec["id"],
-                        treatment=float(rec["treatment"]),
-                        covariates=np.asarray(rec["covariates"], dtype=float),
-                        outcome=Curve(grid, rec["outcome"]),
-                        covariate_curve=None
-                        if rec["covariate_curve"] is None
-                        else Curve(cgrid, rec["covariate_curve"]),
-                    )
-                )
-            except (KeyError, ValueError, TypeError) as exc:
-                raise SchemaError(str(exc), row=i) from exc
-        return Dataset(samples)
+                return _dataset_from_json(json.load(fh))
+            except _PAYLOAD_ERRORS as exc:
+                raise SchemaError(f"malformed dataset JSON: {exc!r}") from exc
     if fmt != "csv":
         raise ValueError(f"unknown format: {fmt}")
     with open(path, newline="", encoding="utf-8") as fh:

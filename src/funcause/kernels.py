@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist
 
 from .elastic import fr_distance_srsf, srsf_transform
 from .fdata import Curve, Grid
@@ -26,6 +26,7 @@ __all__ = [
     "binary_kernel",
     "fr_kernel",
     "median_heuristic",
+    "cross_gram",
     "input_gram",
     "output_gram",
 ]
@@ -132,28 +133,37 @@ def median_heuristic(points, metric: str = "euclidean") -> float:
     return 1.0
 
 
-def _se_gram(mat: np.ndarray, lengthscale: float) -> np.ndarray:
-    d2 = squareform(pdist(mat, "sqeuclidean"))
-    return np.exp(-d2 / (2.0 * lengthscale**2))
+def cross_gram(spec: Optional[KernelSpec], a, b) -> np.ndarray:
+    """Kernel matrix between the rows of ``a`` and the rows of ``b``.
 
-
-def _gram_for(spec: KernelSpec, treatments=None, vectors=None, curves=None, n=None) -> np.ndarray:
-    if spec.family is KernelFamily.CONSTANT:
-        return np.ones((n, n))
+    Rows are scalar treatments (1-D input) or covariate vectors; Fisher-Rao
+    kernels take SRSF feature rows, whose Euclidean distances equal d_FR.
+    A None spec, a constant kernel or zero-width rows give all ones.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim == 1:
+        a, b = a[:, None], b[:, None]
+    if spec is None or spec.family is KernelFamily.CONSTANT or a.shape[1] == 0:
+        return np.ones((len(a), len(b)))
     if spec.family is KernelFamily.BINARY_INDICATOR:
-        x = np.asarray(treatments, dtype=float)
-        return (x[:, None] == x[None, :]).astype(float)
+        return (a == b.T).astype(float)
+    d2 = cdist(a, b, "sqeuclidean")
     if spec.family is KernelFamily.SQUARED_EXPONENTIAL:
-        if vectors is None:
-            x = np.asarray(treatments, dtype=float)[:, None]
-        else:
-            x = np.atleast_2d(np.asarray(vectors, dtype=float))
-        return _se_gram(x, spec.lengthscale)
+        return np.exp(-d2 / (2.0 * spec.lengthscale**2))
     if spec.family is KernelFamily.FISHER_RAO_GAUSSIAN:
-        feats = _srsf_feature_matrix(curves)
-        d2 = squareform(pdist(feats, "sqeuclidean"))
         return np.exp(-spec.lengthscale * d2)
     raise ValueError(f"unsupported kernel family: {spec.family}")
+
+
+def _covariate_points(samples, kv: Optional[KernelSpec]) -> np.ndarray:
+    """Rows the covariate kernel acts on: SRSF features of the covariate
+    curves for Fisher-Rao kernels, the baseline covariates otherwise."""
+    if kv is not None and kv.family is KernelFamily.FISHER_RAO_GAUSSIAN:
+        if samples[0].covariate_curve is None:
+            raise ValueError("dataset has no covariate curves")
+        return _srsf_feature_matrix([s.covariate_curve for s in samples])
+    return np.array([s.covariates for s in samples])
 
 
 def input_gram(ds, kx: KernelSpec, kv: Optional[KernelSpec]) -> GramMatrix:
@@ -163,22 +173,9 @@ def input_gram(ds, kx: KernelSpec, kv: Optional[KernelSpec]) -> GramMatrix:
     covariate factor is constant one.  Fisher-Rao covariate kernels act on
     the dataset's covariate curves.
     """
-    n = len(ds)
-    kx_mat = _gram_for(kx, treatments=ds.treatments, n=n)
-    if kv is None:
-        kv_mat = np.ones((n, n))
-    elif kv.family is KernelFamily.FISHER_RAO_GAUSSIAN:
-        if ds.covariate_grid is None:
-            raise ValueError("dataset has no covariate curves")
-        curves = [s.covariate_curve for s in ds.samples]
-        kv_mat = _gram_for(kv, curves=curves, n=n)
-    else:
-        v = ds.covariate_matrix
-        if v.shape[1] == 0 or kv.family is KernelFamily.CONSTANT:
-            kv_mat = np.ones((n, n))
-        else:
-            kv_mat = _gram_for(kv, vectors=v, n=n)
-    return GramMatrix(kx_mat * kv_mat, spec=kx)
+    v = _covariate_points(ds.samples, kv)
+    x = ds.treatments
+    return GramMatrix(cross_gram(kx, x, x) * cross_gram(kv, v, v), spec=kx)
 
 
 def output_gram(grid: Grid, lengthscale: Optional[float] = None) -> GramMatrix:
@@ -190,4 +187,4 @@ def output_gram(grid: Grid, lengthscale: Optional[float] = None) -> GramMatrix:
     if lengthscale is None:
         lengthscale = median_heuristic(pts)
     spec = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale)
-    return GramMatrix(_se_gram(pts[:, None], lengthscale), spec=spec)
+    return GramMatrix(cross_gram(spec, pts, pts), spec=spec)

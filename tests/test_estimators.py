@@ -1,4 +1,6 @@
 """Tests for kernel ridge regression estimators and the registration loop."""
+import math
+
 import numpy as np
 import pytest
 
@@ -11,14 +13,18 @@ from funcause import (
     KernelFamily,
     KernelSpec,
     ObservationalSample,
+    ScenarioConfig,
     dose_response,
+    generate,
     input_gram,
     iterative_srvf_estimate,
     kernel_dynamic_effect,
+    kernel_setup,
     krr_fit,
     output_gram,
     potential_outcome,
     register_outcomes,
+    select_hyperparameters,
     select_regularization,
 )
 from funcause.estimators import holdout_error, predict_curve
@@ -247,3 +253,27 @@ class TestIterativeEstimate:
         np.testing.assert_array_equal(
             r1.effect.delta.values, r2.effect.delta.values
         )
+
+
+class TestHyperparameterSearch:
+    def test_one_training_eigh_per_bandwidth_scale(self, monkeypatch):
+        ds, _ = generate(ScenarioConfig(n=24, t=16))
+        n_train = 24 - round(0.2 * 24)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        select_hyperparameters(ds, k_y=output_gram(ds.outcome_grid))
+        assert shapes.count((n_train, n_train)) == 3
+
+    def test_all_inf_falls_back_to_default_kernels(self):
+        # two units leave a one-unit training set, so every holdout error is inf
+        ds = make_ds(n=2, t=5, seed=8)
+        assert holdout_error(ds, BIN_KX, SE_KV) == math.inf
+        kx, kv, lam = select_hyperparameters(ds)
+        assert (kx, kv) == kernel_setup(ds)
+        assert lam == 1e-2

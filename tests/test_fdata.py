@@ -1,4 +1,6 @@
 """Tests for grids, curves, datasets, and dataset I/O."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -210,3 +212,59 @@ class TestDatasetIO:
         save_dataset(mixed, path, "csv")
         back = load_dataset(path, "csv")
         assert not back.is_binary()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["outcome_grid", "covariate_grid", "samples", "id", "x"]),
+        inner,
+        max_size=4,
+    ),
+    max_leaves=12,
+)
+
+REQUIRED_KEYS = [("outcome_grid",), ("covariate_grid",), ("samples",)] + [
+    ("samples", i, key)
+    for i in range(3)
+    for key in ("id", "treatment", "covariates", "outcome", "covariate_curve")
+]
+
+
+class TestJsonSchemaErrors:
+    def test_missing_covariate_grid(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text('{"outcome_grid":[0,0.5,1],"samples":[]}')
+        with pytest.raises(SchemaError):
+            load_dataset(path)
+
+    def test_top_level_list(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_text("[1,2]")
+        with pytest.raises(SchemaError):
+            load_dataset(path)
+
+    @given(value=JSON_VALUES)
+    @settings(max_examples=100, deadline=None)
+    def test_any_json_value_raises_only_schema_error(self, tmp_path_factory, value):
+        path = tmp_path_factory.getbasetemp() / "fuzz.json"
+        path.write_text(json.dumps(value))
+        try:
+            load_dataset(path)
+        except SchemaError:
+            pass
+
+    @given(key=st.sampled_from(REQUIRED_KEYS), with_vcurves=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_missing_key_raises_schema_error(self, tmp_path_factory, key, with_vcurves):
+        path = tmp_path_factory.getbasetemp() / "missing_key.json"
+        save_dataset(make_dataset(n=3, t=8, with_vcurves=with_vcurves), path, "json")
+        payload = json.loads(path.read_text())
+        parent = payload
+        for part in key[:-1]:
+            parent = parent[part]
+        del parent[key[-1]]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SchemaError):
+            load_dataset(path)

@@ -13,6 +13,7 @@ from funcause import (
     KernelSpec,
     ObservationalSample,
     binary_kernel,
+    cross_gram,
     fr_distance_srsf,
     fr_kernel,
     input_gram,
@@ -20,6 +21,7 @@ from funcause import (
     output_gram,
     se_kernel,
 )
+from funcause.kernels import _covariate_points
 
 
 def smooth_curves(grid, n, seed=0):
@@ -187,6 +189,57 @@ class TestInputGram:
                 assert g.entries[i, j] == pytest.approx(
                     fr_kernel(curves[i], curves[j], 0.7), abs=1e-10
                 )
+
+
+class TestCrossGram:
+    """Entries of the one kernel evaluator against the scalar reference
+    kernels, on test x train shapes."""
+
+    def test_se_on_vectors(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.standard_normal((5, 3)), rng.standard_normal((7, 3))
+        k = cross_gram(KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, 1.3), a, b)
+        assert k.shape == (5, 7)
+        for i in range(5):
+            for j in range(7):
+                assert abs(k[i, j] - se_kernel(a[i], b[j], 1.3)) <= 1e-12
+
+    def test_se_on_scalar_treatments(self):
+        rng = np.random.default_rng(1)
+        a, b = rng.uniform(0, 2, 4), rng.uniform(0, 2, 6)
+        k = cross_gram(KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, 0.4), a, b)
+        assert k.shape == (4, 6)
+        for i in range(4):
+            for j in range(6):
+                assert abs(k[i, j] - se_kernel(a[i], b[j], 0.4)) <= 1e-12
+
+    def test_binary_indicator(self):
+        a, b = [0.0, 1.0, 1.0], [1.0, 0.0, 0.0, 1.0, 1.0]
+        k = cross_gram(KernelSpec(KernelFamily.BINARY_INDICATOR), a, b)
+        expected = [[binary_kernel(x, y) for y in b] for x in a]
+        np.testing.assert_array_equal(k, expected)
+
+    def test_fisher_rao_on_srsf_features(self):
+        ds = curve_dataset(n=9)
+        spec = KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN, 0.7)
+        test, train = ds.samples[:3], ds.samples[3:]
+        k = cross_gram(spec, _covariate_points(test, spec), _covariate_points(train, spec))
+        assert k.shape == (3, 6)
+        for i, s in enumerate(test):
+            for j, r in enumerate(train):
+                ref = fr_kernel(s.covariate_curve, r.covariate_curve, 0.7)
+                assert abs(k[i, j] - ref) <= 1e-12
+
+    @pytest.mark.parametrize("spec", [None, KernelSpec(KernelFamily.CONSTANT)])
+    def test_constant_and_absent_kernels_are_ones(self, spec):
+        rng = np.random.default_rng(2)
+        k = cross_gram(spec, rng.standard_normal((3, 2)), rng.standard_normal((5, 2)))
+        np.testing.assert_array_equal(k, np.ones((3, 5)))
+
+    def test_zero_width_rows_are_ones(self):
+        spec = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, 1.0)
+        k = cross_gram(spec, np.zeros((3, 0)), np.zeros((4, 0)))
+        np.testing.assert_array_equal(k, np.ones((3, 4)))
 
 
 class TestOutputGram:
