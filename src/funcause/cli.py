@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -123,74 +124,49 @@ def cmd_register(args) -> int:
     # not a fixed point: on noisy curves a second run moves them again
     current = ds
     if do_cov:
-        current, _ = estimators.register_covariate_curves(current, penalty=0.05)
-    if do_out:
-        current, _ = estimators.register_outcomes(
-            current, smooth_window=0, penalty=0.05
+        current, _ = estimators.register_covariate_curves(
+            current, penalty=estimators.REGISTER_PENALTY
         )
+    if do_out:
+        current, _ = estimators.register_outcomes(current, smooth_window=0)
     save_dataset(current, args.output)
     print(f"wrote {args.output}")
     return 0
 
 
-def _load_benchmark_config(args) -> dict:
-    cfg = {
-        "scenario": args.scenario,
-        "estimators": args.estimators.split(","),
-        "sizes": [int(x) for x in args.sizes.split(",")],
-        "replicates": args.replicates,
-        "seed": args.seed,
-        "t": args.t,
-        "noise": args.noise,
-        "shift": args.shift,
-        "confounding": args.confounding,
-        "search": args.search,
-        "output": args.output,
-    }
-    if args.config:
-        parser = configparser.ConfigParser()
-        if not parser.read(args.config):
-            raise ValueError(f"cannot read config file: {args.config}")
-        sec = parser["benchmark"]
-        if "scenario" in sec:
-            cfg["scenario"] = sec["scenario"]
-        if "estimators" in sec:
-            cfg["estimators"] = [e.strip() for e in sec["estimators"].split(",")]
-        if "sizes" in sec:
-            cfg["sizes"] = [int(x) for x in sec["sizes"].split(",")]
-        for key in ("replicates", "seed", "t"):
-            if key in sec:
-                cfg[key] = sec.getint(key)
-        for key in ("noise", "shift", "confounding"):
-            if key in sec:
-                cfg[key] = sec.getfloat(key)
-        if "search" in sec:
-            cfg["search"] = sec.getboolean("search")
-        if "output" in sec:
-            cfg["output"] = sec["output"]
-    if cfg["replicates"] < 1:
-        raise ValueError("replicates must be >= 1")
-    for est in cfg["estimators"]:
-        if est not in ESTIMATOR_NAMES:
-            raise ValueError(f"unknown estimator: {est}")
-    return cfg
+def _apply_config(parser: argparse.ArgumentParser, args) -> None:
+    """Parse the ``[benchmark]`` entries of ``args.config`` as flags of the
+    same subcommand, and let each entry override its flag in ``args``."""
+    ini = configparser.ConfigParser()
+    try:
+        found = ini.read(args.config)
+    except configparser.Error as exc:
+        raise ValueError(f"cannot parse config file {args.config}: {exc}") from exc
+    if not found:
+        raise ValueError(f"cannot read config file: {args.config}")
+    if not ini.has_section("benchmark"):
+        raise ValueError(f"config file {args.config} has no [benchmark] section")
+    entries = {key.replace("-", "_"): value for key, value in ini.items("benchmark")}
+    known = vars(parser.parse_args(["benchmark"])).keys() - {"command", "func", "config"}
+    unknown = sorted(entries.keys() - known)
+    if unknown:
+        raise ValueError(f"config file {args.config}: unknown keys: {', '.join(unknown)}")
+    argv = ["benchmark"]
+    for dest, value in entries.items():
+        if dest == "search":
+            argv += ["--search"] if ini.getboolean("benchmark", "search") else []
+        else:
+            argv += ["--" + dest.replace("_", "-"), value]
+    parsed = vars(parser.parse_args(argv))
+    vars(args).update({dest: parsed[dest] for dest in entries})
 
 
-def _benchmark_task(cfg: dict, n: int, rep: int) -> list:
-    scen = simgen.ScenarioConfig(
-        n=n,
-        t=cfg["t"],
-        scenario=simgen.Scenario(cfg["scenario"]),
-        noise=cfg["noise"],
-        shift=cfg["shift"],
-        confounding=cfg["confounding"],
-        seed=cfg["seed"],
-    )
-    ds, truth = simgen.generate(scen, replicate=rep)
+def _benchmark_task(args, names: list, n: int, rep: int) -> list:
+    ds, truth = simgen.generate(dataclasses.replace(_scenario_config(args), n=n), replicate=rep)
     records = []
-    for est in cfg["estimators"]:
+    for est in names:
         t0 = time.perf_counter()
-        effect = run_estimator(ds, est, search=cfg["search"], seed=cfg["seed"] + rep)
+        effect = run_estimator(ds, est, search=args.search, seed=args.seed + rep)
         wall = time.perf_counter() - t0
         mae, per_t = simgen.effect_error(effect, truth)
         records.append(
@@ -207,22 +183,29 @@ def _benchmark_task(cfg: dict, n: int, rep: int) -> list:
 
 
 def cmd_benchmark(args) -> int:
-    cfg = _load_benchmark_config(args)
-    outdir = cfg["output"]
+    names = [e.strip() for e in args.estimators.split(",")]
+    sizes = [int(x) for x in args.sizes.split(",")]
+    if args.replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    for est in names:
+        if est not in ESTIMATOR_NAMES:
+            raise ValueError(f"unknown estimator: {est}")
+    outdir = args.output
     os.makedirs(outdir, exist_ok=True)
 
-    records = []
-    for n in cfg["sizes"]:
-        for rep in range(cfg["replicates"]):
-            records.extend(_benchmark_task(cfg, n, rep))
-    records.sort(key=lambda r: (r["estimator"], r["n"], r["replicate"]))
+    # records of each (estimator, n) cell in replicate order
+    cells = {(est, n): [] for est in names for n in sizes}
+    for n in sizes:
+        for rep in range(args.replicates):
+            for r in _benchmark_task(args, names, n, rep):
+                cells[(r["estimator"], n)].append(r)
 
     with open(os.path.join(outdir, "summary.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["estimator", "n", "mae_mean", "mae_sd", "per_t_std_mean", "wall_time_s"])
-        for est in cfg["estimators"]:
-            for n in cfg["sizes"]:
-                rows = [r for r in records if r["estimator"] == est and r["n"] == n]
+        for est in names:
+            for n in sizes:
+                rows = cells[(est, n)]
                 maes = np.array([r["mae"] for r in rows])
                 stds = np.array([float(np.std(r["per_t"])) for r in rows])
                 wall = sum(r["wall_time_s"] for r in rows)
@@ -240,49 +223,43 @@ def cmd_benchmark(args) -> int:
     with open(os.path.join(outdir, "boxplot_data.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["estimator", "n", "replicate", "mae"])
-        for r in records:
-            writer.writerow([r["estimator"], r["n"], r["replicate"], f"{r['mae']:.6f}"])
+        for key in sorted(cells):
+            for r in cells[key]:
+                writer.writerow([r["estimator"], r["n"], r["replicate"], f"{r['mae']:.6f}"])
 
-    n_max = max(cfg["sizes"])
-    tgrid = np.linspace(0.0, 1.0, cfg["t"])
-    per_t_curves = {}
+    n_max = max(sizes)
+    tgrid = np.linspace(0.0, 1.0, args.t)
+    per_t = {key: np.mean([r["per_t"] for r in rows], axis=0) for key, rows in cells.items()}
     with open(os.path.join(outdir, "per_t_error.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["estimator", "n", "t_index", "t", "abs_error_mean"])
-        for est in cfg["estimators"]:
-            for n in cfg["sizes"]:
-                rows = [r for r in records if r["estimator"] == est and r["n"] == n]
-                mean_curve = np.mean([r["per_t"] for r in rows], axis=0)
-                if n == n_max:
-                    per_t_curves[est] = mean_curve
-                for j, (tv, ev) in enumerate(zip(tgrid, mean_curve)):
+        for est in names:
+            for n in sizes:
+                for j, (tv, ev) in enumerate(zip(tgrid, per_t[(est, n)])):
                     writer.writerow([est, n, j, f"{tv:.6f}", f"{ev:.6f}"])
 
     plots.line_plot_svg(
         os.path.join(outdir, "per_t_error.svg"),
         tgrid,
-        [per_t_curves[e] for e in cfg["estimators"]],
-        labels=list(cfg["estimators"]),
+        [per_t[(est, n_max)] for est in names],
+        labels=names,
         title=f"Mean absolute error over time (n={n_max})",
     )
-    groups, labels = [], []
-    for est in cfg["estimators"]:
-        for n in cfg["sizes"]:
-            groups.append([r["mae"] for r in records if r["estimator"] == est and r["n"] == n])
-            labels.append(f"{est} n={n}")
     plots.box_plot_svg(
         os.path.join(outdir, "mae_boxplot.svg"),
-        groups,
-        labels=labels,
+        [[r["mae"] for r in cells[(est, n)]] for est in names for n in sizes],
+        labels=[f"{est}\u00a0n={n}" for est in names for n in sizes],
         title="MAE by estimator and sample size",
     )
 
+    # n is set by --sizes, not --n
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "n")}
     with open(os.path.join(outdir, "metadata.json"), "w", encoding="utf-8") as fh:
         json.dump(
             {
                 "schema_version": SCHEMA_VERSION,
                 "git_hash": _git_hash(),
-                "config": {k: v for k, v in cfg.items()},
+                "config": {**config, "estimators": names, "sizes": sizes},
             },
             fh,
             indent=2,
@@ -357,6 +334,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None):
+            _apply_config(parser, args)
         return args.func(args)
     except (FuncauseError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -87,9 +87,10 @@ class KarcherMeanResult:
     converged: bool
 
 
-def srsf_transform(f: Curve, smooth_window: int = 0) -> SrsfCurve:
-    """q(t) = sign(f'(t)) sqrt(|f'(t)|), with origin f(0)."""
-    df = derivative(f, smooth_window=smooth_window).values
+def srsf_transform(f: Curve) -> SrsfCurve:
+    """q(t) = sign(f'(t)) sqrt(|f'(t)|) of the unsmoothed ``derivative``,
+    with origin f(0)."""
+    df = derivative(f).values
     q = np.sign(df) * np.sqrt(np.abs(df))
     return SrsfCurve(f.grid, q, origin=float(f.values[0]))
 
@@ -122,7 +123,7 @@ def warp_curve(f: Curve, gamma: WarpingFunction) -> Curve:
     return Curve(f.grid, np.interp(gamma.values, f.grid.points, f.values))
 
 
-def _step_cost_tables(q1: np.ndarray, q2: np.ndarray, h: float, penalty: float):
+def _step_cost_tables(q1: np.ndarray, q2: np.ndarray, grid: Grid, penalty: float):
     """Per-step tables C[i, j]: cost of arriving at node (i, j) from
     (i - di, j - dj) along a linear warp segment.
 
@@ -131,7 +132,8 @@ def _step_cost_tables(q1: np.ndarray, q2: np.ndarray, h: float, penalty: float):
     residual against the warped curve it induces.
     """
     t = q1.size
-    grid = np.arange(t, dtype=float)
+    h = grid.spacing
+    cols = np.arange(t, dtype=float)
     tables = []
     for di, dj in _STEPS:
         s = dj / di
@@ -139,8 +141,8 @@ def _step_cost_tables(q1: np.ndarray, q2: np.ndarray, h: float, penalty: float):
         cost = np.zeros((t, t))
         for m in range(di + 1):
             w = h * (0.5 if m in (0, di) else 1.0)
-            pos = (grid - dj + s * m) * h
-            q2m = np.interp(np.clip(pos, 0.0, 1.0), np.linspace(0.0, 1.0, t), q2)
+            pos = (cols - dj + s * m) * h
+            q2m = np.interp(np.clip(pos, 0.0, 1.0), grid.points, q2)
             shift = di - m
             row = np.full(t, np.inf)
             row[shift:] = q1[: t - shift] if shift else q1
@@ -167,20 +169,21 @@ def align_pair(q1: SrsfCurve, q2: SrsfCurve, penalty: float = 0.0):
     a1, a2 = q1.values, q2.values
 
     pre = grid_norm(a1 - a2, grid)
-    tables = _step_cost_tables(a1, a2, h, penalty)
+    tables = _step_cost_tables(a1, a2, grid, penalty)
 
+    # row i of the DP: every step's candidate cost in one (steps, T) array,
+    # inf where the step does not fit; argmin takes the first minimum, so
+    # ties resolve in _STEPS order
     dist = np.full((t, t), np.inf)
     choice = np.zeros((t, t), dtype=np.int8)
     dist[0, 0] = 0.0
+    cand = np.full((len(_STEPS), t), np.inf)
     for i in range(1, t):
         for k, (di, dj) in enumerate(_STEPS):
-            if i < di:
-                continue
-            cand = dist[i - di, : t - dj] + tables[k][i, dj:]
-            better = cand < dist[i, dj:]
-            if np.any(better):
-                np.copyto(dist[i, dj:], cand, where=better)
-                choice[i, dj:][better] = k
+            if i >= di:
+                cand[k, dj:] = dist[i - di, : t - dj] + tables[k][i, dj:]
+        choice[i] = cand.argmin(axis=0)
+        dist[i] = cand.min(axis=0)
 
     # backtrack the node path from (t-1, t-1)
     nodes = [(t - 1, t - 1)]
@@ -189,17 +192,15 @@ def align_pair(q1: SrsfCurve, q2: SrsfCurve, penalty: float = 0.0):
         di, dj = _STEPS[choice[i, j]]
         i, j = i - di, j - dj
         nodes.append((i, j))
-    nodes.reverse()
+    nodes = np.array(nodes[::-1])
 
-    gamma_vals = np.empty(t)
-    warped = np.empty(t)
-    for (ia, ja), (ib, jb) in zip(nodes[:-1], nodes[1:]):
-        s = (jb - ja) / (ib - ia)
-        sq = math.sqrt(s)
-        for m in range(ib - ia + 1):
-            pos = (ja + s * m) * h
-            gamma_vals[ia + m] = pos
-            warped[ia + m] = sq * np.interp(pos, grid.points, a2)
+    # each grid row lies on the path segment that starts at or before it
+    rows = np.arange(t)
+    seg = np.minimum(np.searchsorted(nodes[:, 0], rows, side="right") - 1, len(nodes) - 2)
+    (ia, ja), (ib, jb) = nodes[seg].T, nodes[seg + 1].T
+    s = (jb - ja) / (ib - ia)
+    gamma_vals = (ja + s * (rows - ia)) * h
+    warped = np.sqrt(s) * np.interp(gamma_vals, grid.points, a2)
     gamma_vals[0], gamma_vals[-1] = 0.0, 1.0
 
     post = grid_norm(a1 - warped, grid)
@@ -219,15 +220,13 @@ def karcher_mean(
     tol: float = 1e-6,
     weights: Optional[np.ndarray] = None,
     penalty: float = 0.0,
-    smooth_window: int = 0,
 ) -> KarcherMeanResult:
     """Karcher mean under the elastic metric.
 
     Alternates (a) averaging of aligned SRSFs and (b) re-alignment of every
     curve to the current mean, until the relative objective decrease drops
     below ``tol``.  The objective trace is guaranteed non-increasing.
-    ``smooth_window`` pre-smooths the derivative before the SRSF transform,
-    which keeps the warps from chasing observation noise.
+    Curves enter unsmoothed; each sweep calls ``align_pair`` once per curve.
     """
     curves = list(curves)
     n = len(curves)
@@ -242,7 +241,7 @@ def karcher_mean(
             raise ValueError("weights must be nonnegative with positive sum")
         w = w / w.sum()
 
-    qs = [srsf_transform(c, smooth_window=smooth_window) for c in curves]
+    qs = [srsf_transform(c) for c in curves]
     qmat = np.array([q.values for q in qs])
     origins = np.array([q.origin for q in qs])
     mean_vals = w @ qmat

@@ -18,7 +18,7 @@ import numpy as np
 from . import classical, elastic, frechet
 from .elastic import warp_curve
 from .errors import NumericalError
-from .fdata import Curve, Dataset, Grid, _moving_average
+from .fdata import Curve, Dataset, Grid
 from .frechet import DynamicEffect, Metric, Weighting, effect_from_means
 from .kernels import (
     GramMatrix,
@@ -219,70 +219,81 @@ def dose_response(
     return DoseResponseCurve(levels=list(levels), effects=effects, curves=curves)
 
 
-def register_outcomes(
-    ds: Dataset,
-    max_iter: int = 10,
-    tol: float = 1e-6,
-    penalty: float = 0.05,
-    smooth_window: Optional[int] = None,
-    per_arm: bool = False,
-):
-    """Register every outcome curve to the elastic Karcher mean.
+# slope penalty of every outcome registration, and of `funcause register`
+REGISTER_PENALTY = 0.05
 
-    ``smooth_window`` defaults to about a fifth of the grid length.  With
-    ``smooth_window`` > 1 each curve is split into a moving-average
-    smooth part and a rough residual: the warps are estimated from and
-    applied to the smooth part only, and the residual is added back
-    unwarped.  Warping rough observation noise makes it locally smooth,
-    which defeats downstream output smoothing; this split avoids that.
-    ``per_arm`` registers each treatment arm to its own (phase-centered)
-    mean, which preserves the arm contrast.  Returns the registered dataset
-    and the per-sample warps.
+
+def _moving_average(v: np.ndarray, window: int) -> np.ndarray:
+    """Centred moving average of a 1-D array, with edge padding."""
+    pad = window // 2
+    padded = np.pad(v, pad, mode="edge")
+    return np.convolve(padded, np.ones(window) / window, mode="same")[pad : pad + v.size]
+
+
+def _register_rows(y, grid, groups, max_iter, tol, penalty, window):
+    """Warp each group of rows of ``y`` to the group's elastic Karcher mean.
+
+    With ``window`` > 1 each row is split into a moving-average smooth part
+    and a rough residual: the warps are estimated from and applied to the
+    smooth part only, and the residual is added back unwarped.  Returns the
+    registered rows and the per-row warps.
     """
-    grid = ds.outcome_grid
-    y = ds.outcome_matrix
-    if smooth_window is None:
-        smooth_window = max(3, len(grid) // 5) | 1
-    if smooth_window > 1:
-        smooth = np.array([_moving_average(row, smooth_window) for row in y])
+    if window > 1:
+        smooth = np.array([_moving_average(row, window) for row in y])
         resid = y - smooth
     else:
         smooth = y
         resid = np.zeros_like(y)
-
-    n = len(ds)
-    warps = [None] * n
-    if per_arm and ds.is_binary():
-        groups = [ds.arm_indices(0.0), ds.arm_indices(1.0)]
-    else:
-        groups = [np.arange(n)]
+    warps = [None] * len(y)
     registered = y.copy()
     for idx in groups:
         result = elastic.karcher_mean(
-            [Curve(grid, smooth[i]) for i in idx],
-            max_iter=max_iter,
-            tol=tol,
-            penalty=penalty,
+            [Curve(grid, smooth[i]) for i in idx], max_iter=max_iter, tol=tol, penalty=penalty
         )
         for i, g in zip(idx, result.warps):
             warps[i] = g
             registered[i] = warp_curve(Curve(grid, smooth[i]), g).values + resid[i]
-    return ds.with_outcomes(registered), warps
+    return registered, warps
 
 
-def register_covariate_curves(
+def register_outcomes(
     ds: Dataset,
     max_iter: int = 10,
     tol: float = 1e-6,
-    penalty: float = 0.0,
-    smooth_window: int = 0,
+    smooth_window: Optional[int] = None,
+    per_arm: bool = False,
 ):
-    curves = [s.covariate_curve for s in ds.samples]
-    result = elastic.karcher_mean(
-        curves, max_iter=max_iter, tol=tol, penalty=penalty, smooth_window=smooth_window
-    )
-    registered = np.array([warp_curve(c, g).values for c, g in zip(curves, result.warps)])
-    return ds.with_covariate_curves(registered), result.warps
+    """Register every outcome curve to the elastic Karcher mean, with slope
+    penalty ``REGISTER_PENALTY``.
+
+    ``smooth_window`` (default about a fifth of the grid length) is the
+    window of ``_register_rows``' smooth/residual split: warping rough
+    observation noise makes it locally smooth, which defeats downstream
+    output smoothing.  ``per_arm`` registers each treatment arm to its own
+    (phase-centered) mean, which preserves the arm contrast.  Returns the
+    registered dataset and the per-sample warps.
+    """
+    grid = ds.outcome_grid
+    if smooth_window is None:
+        smooth_window = max(3, len(grid) // 5) | 1
+    if per_arm and ds.is_binary():
+        groups = [ds.arm_indices(0.0), ds.arm_indices(1.0)]
+    else:
+        groups = [np.arange(len(ds))]
+    y = ds.outcome_matrix
+    y, warps = _register_rows(y, grid, groups, max_iter, tol, REGISTER_PENALTY, smooth_window)
+    return ds.with_outcomes(y), warps
+
+
+def register_covariate_curves(
+    ds: Dataset, max_iter: int = 10, tol: float = 1e-6, penalty: float = 0.0
+):
+    """Register every covariate curve, unsmoothed, to their elastic Karcher
+    mean.  Returns the registered dataset and the per-sample warps."""
+    v = np.array([s.covariate_curve.values for s in ds.samples])
+    groups = [np.arange(len(ds))]
+    v, warps = _register_rows(v, ds.covariate_grid, groups, max_iter, tol, penalty, 0)
+    return ds.with_covariate_curves(v), warps
 
 
 def _holdout_split(ds: Dataset, holdout: float, seed: int):
@@ -372,25 +383,27 @@ def select_hyperparameters(ds: Dataset, k_y: Optional[GramMatrix] = None, seed: 
     return kx, kv, lam
 
 
+# stop once the training predictions move less than this between rounds
+ITER_EPS = 1e-4
+# relative objective decrease that stops each round's Karcher means
+ITER_KARCHER_TOL = 1e-4
+
+
 @dataclass
 class IterativeConfig:
-    """Settings for the iterative registration + KRR loop; the kernels are
-    ``kernel_setup``'s defaults for the registered curves."""
+    """Settings for the iterative registration + KRR loop.  The kernels are
+    ``kernel_setup``'s defaults for the registered curves; ``ITER_EPS``,
+    ``ITER_KARCHER_TOL``, ``REGISTER_PENALTY`` and the outcome smoothing
+    window ``max(3, T // 10) | 1`` are fixed."""
 
     lam: float = 1e-2
     r_max: int = 10
-    eps: float = 1e-4
     karcher_max_iter: int = 5
-    karcher_tol: float = 1e-4
-    smooth_window: Optional[int] = None  # outcome split window; T//10 if None
-    penalty: float = 0.05
-    levels: Optional[Sequence[float]] = None  # dose levels for continuous treatments
-    metric: Metric = Metric.EUCLIDEAN
 
 
 @dataclass
 class IterativeResult:
-    effect: object  # DynamicEffect or DoseResponseCurve
+    effect: DynamicEffect
     registered: Dataset
     trace: list
     converged: bool
@@ -403,8 +416,11 @@ def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = Non
     Each round computes Karcher means of the current registered curves,
     aligns every curve to its mean, rebuilds the covariate Gram on the
     registered covariates, refits the ridge regression, and stops once the
-    training predictions move less than ``eps`` between rounds.  Without
-    covariate curves this reduces to a single outcome-registration pass.
+    training predictions move less than ``ITER_EPS`` between rounds.
+    Without covariate curves this reduces to a single outcome-registration
+    pass.  The effect is ``kernel_dynamic_effect`` of the final model; pass
+    ``result.model`` to ``dose_response`` for a continuous treatment's dose
+    response.
     """
     cfg = config or IterativeConfig()
     has_vcurves = ds.covariate_grid is not None
@@ -414,9 +430,7 @@ def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = Non
     trace = []
     converged = False
     model = None
-    window = cfg.smooth_window
-    if window is None:
-        window = max(3, len(ds.outcome_grid) // 10) | 1
+    window = max(3, len(ds.outcome_grid) // 10) | 1
     rounds = cfg.r_max if has_vcurves else 1
     for r in range(rounds):
         # registration always restarts from the raw curves with one more
@@ -426,31 +440,24 @@ def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = Non
         sweeps = cfg.karcher_max_iter + r
         if has_vcurves:
             current, _ = register_covariate_curves(
-                current, max_iter=sweeps, tol=cfg.karcher_tol
+                current, max_iter=sweeps, tol=ITER_KARCHER_TOL
             )
         current, _ = register_outcomes(
-            current,
-            max_iter=sweeps,
-            tol=cfg.karcher_tol,
-            penalty=cfg.penalty,
-            smooth_window=window,
+            current, max_iter=sweeps, tol=ITER_KARCHER_TOL, smooth_window=window
         )
         model = krr_fit(current, *kernel_setup(current), lam=cfg.lam)
         pred = _kernel_rows(model, model.treatments, model.covariate_points) @ model.alpha
         if prev_pred is not None:
             diff = float(np.linalg.norm(pred - prev_pred))
             trace.append(diff)
-            if diff < cfg.eps:
+            if diff < ITER_EPS:
                 converged = True
                 break
         prev_pred = pred
     if not has_vcurves:
         converged = True
 
-    if ds.is_binary() or cfg.levels is None:
-        effect = kernel_dynamic_effect(model, cfg.metric)
-    else:
-        effect = dose_response(model, cfg.levels, cfg.metric)
+    effect = kernel_dynamic_effect(model)
     return IterativeResult(
         effect=effect, registered=current, trace=trace, converged=converged, model=model
     )

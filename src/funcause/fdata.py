@@ -201,26 +201,16 @@ class Dataset:
         )
 
 
-def _moving_average(v: np.ndarray, window: int) -> np.ndarray:
-    """Centred moving average of a 1-D array, with edge padding."""
-    pad = window // 2
-    padded = np.pad(v, pad, mode="edge")
-    return np.convolve(padded, np.ones(window) / window, mode="same")[pad : pad + v.size]
-
-
-def derivative(c: Curve, smooth_window: int = 0) -> Curve:
+def derivative(c: Curve) -> Curve:
     """Second-order finite-difference derivative on the same grid.
 
     Central differences at interior points, one-sided second-order at the
-    boundaries.  ``smooth_window`` > 1 applies a moving-average pre-smoother
-    before differentiating (default off).
+    boundaries.  No pre-smoothing: outcome registration splits off its own
+    moving-average smooth part (``estimators.register_outcomes``).
     """
     if len(c.grid) < 3:
         raise GridTooSmall("derivative needs at least 3 grid points")
-    v = c.values
-    if smooth_window > 1:
-        v = _moving_average(v, smooth_window)
-    dv = np.gradient(v, c.grid.spacing, edge_order=2)
+    dv = np.gradient(c.values, c.grid.spacing, edge_order=2)
     return Curve(c.grid, dv)
 
 

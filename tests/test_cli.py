@@ -1,7 +1,6 @@
 """End-to-end tests for the command-line interface."""
 import csv
 import json
-import os
 
 import numpy as np
 import pytest
@@ -177,29 +176,25 @@ class TestBenchmark:
         assert meta["schema_version"] == 1
         assert "git_hash" in meta
 
-    def test_deterministic_across_thread_counts(self, tmp_path):
+    def test_benchmark_deterministic(self, tmp_path):
         outputs = []
-        for threads, sub in (("1", "a"), ("4", "b")):
+        for sub in ("a", "b"):
             outdir = tmp_path / sub
-            os.environ["FUNCAUSE_THREADS"] = threads
-            try:
-                code = run(
-                    [
-                        "benchmark",
-                        "--estimators",
-                        "ipw",
-                        "--sizes",
-                        "20",
-                        "--replicates",
-                        "4",
-                        "--t",
-                        "8",
-                        "--output",
-                        str(outdir),
-                    ]
-                )
-            finally:
-                del os.environ["FUNCAUSE_THREADS"]
+            code = run(
+                [
+                    "benchmark",
+                    "--estimators",
+                    "ipw",
+                    "--sizes",
+                    "20",
+                    "--replicates",
+                    "4",
+                    "--t",
+                    "8",
+                    "--output",
+                    str(outdir),
+                ]
+            )
             assert code == 0
             with open(outdir / "boxplot_data.csv") as fh:
                 outputs.append(fh.read())
@@ -234,6 +229,39 @@ class TestBenchmark:
         assert len(rows) == 1
         assert rows[0]["estimator"] == "ipw"
         assert rows[0]["n"] == "16"
+
+    @pytest.mark.parametrize(
+        "text", ["[other]\nsizes = 16\n", "sizes = 16\n"], ids=["other-section", "no-header"]
+    )
+    def test_config_without_section_fails_cleanly(self, tmp_path, capsys, text):
+        ini = tmp_path / "bench.ini"
+        ini.write_text(text)
+        code = run(["benchmark", "--output", str(tmp_path / "x"), "--config", str(ini)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(ini) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_config_unknown_key_fails_cleanly(self, tmp_path, capsys):
+        ini = tmp_path / "bench.ini"
+        ini.write_text("[benchmark]\nestimators = ipw\nsizes = 16\nreplicate = 2\n")
+        code = run(["benchmark", "--t", "8", "--output", str(tmp_path / "x"), "--config", str(ini)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "replicate" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "x").exists()
+
+    def test_scenario_flags_reach_the_data(self, tmp_path):
+        outputs = []
+        for sub, extra in (("a", []), ("b", ["--amplitude", "0", "--n-covariates", "1"])):
+            outdir = tmp_path / sub
+            argv = ["benchmark", "--estimators", "ipw", "--sizes", "20", "--replicates", "2"]
+            code = run(argv + ["--t", "8", "--output", str(outdir), *extra])
+            assert code == 0
+            outputs.append((outdir / "boxplot_data.csv").read_text())
+        assert outputs[0] != outputs[1]
 
     def test_unknown_estimator_exits_one(self, tmp_path):
         code = run(
