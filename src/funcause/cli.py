@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import dataclasses
 import json
 import os
 import subprocess
@@ -48,9 +47,9 @@ def _git_hash() -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _scenario_config(args) -> simgen.ScenarioConfig:
+def _scenario_config(args, n: int) -> simgen.ScenarioConfig:
     return simgen.ScenarioConfig(
-        n=args.n,
+        n=n,
         t=args.t,
         scenario=simgen.Scenario(args.scenario),
         noise=args.noise,
@@ -64,7 +63,7 @@ def _scenario_config(args) -> simgen.ScenarioConfig:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _scenario_config(args)
+    cfg = _scenario_config(args, args.n)
     ds, truth = simgen.generate(cfg, replicate=args.replicate)
     save_dataset(ds, args.output)
     if args.truth:
@@ -162,7 +161,7 @@ def _apply_config(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _benchmark_task(args, names: list, n: int, rep: int) -> list:
-    ds, truth = simgen.generate(dataclasses.replace(_scenario_config(args), n=n), replicate=rep)
+    ds, truth = simgen.generate(_scenario_config(args, n), replicate=rep)
     records = []
     for est in names:
         t0 = time.perf_counter()
@@ -252,8 +251,7 @@ def cmd_benchmark(args) -> int:
         title="MAE by estimator and sample size",
     )
 
-    # n is set by --sizes, not --n
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "n")}
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
     with open(os.path.join(outdir, "metadata.json"), "w", encoding="utf-8") as fh:
         json.dump(
             {
@@ -275,7 +273,6 @@ def cmd_benchmark(args) -> int:
 def _add_scenario_flags(p):
     p.add_argument("--scenario", default="binary_nonmonotonic",
                    choices=[s.value for s in simgen.Scenario])
-    p.add_argument("--n", type=int, default=100)
     p.add_argument("--t", type=int, default=50)
     p.add_argument("--noise", type=float, default=0.1)
     p.add_argument("--shift", type=float, default=0.05)
@@ -295,6 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     _add_scenario_flags(p)
+    p.add_argument("--n", type=int, default=100)
     p.add_argument("--replicate", type=int, default=0)
     p.add_argument("--output", required=True, help="dataset path (.csv or .json)")
     p.add_argument("--truth", help="optional ground-truth JSON path")

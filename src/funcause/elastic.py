@@ -320,8 +320,9 @@ def fr_distance_srsf(f: Curve, g: Curve) -> float:
 def fr_distance_sphere(p: Curve, r: Curve) -> float:
     """Spherical Fisher-Rao distance 2 arccos(sum_j sqrt(p_j r_j)).
 
-    Applies to density-like nonnegative vectors with entries summing to at
-    most one.
+    For nonnegative vectors of unit mass, such as the sphere Fréchet mean,
+    this is twice the geodesic distance between sqrt(p) and sqrt(r) on the
+    unit sphere.  Masses are taken as given, not normalised.
     """
     if p.grid != r.grid:
         raise ValueError("curves must share a grid")

@@ -95,22 +95,31 @@ class DoseResponseCurve:
 def kernel_setup(ds: Dataset, scale: float = 1.0):
     """Default treatment and covariate kernel specs for a dataset, with every
     median-heuristic bandwidth multiplied by ``scale``."""
-    if ds.is_binary():
+    return _default_kernels(ds)[1](scale)
+
+
+def _default_kernels(ds: Dataset):
+    """The default covariate kernel's rows (SRSF features of the covariate
+    curves if there are any) and ``kernel_setup`` as a function of the
+    scale, from one median heuristic per input."""
+    fisher_rao = ds.covariate_grid is not None
+    kv = KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN) if fisher_rao else None
+    v = _covariate_points(ds.samples, kv)
+    mx = None if ds.is_binary() else median_heuristic(ds.treatments)
+    mv = median_heuristic(v) if v.shape[1] > 0 else None
+
+    def setup(scale: float):
         kx = KernelSpec(KernelFamily.BINARY_INDICATOR)
-    else:
-        kx = KernelSpec(
-            KernelFamily.SQUARED_EXPONENTIAL, scale * median_heuristic(ds.treatments)
-        )
-    if ds.covariate_grid is not None:
-        med = median_heuristic([s.covariate_curve for s in ds.samples], metric="fisher_rao")
-        kv = KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN, 1.0 / (2.0 * (scale * med) ** 2))
-    elif ds.covariate_matrix.shape[1] > 0:
-        kv = KernelSpec(
-            KernelFamily.SQUARED_EXPONENTIAL, scale * median_heuristic(ds.covariate_matrix)
-        )
-    else:
-        kv = None
-    return kx, kv
+        if mx is not None:
+            kx = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, scale * mx)
+        if mv is None:
+            return kx, None
+        if fisher_rao:
+            zeta = 1.0 / (2.0 * (scale * mv) ** 2)
+            return kx, KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN, zeta)
+        return kx, KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, scale * mv)
+
+    return v, setup
 
 
 def _ridge_path(k_in: np.ndarray, y: np.ndarray, k_y: Optional[np.ndarray]):
@@ -157,14 +166,15 @@ def krr_fit(
 ) -> KrrModel:
     """Solve (K_XV (x) K_Y + lambda I) vec(alpha) = vec(Y)."""
     ky_mat = None if k_y is None else k_y.entries
-    alpha = _ridge_path(input_gram(ds, kx, kv).entries, ds.outcome_matrix, ky_mat)(lam)
+    v = _covariate_points(ds.samples, kv)
+    alpha = _ridge_path(input_gram(ds, kx, kv, v).entries, ds.outcome_matrix, ky_mat)(lam)
     return KrrModel(
         alpha=alpha,
         lam=lam,
         kx=kx,
         kv=kv,
         treatments=ds.treatments,
-        covariate_points=_covariate_points(ds.samples, kv),
+        covariate_points=v,
         k_y=ky_mat,
         grid=ds.outcome_grid,
     )
@@ -296,15 +306,11 @@ def register_covariate_curves(
     return ds.with_covariate_curves(v), warps
 
 
-def _holdout_split(ds: Dataset, holdout: float, seed: int):
-    n = len(ds)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
+def _holdout_split(n: int, holdout: float, seed: int):
+    """Sorted (train, test) unit indices of a random holdout split."""
+    perm = np.random.default_rng(seed).permutation(n)
     n_test = max(1, int(round(holdout * n)))
-    test_idx = set(perm[:n_test].tolist())
-    train = [s for i, s in enumerate(ds.samples) if i not in test_idx]
-    test = [s for i, s in enumerate(ds.samples) if i in test_idx]
-    return train, test
+    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
 def _holdout_errors(
@@ -312,6 +318,7 @@ def _holdout_errors(
     kx: KernelSpec,
     kv: Optional[KernelSpec],
     k_y: Optional[GramMatrix],
+    v: np.ndarray,
     lam_grid: Sequence[float],
     holdout: float = 0.2,
     seed: int = 0,
@@ -319,20 +326,22 @@ def _holdout_errors(
     """Squared prediction error on a random holdout for every lambda.
 
     Fits on the remaining units from one eigendecomposition of their Gram
-    and scores each held-out unit at its own treatment and covariates.
-    Every error is inf when the split degenerates.
+    and scores each held-out unit at its own treatment and covariates;
+    ``v`` holds every unit's covariate rows (``_covariate_points``), which
+    the split slices.  Every error is inf when the split degenerates.
     """
-    train, test = _holdout_split(ds, holdout, seed)
+    train, test = _holdout_split(len(ds), holdout, seed)
     try:
-        ds_train = Dataset(train)
+        ds_train = Dataset([ds.samples[i] for i in train])
     except ValueError:
         return [math.inf] * len(lam_grid)
     ky_mat = None if k_y is None else k_y.entries
-    solve = _ridge_path(input_gram(ds_train, kx, kv).entries, ds_train.outcome_matrix, ky_mat)
-    rows = cross_gram(kx, [s.treatment for s in test], ds_train.treatments) * cross_gram(
-        kv, _covariate_points(test, kv), _covariate_points(train, kv)
+    solve = _ridge_path(
+        input_gram(ds_train, kx, kv, v[train]).entries, ds_train.outcome_matrix, ky_mat
     )
-    y_test = np.array([s.outcome.values for s in test])
+    x = ds.treatments
+    rows = cross_gram(kx, x[test], x[train]) * cross_gram(kv, v[test], v[train])
+    y_test = ds.outcome_matrix[test]
     return [
         float(np.sum((_outputs(rows, solve(lam), ky_mat) - y_test) ** 2)) for lam in lam_grid
     ]
@@ -349,7 +358,8 @@ def holdout_error(
 ) -> float:
     """Squared prediction error on a random 20% holdout; inf when the split
     degenerates."""
-    return _holdout_errors(ds, kx, kv, k_y, (lam,), holdout, seed)[0]
+    v = _covariate_points(ds.samples, kv)
+    return _holdout_errors(ds, kx, kv, k_y, v, (lam,), holdout, seed)[0]
 
 
 def select_regularization(
@@ -362,7 +372,8 @@ def select_regularization(
     seed: int = 0,
 ) -> float:
     """Pick lambda by 20% holdout prediction error (the first minimum)."""
-    return lam_grid[int(np.argmin(_holdout_errors(ds, kx, kv, k_y, lam_grid, holdout, seed)))]
+    v = _covariate_points(ds.samples, kv)
+    return lam_grid[int(np.argmin(_holdout_errors(ds, kx, kv, k_y, v, lam_grid, holdout, seed)))]
 
 
 def select_hyperparameters(ds: Dataset, k_y: Optional[GramMatrix] = None, seed: int = 0):
@@ -370,16 +381,17 @@ def select_hyperparameters(ds: Dataset, k_y: Optional[GramMatrix] = None, seed: 
 
     Returns (kx, kv, lam) with the first minimum error in scale-major
     order, or the default kernels with lambda = 1e-2 when every error is
-    inf.
+    inf.  The covariate rows are computed once and sliced by the split.
     """
+    v, setup = _default_kernels(ds)
     candidates = []
     for scale in _SCALE_GRID:
-        kx, kv = kernel_setup(ds, scale)
-        errs = _holdout_errors(ds, kx, kv, k_y, _LAM_GRID, seed=seed)
+        kx, kv = setup(scale)
+        errs = _holdout_errors(ds, kx, kv, k_y, v, _LAM_GRID, seed=seed)
         candidates += [(err, kx, kv, lam) for lam, err in zip(_LAM_GRID, errs)]
     err, kx, kv, lam = min(candidates, key=lambda c: c[0])
     if err == math.inf:
-        return (*kernel_setup(ds), 1e-2)
+        return (*setup(1.0), 1e-2)
     return kx, kv, lam
 
 

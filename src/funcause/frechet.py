@@ -8,14 +8,13 @@ density-like vectors).
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import elastic
-from .errors import ArmEmptyError, WeightError
+from .errors import ArmEmptyError, DomainError, WeightError
 from .fdata import Curve, Dataset, grid_norm
 
 __all__ = [
@@ -72,65 +71,41 @@ def _normalized_weights(n: int, weights) -> np.ndarray:
     return w / total
 
 
-def _sphere_objective(g: np.ndarray, ymat: np.ndarray, w: np.ndarray) -> float:
-    s = np.clip(np.sqrt(ymat * g[None, :]).sum(axis=1), -1.0, 1.0)
-    return float(np.sum(w * (2.0 * np.arccos(s)) ** 2))
-
-
 def _sphere_mean(
-    curves: Sequence[Curve],
-    w: np.ndarray,
-    max_iter: int = 500,
-    grad_tol: float = 1e-8,
-    delta: float = 1e-6,
+    curves: Sequence[Curve], w: np.ndarray, max_iter: int = 50, tol: float = 1e-10
 ) -> FrechetMeanResult:
-    """Projected gradient descent with backtracking on the domain of
-    density-like vectors: entries at least a small floor, total mass at
-    most 1 - delta."""
-    grid = curves[0].grid
+    """Karcher mean on the unit sphere of square-root densities.
+
+    Each curve p enters as u = sqrt(p / sum(p)): inputs whose mass is
+    below one (or above) are normalised, and a negative entry or a zero
+    mass raises ``DomainError``.  From the normalised weighted mean of the
+    u, the iteration steps along the exponential map of the weighted mean
+    of the log maps, log_mu u = theta / sin(theta) (u - cos(theta) mu),
+    until the step's norm is at most ``tol``.  Returns mu**2 and the
+    objective sum_i w_i (2 theta_i)**2, in the units of
+    ``fr_distance_sphere``.
+    """
     ymat = np.array([c.values for c in curves])
-    if np.any(ymat < 0):
-        raise ValueError("spherical metric needs nonnegative curves")
-    lo = 1e-10
-    cap = 1.0 - delta
-
-    def project(g):
-        g = np.clip(g, lo, None)
-        if g.sum() <= cap:
-            return g
-        # Euclidean projection onto {g >= lo, sum(g) = cap}: shift by a
-        # common threshold and re-clip, with the threshold found from the
-        # sorted entries
-        srt = np.sort(g - lo)[::-1]
-        csum = np.cumsum(srt)
-        budget = cap - lo * g.size
-        k = np.arange(1, g.size + 1)
-        tau = (csum - budget) / k
-        valid = srt - tau > 0
-        kk = int(np.max(np.flatnonzero(valid))) if np.any(valid) else 0
-        return np.maximum(g - tau[kk], lo)
-
-    g = project(w @ ymat)
-    obj = _sphere_objective(g, ymat, w)
+    mass = ymat.sum(axis=1)
+    if np.any(ymat < 0) or np.any(mass <= 0):
+        raise DomainError("spherical metric needs nonnegative curves of positive mass")
+    u = np.sqrt(ymat / mass[:, None])
+    mu = w @ u
+    mu /= np.linalg.norm(mu)
     converged = False
     for _ in range(max_iter):
-        s = np.clip(np.sqrt(ymat * g[None, :]).sum(axis=1), -1.0, 1.0 - 1e-12)
-        phi = 2.0 * np.arccos(s)
-        coef = -2.0 * w * phi / np.sqrt(1.0 - s**2)
-        grad = (coef[:, None] * np.sqrt(ymat / g[None, :])).sum(axis=0)
-        step = 1.0
-        improved = False
-        for _ in range(40):
-            cand = project(g - step * grad)
-            cand_obj = _sphere_objective(cand, ymat, w)
-            if cand_obj < obj - 1e-15:
-                g, obj, improved = cand, cand_obj, True
-                break
-            step *= 0.5
-        if not improved or np.linalg.norm(project(g - grad) - g) < grad_tol:
+        cos = np.clip(u @ mu, -1.0, 1.0)
+        # theta / sin(theta), equal to 1 at theta = 0
+        step = (w / np.sinc(np.arccos(cos) / np.pi)) @ (u - cos[:, None] * mu)
+        norm = np.linalg.norm(step)
+        if norm <= tol:
             converged = True
             break
-    return FrechetMeanResult(Curve(grid, g), Metric.FISHER_RAO_SPHERE, obj, converged)
+        mu = np.cos(norm) * mu + np.sinc(norm / np.pi) * step
+    theta = np.arccos(np.clip(u @ mu, -1.0, 1.0))
+    obj = float(np.sum(w * (2.0 * theta) ** 2))
+    mean = Curve(curves[0].grid, mu**2)
+    return FrechetMeanResult(mean, Metric.FISHER_RAO_SPHERE, obj, converged)
 
 
 def frechet_mean(
@@ -139,7 +114,12 @@ def frechet_mean(
     metric: Metric = Metric.EUCLIDEAN,
     **options,
 ) -> FrechetMeanResult:
-    """Weighted empirical Fréchet mean of curves under a chosen metric."""
+    """Weighted empirical Fréchet mean of curves under a chosen metric.
+
+    ``options`` go to the iterative solvers of the two Fisher-Rao metrics,
+    which both take ``max_iter`` and ``tol`` (see ``elastic.karcher_mean``
+    and ``_sphere_mean``).
+    """
     curves = list(curves)
     if not curves:
         raise ValueError("need at least one curve")

@@ -166,14 +166,17 @@ def _covariate_points(samples, kv: Optional[KernelSpec]) -> np.ndarray:
     return np.array([s.covariates for s in samples])
 
 
-def input_gram(ds, kx: KernelSpec, kv: Optional[KernelSpec]) -> GramMatrix:
+def input_gram(
+    ds, kx: KernelSpec, kv: Optional[KernelSpec], v: Optional[np.ndarray] = None
+) -> GramMatrix:
     """Entrywise product of treatment and covariate Grams.
 
     ``kv`` may be None (or have zero covariate columns), in which case the
     covariate factor is constant one.  Fisher-Rao covariate kernels act on
-    the dataset's covariate curves.
+    the dataset's covariate curves.  ``v`` holds the covariate rows
+    ``_covariate_points(ds.samples, kv)`` when the caller already has them.
     """
-    v = _covariate_points(ds.samples, kv)
+    v = _covariate_points(ds.samples, kv) if v is None else v
     x = ds.treatments
     return GramMatrix(cross_gram(kx, x, x) * cross_gram(kv, v, v), spec=kx)
 

@@ -253,6 +253,20 @@ class TestBenchmark:
         assert "Traceback" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_n_flag_rejected(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run(["benchmark", "--n", "3", "--sizes", "20", "--output", str(tmp_path / "x")])
+        assert err.value.code == 2
+        assert not (tmp_path / "x").exists()
+
+    def test_config_n_key_rejected(self, tmp_path, capsys):
+        ini = tmp_path / "bench.ini"
+        ini.write_text("[benchmark]\nestimators = ipw\nsizes = 20\nn = 3\n")
+        code = run(["benchmark", "--t", "8", "--output", str(tmp_path / "x"), "--config", str(ini)])
+        assert code == 1
+        assert "unknown keys: n" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_scenario_flags_reach_the_data(self, tmp_path):
         outputs = []
         for sub, extra in (("a", []), ("b", ["--amplitude", "0", "--n-covariates", "1"])):

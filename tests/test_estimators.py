@@ -13,6 +13,7 @@ from funcause import (
     KernelFamily,
     KernelSpec,
     ObservationalSample,
+    Scenario,
     ScenarioConfig,
     dose_response,
     generate,
@@ -27,6 +28,7 @@ from funcause import (
     select_hyperparameters,
     select_regularization,
 )
+from funcause import kernels
 from funcause.estimators import holdout_error, predict_curve
 
 BIN_KX = KernelSpec(KernelFamily.BINARY_INDICATOR)
@@ -277,3 +279,39 @@ class TestHyperparameterSearch:
         kx, kv, lam = select_hyperparameters(ds)
         assert (kx, kv) == kernel_setup(ds)
         assert lam == 1e-2
+
+
+class TestCovariateFeatureBuilds:
+    """SRSF features of the covariate curves are built once per fit and
+    once per search."""
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        build = kernels._srsf_feature_matrix
+
+        def counting_build(curves):
+            builds.append(len(curves))
+            return build(curves)
+
+        monkeypatch.setattr(kernels, "_srsf_feature_matrix", counting_build)
+        return builds
+
+    @staticmethod
+    def curve_ds():
+        cfg = ScenarioConfig(n=20, t=12, scenario=Scenario.CONTINUOUS_FUNCTIONAL)
+        return generate(cfg)[0]
+
+    def test_once_per_krr_fit(self, monkeypatch):
+        ds = self.curve_ds()
+        kx, kv = kernel_setup(ds)
+        assert kv.family is KernelFamily.FISHER_RAO_GAUSSIAN
+        builds = self.count_builds(monkeypatch)
+        krr_fit(ds, kx, kv, lam=1e-2)
+        assert builds == [20]
+
+    def test_once_per_search(self, monkeypatch):
+        ds = self.curve_ds()
+        builds = self.count_builds(monkeypatch)
+        select_hyperparameters(ds, seed=0)
+        assert builds == [20]

@@ -6,6 +6,7 @@ from funcause import (
     ArmEmptyError,
     Curve,
     Dataset,
+    DomainError,
     Grid,
     Metric,
     ObservationalSample,
@@ -129,10 +130,64 @@ class TestSphereMean:
         base = base / base.sum()
         curves = [Curve(grid, base)] * 8
         res = frechet_mean(curves, metric=Metric.FISHER_RAO_SPHERE)
-        # the domain caps total mass at 1 - 1e-6, so compare pointwise
+        # the mean of identical unit-mass curves is the curve itself
         assert np.max(np.abs(res.mean.values - base)) <= 1e-6
 
-    pass
+    @staticmethod
+    def noisy_densities(n, seed):
+        """Criterion 09's curves: log-normal noise around a Gaussian bump."""
+        grid = Grid.uniform(30)
+        base = np.exp(-((grid.points - 0.5) ** 2) / 0.02)
+        base = base / base.sum()
+        rng = np.random.default_rng(seed)
+        curves = []
+        for _ in range(n):
+            p = np.exp(np.log(base) + 0.3 * rng.standard_normal(30))
+            curves.append(Curve(grid, p / p.sum()))
+        return curves
+
+    @pytest.mark.parametrize("n", [20, 80, 320])
+    def test_converges(self, n):
+        res = frechet_mean(self.noisy_densities(n, seed=4), metric=Metric.FISHER_RAO_SPHERE)
+        assert res.converged is True
+
+    def test_weighted_log_maps_cancel_at_mean(self):
+        curves = self.noisy_densities(15, seed=1)
+        w = np.linspace(1.0, 4.0, 15)
+        w = w / w.sum()
+        tol = 1e-10
+        res = frechet_mean(curves, weights=w, metric=Metric.FISHER_RAO_SPHERE, tol=tol)
+        assert res.converged
+        mu = np.sqrt(res.mean.values)
+        u = np.sqrt(np.array([c.values for c in curves]))
+        cos = np.clip(u @ mu, -1.0, 1.0)
+        theta = np.arccos(cos)
+        logs = (theta / np.sin(theta))[:, None] * (u - cos[:, None] * mu)
+        assert np.linalg.norm(w @ logs) <= tol
+        dists = [fr_distance_sphere(res.mean, c) for c in curves]
+        assert res.objective == pytest.approx(float(np.sum(w * np.square(dists))), rel=1e-12)
+
+    def test_mass_below_one_is_normalised(self):
+        curves = self.noisy_densities(6, seed=2)
+        halved = [Curve(c.grid, 0.5 * c.values) for c in curves]
+        full = frechet_mean(curves, metric=Metric.FISHER_RAO_SPHERE)
+        half = frechet_mean(halved, metric=Metric.FISHER_RAO_SPHERE)
+        np.testing.assert_allclose(half.mean.values, full.mean.values, atol=1e-15)
+        assert half.mean.values.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_negative_entry_rejected(self):
+        curves = self.noisy_densities(4, seed=3)
+        bad = curves[1].values.copy()
+        bad[5] = -1e-3
+        curves[1] = Curve(curves[1].grid, bad)
+        with pytest.raises(DomainError):
+            frechet_mean(curves, metric=Metric.FISHER_RAO_SPHERE)
+
+    def test_zero_mass_rejected(self):
+        curves = self.noisy_densities(4, seed=3)
+        curves[2] = Curve(curves[2].grid, np.zeros(30))
+        with pytest.raises(DomainError):
+            frechet_mean(curves, metric=Metric.FISHER_RAO_SPHERE)
 
 
 class TestDiscretizationStability:
