@@ -83,7 +83,6 @@ from .estimators import (
     register_outcomes,
     run_estimator,
     select_hyperparameters,
-    select_regularization,
 )
 from .inference import EffectCI, Regime, TTestResult, effect_ci, pointwise_ci, welch_t_test
 from .simgen import GroundTruth, Scenario, ScenarioConfig, effect_error, generate

@@ -23,20 +23,26 @@ __all__ = [
 ]
 
 CLIP_EPS = 0.01
+# L2 penalty of the propensity regression's slopes
+PROPENSITY_L2 = 1e-4
+
+
+def _design(covariates) -> np.ndarray:
+    """Design matrix (1, V) of an intercept column and the covariate rows."""
+    v = np.atleast_2d(np.asarray(covariates, dtype=float))
+    return np.hstack([np.ones((v.shape[0], 1)), v])
 
 
 @dataclass(frozen=True)
 class PropensityModel:
-    """Logistic propensity score; predictions clipped away from {0, 1}."""
+    """Logistic propensity score; predictions clipped to
+    [CLIP_EPS, 1 - CLIP_EPS]."""
 
     coefficients: np.ndarray  # intercept first, length d + 1
-    clip_eps: float = CLIP_EPS
 
     def predict(self, covariates: np.ndarray) -> np.ndarray:
-        v = np.atleast_2d(np.asarray(covariates, dtype=float))
-        z = np.hstack([np.ones((v.shape[0], 1)), v])
-        p = 1.0 / (1.0 + np.exp(-z @ self.coefficients))
-        return np.clip(p, self.clip_eps, 1.0 - self.clip_eps)
+        p = 1.0 / (1.0 + np.exp(-_design(covariates) @ self.coefficients))
+        return np.clip(p, CLIP_EPS, 1.0 - CLIP_EPS)
 
 
 @dataclass(frozen=True)
@@ -45,29 +51,26 @@ class OutcomeModel:
 
     coef_treated: np.ndarray  # (d + 1) x T, intercept row first
     coef_control: np.ndarray
-    ridge: float
 
     def predict(self, covariates: np.ndarray, arm: int) -> np.ndarray:
-        v = np.atleast_2d(np.asarray(covariates, dtype=float))
-        z = np.hstack([np.ones((v.shape[0], 1)), v])
         coef = self.coef_treated if arm == 1 else self.coef_control
-        return z @ coef
+        return _design(covariates) @ coef
 
 
-def fit_propensity(ds: Dataset, l2: float = 1e-4) -> PropensityModel:
+def fit_propensity(ds: Dataset) -> PropensityModel:
     """L2-regularized logistic regression fitted by Newton/IRLS.
 
-    The intercept is unpenalized.  Converged when the max coefficient change
+    The slopes carry the penalty ``PROPENSITY_L2``; the intercept is
+    unpenalized.  Converged when the max coefficient change
     drops below 1e-8, capped at 100 iterations; separable data degrades
     gracefully through the regularizer.
     """
     if not ds.is_binary():
         raise ValueError("propensity model needs binary treatments")
     x = ds.treatments
-    v = ds.covariate_matrix
-    z = np.hstack([np.ones((len(ds), 1)), v])
+    z = _design(ds.covariate_matrix)
     d1 = z.shape[1]
-    pen = l2 * np.eye(d1)
+    pen = PROPENSITY_L2 * np.eye(d1)
     pen[0, 0] = 0.0
     beta = np.zeros(d1)
     for _ in range(100):
@@ -110,14 +113,12 @@ def fit_outcome_models(ds: Dataset, ridge: float = 1e-6) -> OutcomeModel:
     if not ds.is_binary():
         raise ValueError("outcome models need binary treatments")
     x = ds.treatments
-    v = ds.covariate_matrix
     y = ds.outcome_matrix
-    z = np.hstack([np.ones((len(ds), 1)), v])
+    z = _design(ds.covariate_matrix)
     i1, i0 = x == 1.0, x == 0.0
     return OutcomeModel(
         coef_treated=_ridge_fit(z[i1], y[i1], ridge),
         coef_control=_ridge_fit(z[i0], y[i0], ridge),
-        ridge=ridge,
     )
 
 

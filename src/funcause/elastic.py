@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .errors import DomainError
+from .errors import DomainError, WeightError
 from .fdata import Curve, Grid, derivative, grid_norm
 
 __all__ = [
@@ -214,6 +214,26 @@ def align_pair(q1: SrsfCurve, q2: SrsfCurve, penalty: float = 0.0):
     return gamma, SrsfCurve(grid, warped, origin=q2.origin), post
 
 
+def _normalized_weights(n: int, weights) -> np.ndarray:
+    """Weights scaled to sum to one, uniform when ``weights`` is None;
+    ``WeightError`` unless there is one nonnegative weight per curve and
+    their sum is positive."""
+    if weights is None:
+        return np.full(n, 1.0 / n)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (n,) or np.any(w < 0):
+        raise WeightError("weights must be nonnegative, one per curve")
+    total = w.sum()
+    if total <= 0:
+        raise WeightError("weights must not all be zero")
+    return w / total
+
+
+def _weighted_spread(mu: np.ndarray, rows: np.ndarray, w: np.ndarray, grid: Grid) -> float:
+    """sum_i w_i ||mu - rows_i||^2 in the trapezoidal L2 norm."""
+    return float(sum(wi * grid_norm(mu - row, grid) ** 2 for wi, row in zip(w, rows)))
+
+
 def karcher_mean(
     curves: Sequence[Curve],
     max_iter: int = 20,
@@ -233,13 +253,7 @@ def karcher_mean(
     if n == 0:
         raise ValueError("need at least one curve")
     grid = curves[0].grid
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if np.any(w < 0) or w.sum() <= 0:
-            raise ValueError("weights must be nonnegative with positive sum")
-        w = w / w.sum()
+    w = _normalized_weights(n, weights)
 
     qs = [srsf_transform(c) for c in curves]
     qmat = np.array([q.values for q in qs])
@@ -248,10 +262,7 @@ def karcher_mean(
     warps = [WarpingFunction.identity(grid) for _ in range(n)]
     aligned = qmat.copy()
 
-    def objective(mu, mat):
-        return float(sum(wi * grid_norm(mu - row, grid) ** 2 for wi, row in zip(w, mat)))
-
-    trace = [objective(mean_vals, aligned)]
+    trace = [_weighted_spread(mean_vals, aligned, w, grid)]
     converged = False
     for _ in range(max_iter):
         mu = SrsfCurve(grid, mean_vals)
@@ -261,7 +272,7 @@ def karcher_mean(
             new_warps.append(g)
             new_aligned[i] = qa.values
         new_mean = w @ new_aligned
-        obj = objective(new_mean, new_aligned)
+        obj = _weighted_spread(new_mean, new_aligned, w, grid)
         if obj > trace[-1]:
             # float slip; keep the previous (better) iterate
             converged = True

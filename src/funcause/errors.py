@@ -23,7 +23,7 @@ class DomainError(FuncauseError):
     """Raised when values fall outside the domain an operation requires."""
 
 
-class WeightError(FuncauseError):
+class WeightError(FuncauseError, ValueError):
     """Raised when a weight vector is unusable (e.g. sums to zero)."""
 
 

@@ -44,7 +44,6 @@ __all__ = [
     "dose_response",
     "register_outcomes",
     "kernel_setup",
-    "select_regularization",
     "select_hyperparameters",
     "iterative_srvf_estimate",
     "run_estimator",
@@ -63,6 +62,8 @@ ESTIMATOR_NAMES = (
 
 _LAM_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1)
 _SCALE_GRID = (0.5, 1.0, 2.0)
+# share of the units the hyperparameter search holds out
+HOLDOUT = 0.2
 
 
 @dataclass
@@ -203,29 +204,30 @@ def potential_outcome(model: KrrModel, x: float) -> Curve:
     return Curve(model.grid, _outputs(row, model.alpha, model.k_y))
 
 
-def kernel_dynamic_effect(model: KrrModel, metric: Metric = Metric.EUCLIDEAN) -> DynamicEffect:
-    """Effect between the potential outcomes at x = 1 and x = 0 for binary
-    treatments, and at the mean treatment level plus and minus 0.5
-    otherwise."""
+def kernel_dynamic_effect(model: KrrModel) -> DynamicEffect:
+    """Euclidean effect between the potential outcomes at x = 1 and x = 0
+    for binary treatments, and at the mean treatment level plus and minus
+    0.5 otherwise."""
     x = model.treatments
     if np.all((x == 0.0) | (x == 1.0)):
         x1, x0 = 1.0, 0.0
     else:
         xbar = float(x.mean())
         x1, x0 = xbar + 0.5, xbar - 0.5
-    return effect_from_means(potential_outcome(model, x1), potential_outcome(model, x0), metric)
+    return effect_from_means(
+        potential_outcome(model, x1), potential_outcome(model, x0), Metric.EUCLIDEAN
+    )
 
 
-def dose_response(
-    model: KrrModel, levels: Sequence[float], metric: Metric = Metric.EUCLIDEAN
-) -> DoseResponseCurve:
-    """Norm of the potential-outcome curve at each treatment level."""
+def dose_response(model: KrrModel, levels: Sequence[float]) -> DoseResponseCurve:
+    """Euclidean norm of the potential-outcome curve at each treatment
+    level."""
     curves, effects = [], []
     zero = Curve(model.grid, np.zeros(len(model.grid)))
     for x in levels:
         c = potential_outcome(model, float(x))
         curves.append(c)
-        effects.append(effect_from_means(c, zero, metric).scalar_norm)
+        effects.append(effect_from_means(c, zero, Metric.EUCLIDEAN).scalar_norm)
     return DoseResponseCurve(levels=list(levels), effects=effects, curves=curves)
 
 
@@ -300,16 +302,17 @@ def register_covariate_curves(
 ):
     """Register every covariate curve, unsmoothed, to their elastic Karcher
     mean.  Returns the registered dataset and the per-sample warps."""
-    v = np.array([s.covariate_curve.values for s in ds.samples])
     groups = [np.arange(len(ds))]
-    v, warps = _register_rows(v, ds.covariate_grid, groups, max_iter, tol, penalty, 0)
+    v, warps = _register_rows(
+        ds.covariate_curve_matrix, ds.covariate_grid, groups, max_iter, tol, penalty, 0
+    )
     return ds.with_covariate_curves(v), warps
 
 
-def _holdout_split(n: int, holdout: float, seed: int):
-    """Sorted (train, test) unit indices of a random holdout split."""
+def _holdout_split(n: int, seed: int):
+    """Sorted (train, test) unit indices of a random ``HOLDOUT`` split."""
     perm = np.random.default_rng(seed).permutation(n)
-    n_test = max(1, int(round(holdout * n)))
+    n_test = max(1, int(round(HOLDOUT * n)))
     return np.sort(perm[n_test:]), np.sort(perm[:n_test])
 
 
@@ -320,7 +323,6 @@ def _holdout_errors(
     k_y: Optional[GramMatrix],
     v: np.ndarray,
     lam_grid: Sequence[float],
-    holdout: float = 0.2,
     seed: int = 0,
 ) -> list:
     """Squared prediction error on a random holdout for every lambda.
@@ -330,7 +332,7 @@ def _holdout_errors(
     ``v`` holds every unit's covariate rows (``_covariate_points``), which
     the split slices.  Every error is inf when the split degenerates.
     """
-    train, test = _holdout_split(len(ds), holdout, seed)
+    train, test = _holdout_split(len(ds), seed)
     try:
         ds_train = Dataset([ds.samples[i] for i in train])
     except ValueError:
@@ -353,27 +355,12 @@ def holdout_error(
     kv: Optional[KernelSpec],
     k_y: Optional[GramMatrix] = None,
     lam: float = 1e-3,
-    holdout: float = 0.2,
     seed: int = 0,
 ) -> float:
     """Squared prediction error on a random 20% holdout; inf when the split
     degenerates."""
     v = _covariate_points(ds.samples, kv)
-    return _holdout_errors(ds, kx, kv, k_y, v, (lam,), holdout, seed)[0]
-
-
-def select_regularization(
-    ds: Dataset,
-    kx: KernelSpec,
-    kv: Optional[KernelSpec],
-    k_y: Optional[GramMatrix] = None,
-    lam_grid: Sequence[float] = _LAM_GRID,
-    holdout: float = 0.2,
-    seed: int = 0,
-) -> float:
-    """Pick lambda by 20% holdout prediction error (the first minimum)."""
-    v = _covariate_points(ds.samples, kv)
-    return lam_grid[int(np.argmin(_holdout_errors(ds, kx, kv, k_y, v, lam_grid, holdout, seed)))]
+    return _holdout_errors(ds, kx, kv, k_y, v, (lam,), seed)[0]
 
 
 def select_hyperparameters(ds: Dataset, k_y: Optional[GramMatrix] = None, seed: int = 0):

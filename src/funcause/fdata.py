@@ -250,9 +250,14 @@ def _csv_header(d: int, t: int, tc: Optional[int]) -> list:
     return cols
 
 
-def save_dataset(ds: Dataset, path, format: Optional[str] = None) -> None:
-    fmt = format or ("json" if str(path).endswith(".json") else "csv")
-    if fmt == "json":
+def _is_json(path) -> bool:
+    """The file suffix picks the format: ``.json`` is JSON, anything else CSV."""
+    return str(path).endswith(".json")
+
+
+def save_dataset(ds: Dataset, path) -> None:
+    """Write a dataset as JSON when ``path`` ends in ``.json``, else as CSV."""
+    if _is_json(path):
         payload = {
             "outcome_grid": ds.outcome_grid.points.tolist(),
             "covariate_grid": None
@@ -274,8 +279,6 @@ def save_dataset(ds: Dataset, path, format: Optional[str] = None) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         return
-    if fmt != "csv":
-        raise ValueError(f"unknown format: {fmt}")
     d = ds.samples[0].covariates.size
     t = len(ds.outcome_grid)
     tc = None if ds.covariate_grid is None else len(ds.covariate_grid)
@@ -305,8 +308,8 @@ def _parse_csv_header(header: list):
     return d, t, (tc if tc else None)
 
 
-# what invalid JSON, or valid JSON of the wrong shape, raises while it is read
-_PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, GridTooSmall)
+# what a file that does not follow the schema raises while it is read
+_PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, GridTooSmall, csv.Error)
 
 
 def _dataset_from_json(payload) -> Dataset:
@@ -331,47 +334,48 @@ def _dataset_from_json(payload) -> Dataset:
     return Dataset(samples)
 
 
-def load_dataset(path, format: Optional[str] = None) -> Dataset:
-    """Read a dataset written by ``save_dataset``; a file that does not
-    follow the schema raises ``SchemaError``."""
-    fmt = format or ("json" if str(path).endswith(".json") else "csv")
-    if fmt == "json":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return _dataset_from_json(json.load(fh))
-            except _PAYLOAD_ERRORS as exc:
-                raise SchemaError(f"malformed dataset JSON: {exc!r}") from exc
-    if fmt != "csv":
-        raise ValueError(f"unknown format: {fmt}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def _dataset_from_csv(fh) -> Dataset:
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError("empty file") from None
+    d, t, tc = _parse_csv_header(header)
+    grid = Grid.uniform(t)
+    cgrid = None if tc is None else Grid.uniform(tc)
+    samples = []
+    for i, row in enumerate(reader):
+        if len(row) != len(header):
+            raise SchemaError(f"expected {len(header)} columns, got {len(row)}", row=i)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("empty file") from None
-        d, t, tc = _parse_csv_header(header)
-        grid = Grid.uniform(t)
-        cgrid = None if tc is None else Grid.uniform(tc)
-        samples = []
-        for i, row in enumerate(reader):
-            if len(row) != len(header):
-                raise SchemaError(f"expected {len(header)} columns, got {len(row)}", row=i)
-            try:
-                vals = [float(x) for x in row[1:]]
-            except ValueError as exc:
-                raise SchemaError(str(exc), row=i) from exc
-            if not all(math.isfinite(x) for x in vals):
-                raise SchemaError("non-finite value", row=i)
-            k = 1 + d
-            samples.append(
-                ObservationalSample(
-                    id=row[0],
-                    treatment=vals[0],
-                    covariates=np.asarray(vals[1:k], dtype=float),
-                    outcome=Curve(grid, vals[k : k + t]),
-                    covariate_curve=None
-                    if tc is None
-                    else Curve(cgrid, vals[k + t : k + t + tc]),
-                )
+            vals = [float(x) for x in row[1:]]
+        except ValueError as exc:
+            raise SchemaError(str(exc), row=i) from exc
+        if not all(math.isfinite(x) for x in vals):
+            raise SchemaError("non-finite value", row=i)
+        k = 1 + d
+        samples.append(
+            ObservationalSample(
+                id=row[0],
+                treatment=vals[0],
+                covariates=np.asarray(vals[1:k], dtype=float),
+                outcome=Curve(grid, vals[k : k + t]),
+                covariate_curve=None
+                if tc is None
+                else Curve(cgrid, vals[k + t : k + t + tc]),
             )
+        )
     return Dataset(samples)
+
+
+def load_dataset(path) -> Dataset:
+    """Read a dataset written by ``save_dataset``, as JSON when ``path``
+    ends in ``.json`` and as CSV otherwise; a file that does not follow the
+    schema raises ``SchemaError``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            if _is_json(path):
+                return _dataset_from_json(json.load(fh))
+            return _dataset_from_csv(fh)
+        except _PAYLOAD_ERRORS as exc:
+            raise SchemaError(f"malformed dataset: {exc!r}") from exc

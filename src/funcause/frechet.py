@@ -2,8 +2,8 @@
 
 Weighted Fréchet means under the Euclidean metric (closed form), the
 elastic Fisher-Rao metric (weighted Karcher mean in SRSF space) and the
-spherical Fisher-Rao metric (projected gradient on a box domain of
-density-like vectors).
+spherical Fisher-Rao metric (Karcher mean on the sphere of square-root
+densities).
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import elastic
-from .errors import ArmEmptyError, DomainError, WeightError
+from .errors import ArmEmptyError, DomainError
 from .fdata import Curve, Dataset, grid_norm
 
 __all__ = [
@@ -57,18 +57,6 @@ class DynamicEffect:
     delta: Curve
     scalar_norm: float
     metric: Metric
-
-
-def _normalized_weights(n: int, weights) -> np.ndarray:
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,) or np.any(w < 0):
-        raise WeightError("weights must be nonnegative, one per curve")
-    total = w.sum()
-    if total <= 0:
-        raise WeightError("weights must not all be zero")
-    return w / total
 
 
 def _sphere_mean(
@@ -123,13 +111,13 @@ def frechet_mean(
     curves = list(curves)
     if not curves:
         raise ValueError("need at least one curve")
-    w = _normalized_weights(len(curves), weights)
+    w = elastic._normalized_weights(len(curves), weights)
     grid = curves[0].grid
 
     if metric is Metric.EUCLIDEAN:
         ymat = np.array([c.values for c in curves])
         mean = w @ ymat
-        obj = float(sum(wi * grid_norm(mean - row, grid) ** 2 for wi, row in zip(w, ymat)))
+        obj = elastic._weighted_spread(mean, ymat, w, grid)
         return FrechetMeanResult(Curve(grid, mean), metric, obj, True)
 
     if metric is Metric.FISHER_RAO_SRSF:

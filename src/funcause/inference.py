@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 EIGENVALUE_FLOOR = 1e-12
+# Monte Carlo draws of the limiting norm in the zero-norm regime
+MC_DRAWS = 100_000
 
 
 class Regime(enum.Enum):
@@ -78,7 +80,6 @@ def effect_ci(
     delta_hat: Curve,
     level: float = 0.95,
     seed: int = 0,
-    mc_draws: int = 100_000,
 ) -> EffectCI:
     """Confidence interval for the norm of the effect curve.
 
@@ -105,7 +106,7 @@ def effect_ci(
         evals = np.linalg.eigvalsh(k_hat)
         evals = np.clip(evals, EIGENVALUE_FLOOR, None)
         rng = np.random.default_rng(seed)
-        draws = rng.standard_normal((mc_draws, evals.size))
+        draws = rng.standard_normal((MC_DRAWS, evals.size))
         norms = np.sqrt((draws**2) @ evals) / math.sqrt(n)
         alpha = 1.0 - level
         lower = float(np.quantile(norms, alpha / 2.0))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
@@ -30,6 +30,9 @@ __all__ = [
     "input_gram",
     "output_gram",
 ]
+
+# eigenvalues down to -PSD_REL_TOL * max(1, largest eigenvalue) count as zero
+PSD_REL_TOL = 1e-8
 
 
 class KernelFamily(enum.Enum):
@@ -66,12 +69,9 @@ class GramMatrix:
             raise ValueError("gram matrix must be symmetric")
         object.__setattr__(self, "entries", (m + m.T) / 2.0)
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
-    def is_psd(self, rel_tol: float = 1e-8) -> bool:
+    def is_psd(self) -> bool:
         eigs = np.linalg.eigvalsh(self.entries)
-        return eigs[0] >= -rel_tol * max(1.0, eigs[-1])
+        return eigs[0] >= -PSD_REL_TOL * max(1.0, eigs[-1])
 
 
 def se_kernel(a, b, lengthscale: float) -> float:

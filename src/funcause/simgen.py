@@ -9,8 +9,8 @@ replicate).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 from scipy.integrate import trapezoid
@@ -25,6 +25,11 @@ __all__ = [
     "effect_error",
 ]
 
+# centres of the treatment-effect bumps on [0, 1]
+BUMP_CENTERS = (0.25, 0.5, 0.75)
+# amplitude of the sinusoidal outcome baseline
+BASELINE_AMPLITUDE = 0.5
+
 
 class Scenario(enum.Enum):
     BINARY_NONMONOTONIC = "binary_nonmonotonic"
@@ -36,25 +41,23 @@ class Scenario(enum.Enum):
 class ScenarioConfig:
     """Knobs for one synthetic scenario.
 
-    ``amplitude`` scales the treatment-effect bumps, ``centers`` and
-    ``width`` place them, ``noise`` is the iid observation noise level,
-    ``shift`` bounds the per-sample uniform peak misalignment, and
-    ``confounding`` scales how strongly the covariates drive both the
-    treatment and the outcome.
+    ``amplitude`` scales the treatment-effect bumps centred at
+    ``BUMP_CENTERS`` and ``width`` sets their width, ``noise`` is the iid
+    observation noise level, ``shift`` bounds the per-sample uniform peak
+    misalignment, and ``confounding`` scales how strongly the covariates
+    drive both the treatment and the outcome.
     """
 
     n: int = 100
     t: int = 50
     scenario: Scenario = Scenario.BINARY_NONMONOTONIC
     amplitude: float = 1.0
-    centers: Tuple[float, ...] = (0.25, 0.5, 0.75)
     width: float = 0.05
     noise: float = 0.1
     shift: float = 0.05
     confounding: float = 1.0
     seed: int = 0
     n_covariates: int = 3
-    baseline_amplitude: float = 0.5
     baseline_offset: float = 0.0
 
     def __post_init__(self):
@@ -87,7 +90,7 @@ class GroundTruth:
 
 def _bumps(tvals: np.ndarray, cfg: ScenarioConfig, shift: float = 0.0) -> np.ndarray:
     out = np.zeros_like(tvals)
-    for c in cfg.centers:
+    for c in BUMP_CENTERS:
         out += np.exp(-((tvals - c - shift) ** 2) / (2.0 * cfg.width**2))
     return cfg.amplitude * out
 
@@ -138,7 +141,7 @@ def generate(cfg: ScenarioConfig, replicate: int = 0) -> Tuple[Dataset, GroundTr
             x[0] = 1.0 - x[0]
         vcurves = None
 
-    baseline = cfg.baseline_offset + cfg.baseline_amplitude * np.sin(2.0 * np.pi * tvals)
+    baseline = cfg.baseline_offset + BASELINE_AMPLITUDE * np.sin(2.0 * np.pi * tvals)
     eps = rng.standard_normal((n, cfg.t))
     y = np.empty((n, cfg.t))
     for i in range(n):
@@ -159,9 +162,7 @@ def generate(cfg: ScenarioConfig, replicate: int = 0) -> Tuple[Dataset, GroundTr
         else:
             # the whole signal shares the per-sample phase shift, so a
             # reparameterization of [0, 1] can undo it
-            base_i = cfg.baseline_offset + cfg.baseline_amplitude * np.sin(
-                2.0 * np.pi * ts
-            )
+            base_i = cfg.baseline_offset + BASELINE_AMPLITUDE * np.sin(2.0 * np.pi * ts)
             z = base_i + (0.5 + cfg.confounding * u[i]) * arc_shape + effect
             y[i] = z + cfg.noise * eps[i]
 

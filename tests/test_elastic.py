@@ -10,6 +10,7 @@ from funcause import (
     Grid,
     SrsfCurve,
     WarpingFunction,
+    WeightError,
     align_pair,
     fr_distance_sphere,
     fr_distance_srsf,
@@ -20,6 +21,7 @@ from funcause import (
     warp_curve,
     warp_srsf,
 )
+from funcause import elastic
 
 
 def smooth_curve(grid, seed):
@@ -204,6 +206,16 @@ class TestKarcherMean:
             karcher_mean(curves, weights=np.array([1.0, -1.0, 1.0]))
         with pytest.raises(ValueError):
             karcher_mean(curves, weights=np.zeros(3))
+
+    def test_weight_count_checked_before_alignment(self, monkeypatch):
+        def no_alignment(*args, **kwargs):
+            raise AssertionError("align_pair ran before the weights were checked")
+
+        monkeypatch.setattr(elastic, "align_pair", no_alignment)
+        curves = self.make_shifted_family(Grid.uniform(32), 3)
+        with pytest.raises(WeightError):
+            karcher_mean(curves, weights=np.array([1.0, 2.0]))
+        assert issubclass(WeightError, ValueError)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

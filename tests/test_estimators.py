@@ -26,7 +26,6 @@ from funcause import (
     potential_outcome,
     register_outcomes,
     select_hyperparameters,
-    select_regularization,
 )
 from funcause import kernels
 from funcause.estimators import holdout_error, predict_curve
@@ -195,18 +194,6 @@ class TestHyperparameterSelection:
         ds = make_ds(n=20, t=5, seed=5)
         err = holdout_error(ds, BIN_KX, SE_KV, lam=1e-2)
         assert np.isfinite(err)
-
-    def test_select_regularization_in_grid(self):
-        ds = make_ds(n=24, t=5, seed=6)
-        grid = (1e-3, 1e-1, 1e1)
-        lam = select_regularization(ds, BIN_KX, SE_KV, lam_grid=grid)
-        assert lam in grid
-
-    def test_selection_deterministic(self):
-        ds = make_ds(n=24, t=5, seed=7)
-        assert select_regularization(ds, BIN_KX, SE_KV) == select_regularization(
-            ds, BIN_KX, SE_KV
-        )
 
 
 class TestIterativeEstimate:

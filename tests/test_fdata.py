@@ -1,4 +1,5 @@
 """Tests for grids, curves, datasets, and dataset I/O."""
+import csv
 import json
 
 import numpy as np
@@ -164,8 +165,8 @@ class TestDatasetIO:
     def test_round_trip(self, tmp_path, fmt, with_vcurves):
         ds = make_dataset(n=5, t=9, d=2, with_vcurves=with_vcurves, seed=3)
         path = tmp_path / f"data.{fmt}"
-        save_dataset(ds, path, fmt)
-        back = load_dataset(path, fmt)
+        save_dataset(ds, path)
+        back = load_dataset(path)
         assert len(back) == len(ds)
         np.testing.assert_allclose(back.outcome_matrix, ds.outcome_matrix, atol=1e-12)
         np.testing.assert_allclose(back.covariate_matrix, ds.covariate_matrix, atol=1e-12)
@@ -179,19 +180,19 @@ class TestDatasetIO:
     def test_short_row_rejected_with_row_index(self, tmp_path):
         ds = make_dataset(n=3, t=8, d=1)
         path = tmp_path / "data.csv"
-        save_dataset(ds, path, "csv")
+        save_dataset(ds, path)
         lines = path.read_text().splitlines()
         cells = lines[2].split(",")
         lines[2] = ",".join(cells[:-1])
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError) as err:
-            load_dataset(path, "csv")
+            load_dataset(path)
         assert err.value.row is not None
 
     def test_non_numeric_cell_rejected(self, tmp_path):
         ds = make_dataset(n=3, t=8, d=1)
         path = tmp_path / "data.csv"
-        save_dataset(ds, path, "csv")
+        save_dataset(ds, path)
         text = path.read_text().replace("\n", "\n", 1)
         lines = text.splitlines()
         cells = lines[1].split(",")
@@ -199,7 +200,7 @@ class TestDatasetIO:
         lines[1] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError):
-            load_dataset(path, "csv")
+            load_dataset(path)
 
     def test_mixed_treatment_column_loads(self, tmp_path):
         ds = make_dataset(n=4, t=8, d=1)
@@ -209,8 +210,8 @@ class TestDatasetIO:
         )
         mixed = Dataset(samples)
         path = tmp_path / "data.csv"
-        save_dataset(mixed, path, "csv")
-        back = load_dataset(path, "csv")
+        save_dataset(mixed, path)
+        back = load_dataset(path)
         assert not back.is_binary()
 
 
@@ -259,7 +260,7 @@ class TestJsonSchemaErrors:
     @settings(max_examples=40, deadline=None)
     def test_missing_key_raises_schema_error(self, tmp_path_factory, key, with_vcurves):
         path = tmp_path_factory.getbasetemp() / "missing_key.json"
-        save_dataset(make_dataset(n=3, t=8, with_vcurves=with_vcurves), path, "json")
+        save_dataset(make_dataset(n=3, t=8, with_vcurves=with_vcurves), path)
         payload = json.loads(path.read_text())
         parent = payload
         for part in key[:-1]:
@@ -268,3 +269,49 @@ class TestJsonSchemaErrors:
         path.write_text(json.dumps(payload))
         with pytest.raises(SchemaError):
             load_dataset(path)
+
+
+CSV_HEADER = "id,treatment,v_1,y_0001,y_0002,y_0003"
+
+MALFORMED_CSV = {
+    "one_row": CSV_HEADER + "\na,0,0.1,1,2,3\n",
+    "header_only": CSV_HEADER + "\n",
+    "single_arm": CSV_HEADER + "\na,0,0.1,1,2,3\nb,0,0.2,1,2,3\n",
+    "single_vc_column": "id,treatment,v_1,y_0001,y_0002,vc_0001\na,0,0.1,1,2,5\nb,1,0.2,1,2,5\n",
+    # longer than the csv module's field size limit
+    "oversized_field": CSV_HEADER + "\n" + "a" * 200_000 + ",0,0.1,1,2,3\nb,1,0.2,1,2,3\n",
+}
+
+
+@st.composite
+def csv_files(draw):
+    """Rows under a well-formed header (or, sometimes, arbitrary header
+    cells), with cells that are mostly numbers and sometimes any text."""
+    d, t, tc = draw(st.integers(0, 2)), draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    header = ["id", "treatment"] + [f"v_{j + 1}" for j in range(d)]
+    header += [f"y_{j + 1:04d}" for j in range(t)] + [f"vc_{j + 1:04d}" for j in range(tc)]
+    if draw(st.booleans()) and draw(st.booleans()):
+        header = draw(st.lists(st.text(max_size=6), max_size=6))
+    cell = st.sampled_from(["0", "1", "0.5", "-2.5", "nan", ""]) | st.text(max_size=4)
+    row = st.lists(cell, min_size=len(header), max_size=len(header)) | st.lists(cell, max_size=8)
+    return [header] + draw(st.lists(row, max_size=4))
+
+
+class TestCsvSchemaErrors:
+    @pytest.mark.parametrize("text", MALFORMED_CSV.values(), ids=MALFORMED_CSV.keys())
+    def test_malformed_file_raises_schema_error(self, tmp_path, text):
+        path = tmp_path / "data.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError):
+            load_dataset(path)
+
+    @given(rows=csv_files())
+    @settings(max_examples=150, deadline=None)
+    def test_any_csv_raises_only_schema_error(self, tmp_path_factory, rows):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)
+        try:
+            load_dataset(path)
+        except SchemaError:
+            pass
