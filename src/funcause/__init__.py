@@ -29,6 +29,7 @@ from .elastic import (
     KarcherMeanResult,
     SrsfCurve,
     WarpingFunction,
+    align_batch,
     align_pair,
     fr_distance_sphere,
     fr_distance_srsf,
@@ -60,13 +61,10 @@ from .kernels import (
     GramMatrix,
     KernelFamily,
     KernelSpec,
-    binary_kernel,
     cross_gram,
-    fr_kernel,
     input_gram,
     median_heuristic,
     output_gram,
-    se_kernel,
 )
 from .estimators import (
     ESTIMATOR_NAMES,

@@ -1,9 +1,11 @@
 """Elastic registration of curves via square-root slope functions.
 
 Provides the SRSF transform and its inverse, the warping group action,
-dynamic-programming pairwise alignment, Karcher means under the elastic
-metric, and the two Fisher-Rao distances (SRSF-embedding form for general
-curves, spherical arccos form for density-like vectors).
+dynamic-programming alignment of a batch of curves to one template (a pair
+is the batch of one), Karcher means under the elastic metric, whose every
+sweep aligns all curves to the mean in one dynamic program, and the two
+Fisher-Rao distances (SRSF-embedding form for general curves, spherical
+arccos form for density-like vectors).
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ __all__ = [
     "srsf_inverse",
     "warp_srsf",
     "warp_curve",
+    "align_batch",
     "align_pair",
     "karcher_mean",
     "fr_distance_srsf",
@@ -123,39 +126,123 @@ def warp_curve(f: Curve, gamma: WarpingFunction) -> Curve:
     return Curve(f.grid, np.interp(gamma.values, f.grid.points, f.values))
 
 
-def _step_cost_tables(q1: np.ndarray, q2: np.ndarray, grid: Grid, penalty: float):
-    """Per-step tables C[i, j]: cost of arriving at node (i, j) from
-    (i - di, j - dj) along a linear warp segment.
+def align_batch(template: SrsfCurve, Q, penalty: float = 0.0):
+    """Optimal warping of every row of ``Q`` toward ``template``.
 
-    The segment cost is the trapezoidal integral of (q1 - (q2 o g) sqrt(g'))^2
-    over the segment, so a full path cost equals the trapezoidal norm of the
-    residual against the warped curve it induces.
+    ``Q`` is an (n, T) matrix of SRSF values on the template's grid.  One
+    dynamic program over a monotone lattice of paths aligns all n curves,
+    one DP row at a time.  A path's cost is the trapezoidal integral of
+    (q1 - (q2 o g) sqrt(g'))^2 along its linear warp segments, plus
+    ``penalty`` (s - 1)^2 per unit of template time on a segment of slope s.
+
+    Returns ``(gammas, aligned, distances)`` of shapes (n, T), (n, T) and
+    (n,): the warps, the warped SRSFs and the post-alignment trapezoidal L2
+    norms of the residuals.  Each curve falls back to the identity warp
+    whenever alignment would not improve on it, so row c is exactly what
+    ``align_pair`` gives for ``Q[c]`` alone.
     """
-    t = q1.size
+    grid = template.grid
+    q1 = template.values
+    Q = np.asarray(Q, dtype=float)
+    t = len(grid)
+    if Q.ndim != 2 or Q.shape[1] != t:
+        raise ValueError("Q must hold one row of grid values per curve")
+    if not np.all(np.isfinite(Q)):
+        raise ValueError("srsf values must be finite")
+    n = Q.shape[0]
     h = grid.spacing
     cols = np.arange(t, dtype=float)
-    tables = []
-    for di, dj in _STEPS:
-        s = dj / di
-        sq = math.sqrt(s)
-        cost = np.zeros((t, t))
-        for m in range(di + 1):
-            w = h * (0.5 if m in (0, di) else 1.0)
-            pos = (cols - dj + s * m) * h
-            q2m = np.interp(np.clip(pos, 0.0, 1.0), grid.points, q2)
-            shift = di - m
-            row = np.full(t, np.inf)
-            row[shift:] = q1[: t - shift] if shift else q1
-            diff = row[:, None] - sq * q2m[None, :]
-            cost += w * diff * diff
+
+    # Step k's segment into column j has quadrature nodes m = 0..di, where
+    # the template takes its value at DP row i - di + m and each curve the
+    # value sqrt(s) (q2 o pos).  Block m holds node m of every step that has
+    # one; arrays are (T, n), so that a column shift is a contiguous slice.
+    blocks, interp = [], {}  # interp: the curves at each distinct pos
+    for m in range(max(di for di, _ in _STEPS) + 1):
+        steps = [k for k, (di, _) in enumerate(_STEPS) if m <= di]
+        vals = np.empty((len(steps), t, n))
+        for b, k in enumerate(steps):
+            di, dj = _STEPS[k]
+            s = dj / di
+            if (dj, s * m) not in interp:
+                pos = np.clip((cols - dj + s * m) * h, 0.0, 1.0)
+                interp[dj, s * m] = np.array([np.interp(pos, grid.points, q) for q in Q])
+            vals[b] = (math.sqrt(s) * interp[dj, s * m]).T
+        dis = np.array([_STEPS[k][0] for k in steps])
+        weight = np.where((m == 0) | (m == dis), 0.5 * h, h)[:, None, None]
+        blocks.append((steps, vals, weight, m - dis))
+    step_penalty = np.array([penalty * (dj / di - 1.0) ** 2 * (di * h) for di, dj in _STEPS])
+
+    # row i of the DP: every step's candidate cost for every curve in one
+    # (steps, T, n) array, inf where the step does not fit.  The choice is
+    # the first step attaining the minimum (ties resolve in _STEPS order),
+    # found by rank because argmin over the leading axis is several times
+    # slower.  Steps reach back three rows at most; only those are kept.
+    rank = np.arange(len(_STEPS), 0, -1, dtype=np.int8)[:, None, None]
+    choice = np.zeros((t, t, n), dtype=np.int8)
+    row0 = np.full((t, n), np.inf)
+    row0[0] = 0.0
+    recent = [row0]  # recent[d - 1] holds the distances of DP row i - d
+    cand = np.full((len(_STEPS), t, n), np.inf)
+    for i in range(1, t):
+        # each step's cost sums its node terms in node order; every step has
+        # nodes 0 and 1
+        for m, (steps, vals, weight, offset) in enumerate(blocks):
+            diff = q1[np.maximum(i + offset, 0)][:, None, None] - vals
+            term = weight * diff
+            term *= diff
+            if m == 0:
+                cost = term
+            elif m == 1:
+                cost += term
+            else:
+                cost[steps] += term
         if penalty > 0.0:
-            cost += penalty * (s - 1.0) ** 2 * (di * h)
-        tables.append(cost)
-    return tables
+            cost += step_penalty[:, None, None]
+        for k, (di, dj) in enumerate(_STEPS):
+            if i >= di and dj < t:
+                np.add(recent[di - 1][: t - dj], cost[k, dj:], out=cand[k, dj:])
+        best = cand.min(axis=0)
+        choice[i] = len(_STEPS) - ((cand == best) * rank).max(axis=0)
+        recent = [best] + recent[:2]
+    totals = recent[0][t - 1]
+
+    gammas, aligned, distances = np.empty((n, t)), np.empty((n, t)), np.empty(n)
+    rows = np.arange(t)
+    for c in range(n):
+        a2 = Q[c]
+        pre = grid_norm(q1 - a2, grid)
+
+        # backtrack the node path from (t-1, t-1)
+        nodes = [(t - 1, t - 1)]
+        i, j = t - 1, t - 1
+        while i > 0:
+            di, dj = _STEPS[choice[i, j, c]]
+            i, j = i - di, j - dj
+            nodes.append((i, j))
+        nodes = np.array(nodes[::-1])
+
+        # each grid row lies on the path segment that starts at or before it
+        seg = np.minimum(np.searchsorted(nodes[:, 0], rows, side="right") - 1, len(nodes) - 2)
+        (ia, ja), (ib, jb) = nodes[seg].T, nodes[seg + 1].T
+        s = (jb - ja) / (ib - ia)
+        gamma_vals = (ja + s * (rows - ia)) * h
+        warped = np.sqrt(s) * np.interp(gamma_vals, grid.points, a2)
+        gamma_vals[0], gamma_vals[-1] = 0.0, 1.0
+
+        post = grid_norm(q1 - warped, grid)
+        # fall back to the identity whenever the penalized path cost does not
+        # beat the identity path (whose cost is exactly pre^2 under the same
+        # quadrature); this keeps repeated registration at a fixed point
+        if post > pre or totals[c] >= pre**2 - 1e-15:
+            gammas[c], aligned[c], distances[c] = grid.points, a2, pre
+        else:
+            gammas[c], aligned[c], distances[c] = gamma_vals, warped, post
+    return gammas, aligned, distances
 
 
 def align_pair(q1: SrsfCurve, q2: SrsfCurve, penalty: float = 0.0):
-    """Optimal warping of q2 toward q1 over a monotone lattice of paths.
+    """Optimal warping of q2 toward q1: the one-curve case of ``align_batch``.
 
     Returns ``(gamma, aligned_q2, distance)`` where ``distance`` is the
     post-alignment trapezoidal L2 norm of the residual.  Falls back to the
@@ -163,55 +250,13 @@ def align_pair(q1: SrsfCurve, q2: SrsfCurve, penalty: float = 0.0):
     """
     if q1.grid != q2.grid:
         raise ValueError("srsf curves must share a grid")
+    gammas, aligned, distances = align_batch(q1, q2.values[None, :], penalty)
     grid = q1.grid
-    t = len(grid)
-    h = grid.spacing
-    a1, a2 = q1.values, q2.values
-
-    pre = grid_norm(a1 - a2, grid)
-    tables = _step_cost_tables(a1, a2, grid, penalty)
-
-    # row i of the DP: every step's candidate cost in one (steps, T) array,
-    # inf where the step does not fit; argmin takes the first minimum, so
-    # ties resolve in _STEPS order
-    dist = np.full((t, t), np.inf)
-    choice = np.zeros((t, t), dtype=np.int8)
-    dist[0, 0] = 0.0
-    cand = np.full((len(_STEPS), t), np.inf)
-    for i in range(1, t):
-        for k, (di, dj) in enumerate(_STEPS):
-            if i >= di:
-                cand[k, dj:] = dist[i - di, : t - dj] + tables[k][i, dj:]
-        choice[i] = cand.argmin(axis=0)
-        dist[i] = cand.min(axis=0)
-
-    # backtrack the node path from (t-1, t-1)
-    nodes = [(t - 1, t - 1)]
-    i, j = t - 1, t - 1
-    while i > 0:
-        di, dj = _STEPS[choice[i, j]]
-        i, j = i - di, j - dj
-        nodes.append((i, j))
-    nodes = np.array(nodes[::-1])
-
-    # each grid row lies on the path segment that starts at or before it
-    rows = np.arange(t)
-    seg = np.minimum(np.searchsorted(nodes[:, 0], rows, side="right") - 1, len(nodes) - 2)
-    (ia, ja), (ib, jb) = nodes[seg].T, nodes[seg + 1].T
-    s = (jb - ja) / (ib - ia)
-    gamma_vals = (ja + s * (rows - ia)) * h
-    warped = np.sqrt(s) * np.interp(gamma_vals, grid.points, a2)
-    gamma_vals[0], gamma_vals[-1] = 0.0, 1.0
-
-    post = grid_norm(a1 - warped, grid)
-    # fall back to the identity whenever the penalized path cost does not
-    # beat the identity path (whose cost is exactly pre^2 under the same
-    # quadrature); this keeps repeated registration at a fixed point
-    total = float(dist[t - 1, t - 1])
-    if post > pre or total >= pre**2 - 1e-15:
-        return WarpingFunction.identity(grid), SrsfCurve(grid, a2, q2.origin), pre
-    gamma = WarpingFunction(grid, gamma_vals)
-    return gamma, SrsfCurve(grid, warped, origin=q2.origin), post
+    return (
+        WarpingFunction(grid, gammas[0]),
+        SrsfCurve(grid, aligned[0], origin=q2.origin),
+        float(distances[0]),
+    )
 
 
 def _normalized_weights(n: int, weights) -> np.ndarray:
@@ -246,7 +291,8 @@ def karcher_mean(
     Alternates (a) averaging of aligned SRSFs and (b) re-alignment of every
     curve to the current mean, until the relative objective decrease drops
     below ``tol``.  The objective trace is guaranteed non-increasing.
-    Curves enter unsmoothed; each sweep calls ``align_pair`` once per curve.
+    Curves enter unsmoothed; each sweep aligns all of them to the mean in
+    one call of ``align_batch``.
     """
     curves = list(curves)
     n = len(curves)
@@ -259,25 +305,20 @@ def karcher_mean(
     qmat = np.array([q.values for q in qs])
     origins = np.array([q.origin for q in qs])
     mean_vals = w @ qmat
-    warps = [WarpingFunction.identity(grid) for _ in range(n)]
+    gmat = np.tile(grid.points, (n, 1))
     aligned = qmat.copy()
 
     trace = [_weighted_spread(mean_vals, aligned, w, grid)]
     converged = False
     for _ in range(max_iter):
-        mu = SrsfCurve(grid, mean_vals)
-        new_warps, new_aligned = [], np.empty_like(aligned)
-        for i, q in enumerate(qs):
-            g, qa, _ = align_pair(mu, q, penalty=penalty)
-            new_warps.append(g)
-            new_aligned[i] = qa.values
+        new_gmat, new_aligned, _ = align_batch(SrsfCurve(grid, mean_vals), qmat, penalty)
         new_mean = w @ new_aligned
         obj = _weighted_spread(new_mean, new_aligned, w, grid)
         if obj > trace[-1]:
             # float slip; keep the previous (better) iterate
             converged = True
             break
-        warps, aligned, mean_vals = new_warps, new_aligned, new_mean
+        gmat, aligned, mean_vals = new_gmat, new_aligned, new_mean
         prev = trace[-1]
         trace.append(obj)
         if prev - obj <= tol * max(prev, 1e-30):
@@ -286,25 +327,16 @@ def karcher_mean(
 
     # center the warps: compose with the inverse of their average so the
     # mean warp is the identity and the mean keeps the population phase
-    gmat = np.array([g.values for g in warps])
+    warps = [WarpingFunction(grid, g) for g in gmat]
     gbar = w @ gmat
     if np.all(np.diff(gbar) > 0):
         gbar_inv = np.interp(grid.points, gbar, grid.points)
         gbar_inv[0], gbar_inv[-1] = 0.0, 1.0
-        centered = []
-        for g in warps:
-            vals = np.interp(gbar_inv, grid.points, g.values)
-            vals[0], vals[-1] = 0.0, 1.0
-            if np.all(np.diff(vals) > 0):
-                centered.append(WarpingFunction(grid, vals))
-            else:
-                centered = None
-                break
-        if centered is not None:
-            warps = centered
-            aligned = np.array(
-                [warp_srsf(q, g).values for q, g in zip(qs, warps)]
-            )
+        centered = np.array([np.interp(gbar_inv, grid.points, g) for g in gmat])
+        centered[:, 0], centered[:, -1] = 0.0, 1.0
+        if np.all(np.diff(centered, axis=1) > 0):
+            warps = [WarpingFunction(grid, g) for g in centered]
+            aligned = np.array([warp_srsf(q, g).values for q, g in zip(qs, warps)])
             mean_vals = w @ aligned
 
     mean_srsf = SrsfCurve(grid, mean_vals, origin=float(w @ origins))

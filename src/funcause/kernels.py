@@ -1,4 +1,4 @@
-"""Scalar kernels, bandwidth heuristics and Gram-matrix construction.
+"""Kernel specs, bandwidth heuristics and Gram-matrix construction.
 
 Input Grams combine a treatment kernel and a covariate kernel entrywise;
 the output Gram encodes correlation among grid points.  Curve inputs go
@@ -8,31 +8,24 @@ kernel positive definite.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .elastic import fr_distance_srsf, srsf_transform
+from .elastic import srsf_transform
 from .fdata import Curve, Grid
 
 __all__ = [
     "KernelFamily",
     "KernelSpec",
     "GramMatrix",
-    "se_kernel",
-    "binary_kernel",
-    "fr_kernel",
     "median_heuristic",
     "cross_gram",
     "input_gram",
     "output_gram",
 ]
-
-# eigenvalues down to -PSD_REL_TOL * max(1, largest eigenvalue) count as zero
-PSD_REL_TOL = 1e-8
 
 
 class KernelFamily(enum.Enum):
@@ -68,34 +61,6 @@ class GramMatrix:
         if np.max(np.abs(m - m.T), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(m))):
             raise ValueError("gram matrix must be symmetric")
         object.__setattr__(self, "entries", (m + m.T) / 2.0)
-
-    def is_psd(self) -> bool:
-        eigs = np.linalg.eigvalsh(self.entries)
-        return eigs[0] >= -PSD_REL_TOL * max(1.0, eigs[-1])
-
-
-def se_kernel(a, b, lengthscale: float) -> float:
-    """Squared exponential kernel exp(-||a - b||^2 / (2 l^2))."""
-    if lengthscale <= 0:
-        raise ValueError("lengthscale must be positive")
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if a.shape != b.shape:
-        raise ValueError("inputs must have equal dimension")
-    d2 = float(np.sum((a - b) ** 2))
-    return math.exp(-d2 / (2.0 * lengthscale**2))
-
-
-def binary_kernel(x, y) -> float:
-    """Indicator kernel: 1 when the treatments match."""
-    return 1.0 if x == y else 0.0
-
-
-def fr_kernel(f: Curve, g: Curve, zeta: float) -> float:
-    """Gaussian kernel on curves through the Fisher-Rao distance."""
-    if zeta <= 0:
-        raise ValueError("zeta must be positive")
-    return math.exp(-zeta * fr_distance_srsf(f, g) ** 2)
 
 
 def _srsf_feature_matrix(curves: Sequence[Curve]) -> np.ndarray:

@@ -1,4 +1,7 @@
 """Tests for SRSF transforms, alignment, Karcher means, and distances."""
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from funcause import (
     SrsfCurve,
     WarpingFunction,
     WeightError,
+    align_batch,
     align_pair,
     fr_distance_sphere,
     fr_distance_srsf,
@@ -22,6 +26,15 @@ from funcause import (
     warp_srsf,
 )
 from funcause import elastic
+
+# ``karcher_mean`` of the 20 covariate curves of ``continuous_functional``
+# (n=20, T=50, seed 0) with 3 sweeps and penalty 0 and 0.05, computed at
+# commit 0a5c2aa, when each sweep still aligned the curves one pair at a
+# time.  Batching the DP kept every arithmetic step, so all outputs must
+# match bit for bit.
+PINNED_KARCHER = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "pinned_karcher.json").read_text()
+)
 
 
 def smooth_curve(grid, seed):
@@ -161,6 +174,63 @@ class TestAlignPair:
         assert dev_pen <= dev_free + 1e-12
 
 
+class TestAlignBatch:
+    """Row c of ``align_batch(mu, Q)`` is ``align_pair(mu, Q[c])`` bit for
+    bit: the curves of a batch share the DP rows but never mix."""
+
+    def assert_rows_match_pairs(self, mu, qmat, penalty):
+        gammas, aligned, distances = align_batch(mu, qmat, penalty)
+        assert gammas.shape == aligned.shape == qmat.shape
+        assert distances.shape == (len(qmat),)
+        for c, row in enumerate(qmat):
+            gamma, qa, dist = align_pair(mu, SrsfCurve(mu.grid, row), penalty=penalty)
+            np.testing.assert_allclose(gammas[c], gamma.values, rtol=0, atol=0)
+            np.testing.assert_allclose(aligned[c], qa.values, rtol=0, atol=0)
+            assert distances[c] == dist
+
+    @given(
+        t=st.integers(2, 40),
+        n=st.integers(1, 6),
+        penalty=st.sampled_from([0.0, 0.05, 100.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_equal_align_pair(self, t, n, penalty, seed):
+        grid = Grid.uniform(t)
+        qmat = np.random.default_rng(seed).standard_normal((n + 1, t))
+        self.assert_rows_match_pairs(SrsfCurve(grid, qmat[0]), qmat[1:], penalty)
+
+    @pytest.mark.parametrize("penalty", [0.0, 0.05])
+    def test_identity_fallback_mixed_with_shifted_curves(self, penalty):
+        grid = Grid.uniform(50)
+
+        def bump(shift):
+            vals = np.exp(-((grid.points - 0.5 - shift) ** 2) / 0.01)
+            return srsf_transform(Curve(grid, vals)).values
+
+        mu = SrsfCurve(grid, bump(0.0))
+        qmat = np.array([bump(0.0), bump(0.08), bump(0.0), bump(-0.06)])
+        gammas, aligned, distances = align_batch(mu, qmat, penalty)
+        for c in (0, 2):
+            np.testing.assert_array_equal(gammas[c], grid.points)
+            np.testing.assert_array_equal(aligned[c], mu.values)
+            assert distances[c] == 0.0
+        for c in (1, 3):
+            assert np.max(np.abs(gammas[c] - grid.points)) > 0.02
+            assert distances[c] < grid_norm(mu.values - qmat[c], grid)
+        self.assert_rows_match_pairs(mu, qmat, penalty)
+
+    def test_rows_checked(self):
+        grid = Grid.uniform(16)
+        mu = srsf_transform(smooth_curve(grid, 0))
+        with pytest.raises(ValueError):
+            align_batch(mu, mu.values)
+        with pytest.raises(ValueError):
+            align_batch(mu, np.zeros((2, 15)))
+        with pytest.raises(ValueError):
+            align_batch(mu, np.array([mu.values, np.full(16, np.nan)]))
+
+
 class TestKarcherMean:
     def make_shifted_family(self, grid, n, seed=0):
         rng = np.random.default_rng(seed)
@@ -209,9 +279,9 @@ class TestKarcherMean:
 
     def test_weight_count_checked_before_alignment(self, monkeypatch):
         def no_alignment(*args, **kwargs):
-            raise AssertionError("align_pair ran before the weights were checked")
+            raise AssertionError("align_batch ran before the weights were checked")
 
-        monkeypatch.setattr(elastic, "align_pair", no_alignment)
+        monkeypatch.setattr(elastic, "align_batch", no_alignment)
         curves = self.make_shifted_family(Grid.uniform(32), 3)
         with pytest.raises(WeightError):
             karcher_mean(curves, weights=np.array([1.0, 2.0]))
@@ -220,6 +290,18 @@ class TestKarcherMean:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             karcher_mean([])
+
+    @pytest.mark.parametrize("case", PINNED_KARCHER["means"], ids=lambda c: f"pen{c['penalty']}")
+    def test_pinned(self, case):
+        grid = Grid.uniform(len(PINNED_KARCHER["curves"][0]))
+        curves = [Curve(grid, vals) for vals in PINNED_KARCHER["curves"]]
+        res = karcher_mean(curves, max_iter=PINNED_KARCHER["max_iter"], penalty=case["penalty"])
+        np.testing.assert_allclose(res.mean.values, case["mean"], rtol=0, atol=0)
+        np.testing.assert_allclose(res.mean_srsf.values, case["mean_srsf"], rtol=0, atol=0)
+        assert res.mean_srsf.origin == case["origin"]
+        np.testing.assert_allclose([g.values for g in res.warps], case["warps"], rtol=0, atol=0)
+        assert res.objective_trace == case["objective_trace"]
+        assert res.converged == case["converged"]
 
 
 class TestFisherRaoDistances:

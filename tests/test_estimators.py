@@ -256,21 +256,22 @@ class TestIterativeEstimate:
         )
         ds = generate(cfg)[0]
         aligns, fits = [], []
-        align, fit = elastic.align_pair, estimators.krr_fit
+        align, fit = elastic.align_batch, estimators.krr_fit
 
-        def counting_align(*args, **kwargs):
-            aligns.append(1)
-            return align(*args, **kwargs)
+        def counting_align(template, Q, *args, **kwargs):
+            aligns.append(Q.shape[0])
+            return align(template, Q, *args, **kwargs)
 
         def counting_fit(*args, **kwargs):
             fits.append(1)
             return fit(*args, **kwargs)
 
-        monkeypatch.setattr(elastic, "align_pair", counting_align)
+        monkeypatch.setattr(elastic, "align_batch", counting_align)
         monkeypatch.setattr(estimators, "krr_fit", counting_fit)
         iterative_srvf_estimate(ds, IterativeConfig(r_max=3, karcher_max_iter=2))
-        # two curve sets, each with at most karcher_max_iter + r_max - 1 sweeps
-        assert len(aligns) <= 2 * 20 * (2 + 3 - 1)
+        # curves aligned: two curve sets, each with at most
+        # karcher_max_iter + r_max - 1 sweeps of 20 curves
+        assert 0 < sum(aligns) <= 2 * 20 * (2 + 3 - 1)
         assert len(fits) == 1
 
 
