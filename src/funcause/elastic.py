@@ -2,10 +2,15 @@
 
 Provides the SRSF transform and its inverse, the warping group action,
 dynamic-programming alignment of a batch of curves to one template (a pair
-is the batch of one), Karcher means under the elastic metric, whose every
-sweep aligns all curves to the mean in one dynamic program, and the two
+is the batch of one), Karcher means under the elastic metric, and the two
 Fisher-Rao distances (SRSF-embedding form for general curves, spherical
 arccos form for density-like vectors).
+
+The DP visits only the band of lattice cells that a path of slopes in
+[1/3, 3] from corner to corner can cross, which gives the same result as
+the full lattice.  A Karcher mean builds the curves' side of the DP once
+and re-uses it on every sweep, and the whole sweep (DP, backtrack, warp
+read-off, norms, centring) works on (n, T) matrices, not curve by curve.
 """
 from __future__ import annotations
 
@@ -14,10 +19,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_trapezoid, trapezoid
 
-from .errors import DomainError, WeightError
-from .fdata import Curve, Grid, derivative, grid_norm
+from .errors import DomainError, GridTooSmall, WeightError
+from .fdata import Curve, Grid, grid_norm
 
 __all__ = [
     "SrsfCurve",
@@ -37,7 +42,15 @@ __all__ = [
 # DP lattice moves (rows, cols); slopes cover [1/3, 3].  The diagonal move
 # comes first so that ties resolve toward the identity warp.
 _STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
-SLOPE_CAP = 3.0
+# The DP keeps the steps in order of rise, so that the steps with a
+# quadrature node m (those of rise >= m) form the suffix _BY_RISE[_FIRST[m]:].
+# Its node terms are kept as one stack, node by node: _NODES lists the
+# (node, step) pair of each layer.
+_BY_RISE = sorted(range(len(_STEPS)), key=lambda k: _STEPS[k][0])
+_FIRST = [next(p for p, k in enumerate(_BY_RISE) if _STEPS[k][0] >= m) for m in range(4)]
+_NODES = [(m, k) for m, first in enumerate(_FIRST) for k in _BY_RISE[first:]]
+_DI = np.array([di for di, _ in _STEPS])
+_DJ = np.array([dj for _, dj in _STEPS])
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,12 +103,19 @@ class KarcherMeanResult:
     converged: bool
 
 
+def _srsf_rows(fmat, grid: Grid) -> np.ndarray:
+    """SRSF values of every row of ``fmat``: sign(f') sqrt(|f'|) of the
+    unsmoothed second-order finite-difference derivative (``derivative``)."""
+    if len(grid) < 3:
+        raise GridTooSmall("derivative needs at least 3 grid points")
+    df = np.gradient(fmat, grid.spacing, axis=-1, edge_order=2)
+    return np.sign(df) * np.sqrt(np.abs(df))
+
+
 def srsf_transform(f: Curve) -> SrsfCurve:
     """q(t) = sign(f'(t)) sqrt(|f'(t)|) of the unsmoothed ``derivative``,
     with origin f(0)."""
-    df = derivative(f).values
-    q = np.sign(df) * np.sqrt(np.abs(df))
-    return SrsfCurve(f.grid, q, origin=float(f.values[0]))
+    return SrsfCurve(f.grid, _srsf_rows(f.values, f.grid), origin=float(f.values[0]))
 
 
 def srsf_inverse(q: SrsfCurve) -> Curve:
@@ -105,9 +125,29 @@ def srsf_inverse(q: SrsfCurve) -> Curve:
     return Curve(q.grid, f)
 
 
-def _warp_slopes(gamma: WarpingFunction) -> np.ndarray:
-    slopes = np.gradient(gamma.values, gamma.grid.spacing, edge_order=2)
+def _warp_slopes(gmat, grid: Grid) -> np.ndarray:
+    slopes = np.gradient(gmat, grid.spacing, axis=-1, edge_order=2)
     return np.clip(slopes, 0.0, None)
+
+
+def _interp_rows(x, xp: np.ndarray, fmat: np.ndarray) -> np.ndarray:
+    """``np.interp(x_c, xp, fmat[c])`` for every row c at once, bit for bit
+    on finite values.
+
+    ``x`` is shared by all rows (shape (m,)) or has one row per row of
+    ``fmat`` (shape (n, m)).  Like ``np.interp`` it clamps outside ``xp``
+    and takes ``slope * (x - xp[j]) + fp[j]`` on [xp[j], xp[j + 1]).
+    """
+    x = np.asarray(x)
+    j = np.searchsorted(xp, x, side="right") - 1
+    inner = np.clip(j, 0, len(xp) - 2)
+    at = np.broadcast_to(inner, (len(fmat), x.shape[-1]))
+    f_lo = np.take_along_axis(fmat, at, axis=-1)
+    f_hi = np.take_along_axis(fmat, at + 1, axis=-1)
+    x_lo = xp[inner]
+    out = (f_hi - f_lo) / (xp[inner + 1] - x_lo) * (x - x_lo) + f_lo
+    out = np.where(j < 0, fmat[:, :1], out)
+    return np.where(j >= len(xp) - 1, fmat[:, -1:], out)
 
 
 def warp_srsf(q: SrsfCurve, gamma: WarpingFunction) -> SrsfCurve:
@@ -115,7 +155,7 @@ def warp_srsf(q: SrsfCurve, gamma: WarpingFunction) -> SrsfCurve:
     if q.grid != gamma.grid:
         raise ValueError("srsf and warping must share a grid")
     warped = np.interp(gamma.values, q.grid.points, q.values)
-    out = warped * np.sqrt(_warp_slopes(gamma))
+    out = warped * np.sqrt(_warp_slopes(gamma.values, gamma.grid))
     return SrsfCurve(q.grid, out, origin=q.origin)
 
 
@@ -126,14 +166,167 @@ def warp_curve(f: Curve, gamma: WarpingFunction) -> Curve:
     return Curve(f.grid, np.interp(gamma.values, f.grid.points, f.values))
 
 
+def _row_norms(rows, grid: Grid) -> np.ndarray:
+    """``grid_norm`` of every row: trapezoidal L2 norms over [0, 1]."""
+    return np.sqrt(trapezoid(np.asarray(rows) ** 2, grid.points, axis=-1))
+
+
+def _band(t: int):
+    """Columns [lo[i], hi[i]) of DP row i that some path from (0, 0) to
+    (t-1, t-1) can cross: every step has a slope in [1/3, 3], so a cell
+    must lie in that cone from both corners.  Cells outside are unreachable
+    (their cost is inf) or reach no cell on a path to the end."""
+    i = np.arange(t)
+    r = t - 1 - i
+    lo = np.maximum(-(-i // 3), t - 1 - 3 * r)
+    hi = np.minimum(3 * i, t - 1 - -(-r // 3)) + 1
+    return lo, hi
+
+
+def _start_cells(t: int) -> np.ndarray:
+    """Where DP cell (i, j) finds the distance of step p's start cell.
+
+    Entry [i, p, j] indexes the rows of a (3t + 1, n) ring that holds the
+    distances of DP rows i - 1 to i - 3, DP row r at rows (r % 3) t to
+    (r % 3 + 1) t; step p is ``_STEPS[_BY_RISE[p]]``.  A start cell off the
+    lattice or outside its row's band maps to row 3t, which stays inf.
+    """
+    lo, hi = _band(t)
+    order = np.array(_BY_RISE)
+    r = np.arange(t)[:, None, None] - _DI[order][None, :, None]
+    c = np.arange(t)[None, None, :] - _DJ[order][None, :, None]
+    rr = np.maximum(r, 0)
+    inside = (r >= 0) & (c >= lo[rr]) & (c < hi[rr])
+    return np.where(inside, r % 3 * t + c, 3 * t)
+
+
+def _node_tables(Q: np.ndarray, grid: Grid) -> np.ndarray:
+    """The curves' side of every step's quadrature nodes, for the DP.
+
+    Step k's segment into column j has nodes m = 0..di, where the template
+    takes its value at DP row i - di + m and each curve the value
+    sqrt(s) (q2 o pos).  Layer l of the (len(_NODES), T, n) stack holds the
+    node and step ``_NODES[l]``, so that a column range is a slice.  The
+    stack depends on the curves only, not on the template.
+    """
+    t, n = len(grid), Q.shape[0]
+    h = grid.spacing
+    cols = np.arange(t, dtype=float)
+    stack, interp = np.empty((len(_NODES), t, n)), {}  # interp: the curves at each pos
+    for layer, (m, k) in enumerate(_NODES):
+        di, dj = _STEPS[k]
+        s = dj / di
+        if (dj, s * m) not in interp:
+            pos = np.clip((cols - dj + s * m) * h, 0.0, 1.0)
+            interp[dj, s * m] = _interp_rows(pos, grid.points, Q)
+        stack[layer] = (math.sqrt(s) * interp[dj, s * m]).T
+    return stack
+
+
+def _align_rows(template: SrsfCurve, Q: np.ndarray, stack: np.ndarray, penalty: float):
+    """``align_batch`` on the node stack already built from ``Q``."""
+    grid = template.grid
+    q1 = template.values
+    n, t = Q.shape
+    h = grid.spacing
+    node_m = np.array([m for m, _ in _NODES])
+    node_di = _DI[[k for _, k in _NODES]]
+    weight = np.where((node_m == 0) | (node_m == node_di), 0.5 * h, h)[:, None, None]
+    # the template at every node of every DP row
+    q1_nodes = q1[np.maximum(np.arange(t)[:, None] + node_m - node_di, 0)][:, :, None, None]
+    layers = np.cumsum([0] + [len(_STEPS) - first for first in _FIRST]).tolist()
+    step_penalty = np.array(
+        [penalty * (dj / di - 1.0) ** 2 * (di * h) for di, dj in (_STEPS[k] for k in _BY_RISE)]
+    )[:, None, None]
+    # a tie goes to the step that comes first in _STEPS, as argmin picks it
+    rank = (len(_STEPS) - np.array(_BY_RISE, dtype=np.int8))[:, None, None]
+
+    # Row i of the DP covers the band's columns [a, b) only.  Each step's
+    # cost sums its node terms in node order (every step has nodes 0 and 1),
+    # then gains the distance of its start cell; the choice is the first step
+    # attaining the minimum, found by rank because argmin over the leading
+    # axis is several times slower.  Steps reach back three rows at most, so
+    # three distance rows are kept, in a ring.
+    lo, hi = (x.tolist() for x in _band(t))
+    starts = _start_cells(t)
+    choice = np.zeros((t, t, n), dtype=np.int8)
+    ring = np.full((3 * t + 1, n), np.inf)
+    ring[0] = 0.0
+    for i in range(1, t):
+        a, b = lo[i], hi[i]
+        for m, (first, l0, l1) in enumerate(zip(_FIRST, layers, layers[1:])):
+            diff = q1_nodes[i, l0:l1] - stack[l0:l1, a:b]
+            term = weight[l0:l1] * diff
+            term *= diff
+            if m == 0:
+                cost = term
+            else:
+                cost[first:] += term
+        if penalty > 0.0:
+            cost += step_penalty
+        cost += ring.take(starts[i, :, a:b], axis=0)
+        best = cost.min(axis=0)
+        choice[i, a:b] = len(_STEPS) - ((cost == best) * rank).max(axis=0)
+        ring[i % 3 * t + a : i % 3 * t + b] = best
+    totals = ring[(t - 1) % 3 * t + t - 1]
+
+    # backtrack every curve's node path from (t-1, t-1) in lockstep, noting
+    # at each node's row the step that ends there and the node's column; a
+    # curve back at (0, 0) takes a step of length 0 ever after (choice 7)
+    di_of, dj_of = np.append(_DI, 0), np.append(_DJ, 0)
+    choice[0] = len(_STEPS)
+    curve = np.arange(n)
+    i, j = np.full(n, t - 1), np.full(n, t - 1)
+    step_end = np.full((n, t), len(_STEPS), dtype=np.int8)
+    col_end = np.zeros((n, t), dtype=int)
+    for _ in range(t - 1):  # a path has at most t - 1 steps
+        if not i.any():
+            break
+        k = choice[i, j, curve]
+        step_end[curve, i] = k
+        col_end[curve, i] = j
+        i -= di_of[k]
+        j -= dj_of[k]
+
+    # row r lies on the segment that ends at the first node row after r; the
+    # last row lies on the last segment
+    rows = np.arange(t)
+    after = np.where(step_end[:, 1:] < len(_STEPS), rows[1:], t)
+    after = np.minimum.accumulate(after[:, ::-1], axis=1)[:, ::-1]
+    ib = np.column_stack([after, after[:, -1]])
+    k = np.take_along_axis(step_end, ib, axis=1)
+    ia = ib - _DI[k]
+    ja = np.take_along_axis(col_end, ib, axis=1) - _DJ[k]
+    s = _DJ[k] / _DI[k]
+    gamma = (ja + s * (rows - ia)) * h
+    warped = np.sqrt(s) * _interp_rows(gamma, grid.points, Q)
+    gamma[:, 0], gamma[:, -1] = 0.0, 1.0
+
+    pre, post = _row_norms(q1 - Q, grid), _row_norms(q1 - warped, grid)
+    # Python's float power, as the identity path's cost was always compared
+    # with it; it can differ from pre * pre in the last bit
+    pre_sq = np.array([p**2 for p in pre.tolist()])
+    # fall back to the identity whenever the penalized path cost does not
+    # beat the identity path (whose cost is exactly pre^2 under the same
+    # quadrature); this keeps repeated registration at a fixed point
+    keep = ((post > pre) | (totals >= pre_sq - 1e-15))[:, None]
+    return (
+        np.where(keep, grid.points, gamma),
+        np.where(keep, Q, warped),
+        np.where(keep[:, 0], pre, post),
+    )
+
+
 def align_batch(template: SrsfCurve, Q, penalty: float = 0.0):
     """Optimal warping of every row of ``Q`` toward ``template``.
 
     ``Q`` is an (n, T) matrix of SRSF values on the template's grid.  One
     dynamic program over a monotone lattice of paths aligns all n curves,
-    one DP row at a time.  A path's cost is the trapezoidal integral of
-    (q1 - (q2 o g) sqrt(g'))^2 along its linear warp segments, plus
-    ``penalty`` (s - 1)^2 per unit of template time on a segment of slope s.
+    one DP row at a time, over the band of cells that some path from
+    (0, 0) to (T-1, T-1) can cross.  A path's cost is the trapezoidal
+    integral of (q1 - (q2 o g) sqrt(g'))^2 along its linear warp segments,
+    plus ``penalty`` (s - 1)^2 per unit of template time on a segment of
+    slope s.
 
     Returns ``(gammas, aligned, distances)`` of shapes (n, T), (n, T) and
     (n,): the warps, the warped SRSFs and the post-alignment trapezoidal L2
@@ -141,104 +334,12 @@ def align_batch(template: SrsfCurve, Q, penalty: float = 0.0):
     whenever alignment would not improve on it, so row c is exactly what
     ``align_pair`` gives for ``Q[c]`` alone.
     """
-    grid = template.grid
-    q1 = template.values
     Q = np.asarray(Q, dtype=float)
-    t = len(grid)
-    if Q.ndim != 2 or Q.shape[1] != t:
+    if Q.ndim != 2 or Q.shape[1] != len(template.grid):
         raise ValueError("Q must hold one row of grid values per curve")
     if not np.all(np.isfinite(Q)):
         raise ValueError("srsf values must be finite")
-    n = Q.shape[0]
-    h = grid.spacing
-    cols = np.arange(t, dtype=float)
-
-    # Step k's segment into column j has quadrature nodes m = 0..di, where
-    # the template takes its value at DP row i - di + m and each curve the
-    # value sqrt(s) (q2 o pos).  Block m holds node m of every step that has
-    # one; arrays are (T, n), so that a column shift is a contiguous slice.
-    blocks, interp = [], {}  # interp: the curves at each distinct pos
-    for m in range(max(di for di, _ in _STEPS) + 1):
-        steps = [k for k, (di, _) in enumerate(_STEPS) if m <= di]
-        vals = np.empty((len(steps), t, n))
-        for b, k in enumerate(steps):
-            di, dj = _STEPS[k]
-            s = dj / di
-            if (dj, s * m) not in interp:
-                pos = np.clip((cols - dj + s * m) * h, 0.0, 1.0)
-                interp[dj, s * m] = np.array([np.interp(pos, grid.points, q) for q in Q])
-            vals[b] = (math.sqrt(s) * interp[dj, s * m]).T
-        dis = np.array([_STEPS[k][0] for k in steps])
-        weight = np.where((m == 0) | (m == dis), 0.5 * h, h)[:, None, None]
-        blocks.append((steps, vals, weight, m - dis))
-    step_penalty = np.array([penalty * (dj / di - 1.0) ** 2 * (di * h) for di, dj in _STEPS])
-
-    # row i of the DP: every step's candidate cost for every curve in one
-    # (steps, T, n) array, inf where the step does not fit.  The choice is
-    # the first step attaining the minimum (ties resolve in _STEPS order),
-    # found by rank because argmin over the leading axis is several times
-    # slower.  Steps reach back three rows at most; only those are kept.
-    rank = np.arange(len(_STEPS), 0, -1, dtype=np.int8)[:, None, None]
-    choice = np.zeros((t, t, n), dtype=np.int8)
-    row0 = np.full((t, n), np.inf)
-    row0[0] = 0.0
-    recent = [row0]  # recent[d - 1] holds the distances of DP row i - d
-    cand = np.full((len(_STEPS), t, n), np.inf)
-    for i in range(1, t):
-        # each step's cost sums its node terms in node order; every step has
-        # nodes 0 and 1
-        for m, (steps, vals, weight, offset) in enumerate(blocks):
-            diff = q1[np.maximum(i + offset, 0)][:, None, None] - vals
-            term = weight * diff
-            term *= diff
-            if m == 0:
-                cost = term
-            elif m == 1:
-                cost += term
-            else:
-                cost[steps] += term
-        if penalty > 0.0:
-            cost += step_penalty[:, None, None]
-        for k, (di, dj) in enumerate(_STEPS):
-            if i >= di and dj < t:
-                np.add(recent[di - 1][: t - dj], cost[k, dj:], out=cand[k, dj:])
-        best = cand.min(axis=0)
-        choice[i] = len(_STEPS) - ((cand == best) * rank).max(axis=0)
-        recent = [best] + recent[:2]
-    totals = recent[0][t - 1]
-
-    gammas, aligned, distances = np.empty((n, t)), np.empty((n, t)), np.empty(n)
-    rows = np.arange(t)
-    for c in range(n):
-        a2 = Q[c]
-        pre = grid_norm(q1 - a2, grid)
-
-        # backtrack the node path from (t-1, t-1)
-        nodes = [(t - 1, t - 1)]
-        i, j = t - 1, t - 1
-        while i > 0:
-            di, dj = _STEPS[choice[i, j, c]]
-            i, j = i - di, j - dj
-            nodes.append((i, j))
-        nodes = np.array(nodes[::-1])
-
-        # each grid row lies on the path segment that starts at or before it
-        seg = np.minimum(np.searchsorted(nodes[:, 0], rows, side="right") - 1, len(nodes) - 2)
-        (ia, ja), (ib, jb) = nodes[seg].T, nodes[seg + 1].T
-        s = (jb - ja) / (ib - ia)
-        gamma_vals = (ja + s * (rows - ia)) * h
-        warped = np.sqrt(s) * np.interp(gamma_vals, grid.points, a2)
-        gamma_vals[0], gamma_vals[-1] = 0.0, 1.0
-
-        post = grid_norm(q1 - warped, grid)
-        # fall back to the identity whenever the penalized path cost does not
-        # beat the identity path (whose cost is exactly pre^2 under the same
-        # quadrature); this keeps repeated registration at a fixed point
-        if post > pre or totals[c] >= pre**2 - 1e-15:
-            gammas[c], aligned[c], distances[c] = grid.points, a2, pre
-        else:
-            gammas[c], aligned[c], distances[c] = gamma_vals, warped, post
-    return gammas, aligned, distances
+    return _align_rows(template, Q, _node_tables(Q, template.grid), penalty)
 
 
 def align_pair(q1: SrsfCurve, q2: SrsfCurve, penalty: float = 0.0):
@@ -275,8 +376,10 @@ def _normalized_weights(n: int, weights) -> np.ndarray:
 
 
 def _weighted_spread(mu: np.ndarray, rows: np.ndarray, w: np.ndarray, grid: Grid) -> float:
-    """sum_i w_i ||mu - rows_i||^2 in the trapezoidal L2 norm."""
-    return float(sum(wi * grid_norm(mu - row, grid) ** 2 for wi, row in zip(w, rows)))
+    """sum_i w_i ||mu - rows_i||^2 in the trapezoidal L2 norm, summed in
+    row order with Python's float power."""
+    norms = _row_norms(mu - rows, grid).tolist()
+    return float(sum(wi * ni**2 for wi, ni in zip(w, norms)))
 
 
 def karcher_mean(
@@ -291,27 +394,31 @@ def karcher_mean(
     Alternates (a) averaging of aligned SRSFs and (b) re-alignment of every
     curve to the current mean, until the relative objective decrease drops
     below ``tol``.  The objective trace is guaranteed non-increasing.
-    Curves enter unsmoothed; each sweep aligns all of them to the mean in
-    one call of ``align_batch``.
+    Curves enter unsmoothed and must share a grid.  The curves' side of the
+    DP (``_node_tables``) is built once; each sweep then aligns all curves
+    to the mean in one banded dynamic program, as ``align_batch`` does.
     """
     curves = list(curves)
     n = len(curves)
     if n == 0:
         raise ValueError("need at least one curve")
     grid = curves[0].grid
+    if any(c.grid != grid for c in curves):
+        raise ValueError("curves must share a grid")
     w = _normalized_weights(n, weights)
 
-    qs = [srsf_transform(c) for c in curves]
-    qmat = np.array([q.values for q in qs])
-    origins = np.array([q.origin for q in qs])
+    fmat = np.array([c.values for c in curves])
+    qmat = _srsf_rows(fmat, grid)
+    origins = fmat[:, 0].copy()  # contiguous: a strided w @ moves the last bit
     mean_vals = w @ qmat
     gmat = np.tile(grid.points, (n, 1))
-    aligned = qmat.copy()
+    aligned = qmat
+    stack = _node_tables(qmat, grid)
 
     trace = [_weighted_spread(mean_vals, aligned, w, grid)]
     converged = False
     for _ in range(max_iter):
-        new_gmat, new_aligned, _ = align_batch(SrsfCurve(grid, mean_vals), qmat, penalty)
+        new_gmat, new_aligned, _ = _align_rows(SrsfCurve(grid, mean_vals), qmat, stack, penalty)
         new_mean = w @ new_aligned
         obj = _weighted_spread(new_mean, new_aligned, w, grid)
         if obj > trace[-1]:
@@ -327,22 +434,21 @@ def karcher_mean(
 
     # center the warps: compose with the inverse of their average so the
     # mean warp is the identity and the mean keeps the population phase
-    warps = [WarpingFunction(grid, g) for g in gmat]
     gbar = w @ gmat
     if np.all(np.diff(gbar) > 0):
         gbar_inv = np.interp(grid.points, gbar, grid.points)
         gbar_inv[0], gbar_inv[-1] = 0.0, 1.0
-        centered = np.array([np.interp(gbar_inv, grid.points, g) for g in gmat])
+        centered = _interp_rows(gbar_inv, grid.points, gmat)
         centered[:, 0], centered[:, -1] = 0.0, 1.0
         if np.all(np.diff(centered, axis=1) > 0):
-            warps = [WarpingFunction(grid, g) for g in centered]
-            aligned = np.array([warp_srsf(q, g).values for q, g in zip(qs, warps)])
+            gmat = centered
+            aligned = _interp_rows(gmat, grid.points, qmat) * np.sqrt(_warp_slopes(gmat, grid))
             mean_vals = w @ aligned
 
     mean_srsf = SrsfCurve(grid, mean_vals, origin=float(w @ origins))
     return KarcherMeanResult(
         mean=srsf_inverse(mean_srsf),
-        warps=warps,
+        warps=[WarpingFunction(grid, g) for g in gmat],
         objective_trace=trace,
         mean_srsf=mean_srsf,
         converged=converged,

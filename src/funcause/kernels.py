@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
-from .elastic import srsf_transform
+from .elastic import _srsf_rows
 from .fdata import Curve, Grid
 
 __all__ = [
@@ -66,7 +66,7 @@ class GramMatrix:
 def _srsf_feature_matrix(curves: Sequence[Curve]) -> np.ndarray:
     """SRSF values scaled so Euclidean row distances equal d_FR."""
     grid = curves[0].grid
-    qmat = np.array([srsf_transform(c).values for c in curves])
+    qmat = _srsf_rows(np.array([c.values for c in curves]), grid)
     w = np.full(len(grid), grid.spacing)
     w[0] = w[-1] = grid.spacing / 2.0
     return qmat * np.sqrt(w)

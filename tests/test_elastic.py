@@ -27,6 +27,8 @@ from funcause import (
 )
 from funcause import elastic
 
+from elastic_oracle import align_oracle
+
 # ``karcher_mean`` of the 20 covariate curves of ``continuous_functional``
 # (n=20, T=50, seed 0) with 3 sweeps and penalty 0 and 0.05, computed at
 # commit 0a5c2aa, when each sweep still aligned the curves one pair at a
@@ -34,6 +36,15 @@ from funcause import elastic
 # match bit for bit.
 PINNED_KARCHER = json.loads(
     (pathlib.Path(__file__).parent / "data" / "pinned_karcher.json").read_text()
+)
+# ``align_batch`` of 8 ``continuous_functional`` outcome SRSFs (n=8, T=100,
+# seed 0) against their plain mean, and of three random rows plus one equal
+# to the template at T = 2, 3, 4 and 5, where the band of feasible DP cells
+# is degenerate; penalty 0 and 0.05 each.  Written at commit 4b6809f, when
+# every DP row still filled the whole lattice; all outputs must match bit
+# for bit.
+PINNED_BATCH = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "pinned_batch.json").read_text()
 )
 
 
@@ -220,6 +231,45 @@ class TestAlignBatch:
             assert distances[c] < grid_norm(mu.values - qmat[c], grid)
         self.assert_rows_match_pairs(mu, qmat, penalty)
 
+    @given(
+        t=st.integers(2, 30),
+        template=st.sampled_from(["random", "zero"]),
+        rows=st.lists(
+            st.sampled_from(["random", "zero", "template", "plateau"]), min_size=1, max_size=4
+        ),
+        penalty=st.sampled_from([0.0, 0.05, 100.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_equals_full_lattice_oracle(self, t, template, rows, penalty, seed):
+        # zero rows are the SRSFs of constant curves; with a zero template, or
+        # on a plateau's zero stretch, many paths tie
+        grid = Grid.uniform(t)
+        rng = np.random.default_rng(seed)
+        q1 = rng.standard_normal(t) if template == "random" else np.zeros(t)
+        qmat = []
+        for kind in rows:
+            q = q1.copy() if kind == "template" else rng.standard_normal(t)
+            if kind == "zero":
+                q[:] = 0.0
+            elif kind == "plateau":
+                q[t // 3 : 2 * t // 3] = 0.0
+            qmat.append(q)
+        gammas, aligned, distances = align_batch(SrsfCurve(grid, q1), np.array(qmat), penalty)
+        for c, q in enumerate(qmat):
+            gamma, qa, dist = align_oracle(q1, q, grid, penalty)
+            np.testing.assert_allclose(gammas[c], gamma, rtol=0, atol=0)
+            np.testing.assert_allclose(aligned[c], qa, rtol=0, atol=0)
+            assert distances[c] == dist
+
+    @pytest.mark.parametrize("case", PINNED_BATCH["batches"], ids=lambda c: c["name"])
+    def test_pinned(self, case):
+        mu = SrsfCurve(Grid.uniform(len(case["template"])), case["template"])
+        gammas, aligned, distances = align_batch(mu, case["Q"], case["penalty"])
+        np.testing.assert_allclose(gammas, case["gammas"], rtol=0, atol=0)
+        np.testing.assert_allclose(aligned, case["aligned"], rtol=0, atol=0)
+        assert distances.tolist() == case["distances"]
+
     def test_rows_checked(self):
         grid = Grid.uniform(16)
         mu = srsf_transform(smooth_curve(grid, 0))
@@ -229,6 +279,46 @@ class TestAlignBatch:
             align_batch(mu, np.zeros((2, 15)))
         with pytest.raises(ValueError):
             align_batch(mu, np.array([mu.values, np.full(16, np.nan)]))
+
+
+class TestInterpRows:
+    @given(
+        t=st.integers(2, 60),
+        n=st.integers(1, 5),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_np_interp_row_by_row(self, t, n, shared, seed):
+        grid = Grid.uniform(t)
+        rng = np.random.default_rng(seed)
+        fmat = rng.standard_normal((n, t))
+        x = rng.uniform(-0.2, 1.2, (1 if shared else n, 2 * t))
+        x[:, ::4] = rng.choice(grid.points, x[:, ::4].shape)  # on the nodes
+        out = elastic._interp_rows(x[0] if shared else x, grid.points, fmat)
+        expected = [np.interp(x[0 if shared else c], grid.points, f) for c, f in enumerate(fmat)]
+        np.testing.assert_array_equal(out, expected)
+
+
+class TestBand:
+    def test_band_holds_every_cell_on_a_path(self):
+        """Brute-force reachability from (0, 0) and to (t-1, t-1) over the
+        DP steps: every cell reachable both ways lies in ``_band(t)``."""
+        for t in range(2, 81):
+            fwd = np.zeros((t, t), dtype=bool)
+            bwd = np.zeros((t, t), dtype=bool)
+            fwd[0, 0] = bwd[t - 1, t - 1] = True
+            for i in range(1, t):
+                for di, dj in elastic._STEPS:
+                    if i >= di and dj < t:
+                        fwd[i, dj:] |= fwd[i - di, : t - dj]
+                        bwd[t - 1 - i, : t - dj] |= bwd[t - 1 - i + di, dj:]
+            lo, hi = elastic._band(t)
+            cols = np.arange(t)
+            band = (cols >= lo[:, None]) & (cols < hi[:, None])
+            assert not np.any(fwd & bwd & ~band), t
+        # at t = 80 the band, a parallelogram, holds about half the lattice
+        assert band.sum() < 0.55 * t * t
 
 
 class TestKarcherMean:
@@ -279,13 +369,41 @@ class TestKarcherMean:
 
     def test_weight_count_checked_before_alignment(self, monkeypatch):
         def no_alignment(*args, **kwargs):
-            raise AssertionError("align_batch ran before the weights were checked")
+            raise AssertionError("alignment ran before the weights were checked")
 
-        monkeypatch.setattr(elastic, "align_batch", no_alignment)
+        monkeypatch.setattr(elastic, "_node_tables", no_alignment)
+        monkeypatch.setattr(elastic, "_align_rows", no_alignment)
         curves = self.make_shifted_family(Grid.uniform(32), 3)
         with pytest.raises(WeightError):
             karcher_mean(curves, weights=np.array([1.0, 2.0]))
         assert issubclass(WeightError, ValueError)
+
+    def test_curves_on_different_grids_rejected(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("SRSF or DP work ran before the grids were checked")
+
+        for name in ("_srsf_rows", "_node_tables", "_align_rows"):
+            monkeypatch.setattr(elastic, name, no_work)
+        curves = [smooth_curve(Grid.uniform(32), 0), smooth_curve(Grid.uniform(33), 1)]
+        with pytest.raises(ValueError, match="curves must share a grid"):
+            karcher_mean(curves)
+
+    def test_weighted_spread_matches_per_row_norms(self):
+        # the objective trace is pinned: the spread must stay the row-order
+        # sum of w_i * grid_norm(...) ** 2, whose float power differs from
+        # the norm times itself in the last bit for about one norm in a
+        # thousand
+        rng = np.random.default_rng(3)
+        for t in (3, 17, 50, 100):
+            grid = Grid.uniform(t)
+            rows = rng.standard_normal((2000, t))
+            w = rng.uniform(0.0, 1.0, 2000)
+            mu = w @ rows / w.sum()
+            expected = float(sum(wi * grid_norm(mu - row, grid) ** 2 for wi, row in zip(w, rows)))
+            assert elastic._weighted_spread(mu, rows, w, grid) == expected
+            for row in rows:
+                one = elastic._weighted_spread(mu, row[None, :], np.ones(1), grid)
+                assert one == grid_norm(mu - row, grid) ** 2
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):

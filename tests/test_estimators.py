@@ -256,7 +256,7 @@ class TestIterativeEstimate:
         )
         ds = generate(cfg)[0]
         aligns, fits = [], []
-        align, fit = elastic.align_batch, estimators.krr_fit
+        align, fit = elastic._align_rows, estimators.krr_fit
 
         def counting_align(template, Q, *args, **kwargs):
             aligns.append(Q.shape[0])
@@ -266,7 +266,7 @@ class TestIterativeEstimate:
             fits.append(1)
             return fit(*args, **kwargs)
 
-        monkeypatch.setattr(elastic, "align_batch", counting_align)
+        monkeypatch.setattr(elastic, "_align_rows", counting_align)
         monkeypatch.setattr(estimators, "krr_fit", counting_fit)
         iterative_srvf_estimate(ds, IterativeConfig(r_max=3, karcher_max_iter=2))
         # curves aligned: two curve sets, each with at most
