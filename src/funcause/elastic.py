@@ -14,6 +14,7 @@ read-off, norms, centring) works on (n, T) matrices, not curve by curve.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -171,6 +172,14 @@ def _row_norms(rows, grid: Grid) -> np.ndarray:
     return np.sqrt(trapezoid(np.asarray(rows) ** 2, grid.points, axis=-1))
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+# _band and _start_cells depend on T only; every sweep of a Karcher mean
+# asks for the same T, so the last few are kept, read-only
+@functools.lru_cache(maxsize=4)
 def _band(t: int):
     """Columns [lo[i], hi[i]) of DP row i that some path from (0, 0) to
     (t-1, t-1) can cross: every step has a slope in [1/3, 3], so a cell
@@ -180,9 +189,10 @@ def _band(t: int):
     r = t - 1 - i
     lo = np.maximum(-(-i // 3), t - 1 - 3 * r)
     hi = np.minimum(3 * i, t - 1 - -(-r // 3)) + 1
-    return lo, hi
+    return _read_only(lo), _read_only(hi)
 
 
+@functools.lru_cache(maxsize=4)
 def _start_cells(t: int) -> np.ndarray:
     """Where DP cell (i, j) finds the distance of step p's start cell.
 
@@ -197,7 +207,7 @@ def _start_cells(t: int) -> np.ndarray:
     c = np.arange(t)[None, None, :] - _DJ[order][None, :, None]
     rr = np.maximum(r, 0)
     inside = (r >= 0) & (c >= lo[rr]) & (c < hi[rr])
-    return np.where(inside, r % 3 * t + c, 3 * t)
+    return _read_only(np.where(inside, r % 3 * t + c, 3 * t))
 
 
 def _node_tables(Q: np.ndarray, grid: Grid) -> np.ndarray:

@@ -17,7 +17,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import classical, elastic, frechet
-from .elastic import warp_curve
 from .errors import NumericalError
 from .fdata import Curve, Dataset, Grid
 from .frechet import DynamicEffect, Metric, Weighting, effect_from_means
@@ -124,19 +123,21 @@ def _default_kernels(ds: Dataset):
     return v, setup
 
 
-def _ridge_path(k_in: np.ndarray, y: np.ndarray, k_y: Optional[np.ndarray]):
+def _ridge_path(k_in: np.ndarray, y: np.ndarray, k_y: Optional[GramMatrix]):
     """Return lam -> alpha solving (K_in (x) K_Y + lam I) vec(alpha) = vec(Y).
 
-    Eigendecomposes both Gram factors once and rescales in the joint
-    eigenbasis for each lambda; with identity K_Y (None) this reduces to a
-    single n x n solve applied to every output column.
+    Eigendecomposes K_in once and rescales in the joint eigenbasis for each
+    lambda; K_Y's decomposition is the one its ``GramMatrix`` keeps, so a
+    search and the final fit decompose the output Gram once.  With identity
+    K_Y (None) this reduces to a single n x n solve applied to every output
+    column.
     """
     d1, u1 = np.linalg.eigh(k_in)
     if k_y is None:
         ytil = u1.T @ y
         denom = d1[:, None]
     else:
-        d2, u2 = np.linalg.eigh(k_y)
+        d2, u2 = k_y.eigh
         ytil = u1.T @ y @ u2
         denom = d1[:, None] * d2[None, :]
 
@@ -167,9 +168,8 @@ def krr_fit(
     lam: float = 1e-3,
 ) -> KrrModel:
     """Solve (K_XV (x) K_Y + lambda I) vec(alpha) = vec(Y)."""
-    ky_mat = None if k_y is None else k_y.entries
     v = _covariate_points(ds.samples, kv)
-    alpha = _ridge_path(input_gram(ds, kx, kv, v).entries, ds.outcome_matrix, ky_mat)(lam)
+    alpha = _ridge_path(input_gram(ds, kx, kv, v).entries, ds.outcome_matrix, k_y)(lam)
     return KrrModel(
         alpha=alpha,
         lam=lam,
@@ -177,7 +177,7 @@ def krr_fit(
         kv=kv,
         treatments=ds.treatments,
         covariate_points=v,
-        k_y=ky_mat,
+        k_y=None if k_y is None else k_y.entries,
         grid=ds.outcome_grid,
     )
 
@@ -266,9 +266,10 @@ def _register_rows(y, grid, groups, max_iter, tol, penalty, window):
             [Curve(grid, smooth[i]) for i in idx], max_iter=max_iter, tol=tol, penalty=penalty
         )
         converged = converged and result.converged
+        gmat = np.array([g.values for g in result.warps])
+        registered[idx] = elastic._interp_rows(gmat, grid.points, smooth[idx]) + resid[idx]
         for i, g in zip(idx, result.warps):
             warps[i] = g
-            registered[i] = warp_curve(Curve(grid, smooth[i]), g).values + resid[i]
     return registered, warps, converged
 
 
@@ -343,7 +344,7 @@ def _holdout_errors(
         return [math.inf] * len(lam_grid)
     ky_mat = None if k_y is None else k_y.entries
     solve = _ridge_path(
-        input_gram(ds_train, kx, kv, v[train]).entries, ds_train.outcome_matrix, ky_mat
+        input_gram(ds_train, kx, kv, v[train]).entries, ds_train.outcome_matrix, k_y
     )
     x = ds.treatments
     rows = cross_gram(kx, x[test], x[train]) * cross_gram(kv, v[test], v[train])

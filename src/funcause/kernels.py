@@ -8,6 +8,7 @@ kernel positive definite.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -49,7 +50,8 @@ class KernelSpec:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Symmetric PSD kernel matrix with provenance."""
+    """Symmetric PSD kernel matrix with provenance; ``entries`` is
+    read-only."""
 
     entries: np.ndarray
     spec: Optional[KernelSpec] = None
@@ -60,7 +62,18 @@ class GramMatrix:
             raise ValueError("gram matrix must be square")
         if np.max(np.abs(m - m.T), initial=0.0) > 1e-12 * max(1.0, np.max(np.abs(m))):
             raise ValueError("gram matrix must be symmetric")
-        object.__setattr__(self, "entries", (m + m.T) / 2.0)
+        entries = (m + m.T) / 2.0
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+
+    @functools.cached_property
+    def eigh(self):
+        """``np.linalg.eigh(entries)``, computed on first use and kept, so
+        every ridge solve against this Gram shares one decomposition;
+        both arrays are read-only."""
+        evals, evecs = np.linalg.eigh(self.entries)
+        evals.flags.writeable = evecs.flags.writeable = False
+        return evals, evecs
 
 
 def _srsf_feature_matrix(curves: Sequence[Curve]) -> np.ndarray:

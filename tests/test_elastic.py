@@ -320,6 +320,14 @@ class TestBand:
         # at t = 80 the band, a parallelogram, holds about half the lattice
         assert band.sum() < 0.55 * t * t
 
+    def test_index_tables_built_once_per_t_and_read_only(self):
+        for table in (elastic._band, elastic._start_cells):
+            first = table(23)
+            assert table(23) is first
+            for a in first if isinstance(first, tuple) else (first,):
+                with pytest.raises(ValueError):
+                    a[0] = 0
+
 
 class TestKarcherMean:
     def make_shifted_family(self, grid, n, seed=0):

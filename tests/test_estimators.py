@@ -290,6 +290,20 @@ class TestHyperparameterSearch:
         select_hyperparameters(ds, k_y=output_gram(ds.outcome_grid))
         assert shapes.count((n_train, n_train)) == 3
 
+    def test_one_output_eigh_per_run(self, monkeypatch):
+        # 3 holdout fits and the final fit share the output Gram's eigh
+        ds, _ = generate(ScenarioConfig(n=24, t=16))
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        estimators.run_estimator(ds, "operator-kernel", search=True)
+        assert shapes.count((16, 16)) == 1
+
     def test_all_inf_falls_back_to_default_kernels(self):
         # two units leave a one-unit training set, so every holdout error is inf
         ds = make_ds(n=2, t=5, seed=8)

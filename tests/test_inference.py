@@ -1,6 +1,10 @@
 """Tests for effect confidence intervals and the Welch t-test."""
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
+from scipy import stats
 
 from funcause import (
     ArmEmptyError,
@@ -14,6 +18,7 @@ from funcause import (
     pointwise_ci,
     welch_t_test,
 )
+from funcause.inference import EIGENVALUE_FLOOR, _weighted_chi2_quantile
 
 
 def gaussian_ds(n=80, t=6, delta=None, seed=0):
@@ -57,8 +62,8 @@ class TestEffectCi:
     def test_zero_regime_reproducible(self):
         ds, x = gaussian_ds(seed=3)
         d = delta_hat(ds, x)
-        c1 = effect_ci(ds, d, seed=42)
-        c2 = effect_ci(ds, d, seed=42)
+        c1 = effect_ci(ds, d)
+        c2 = effect_ci(ds, d)
         assert (c1.lower, c1.upper) == (c2.lower, c2.upper)
 
     def test_zero_regime_monotone_in_level(self):
@@ -98,6 +103,25 @@ class TestEffectCi:
         with pytest.raises(ValueError):
             effect_ci(ds, delta_hat(ds, x), level=1.5)
 
+    def test_delta_off_the_outcome_grid_rejected(self):
+        ds, x = gaussian_ds()
+        for grid in (Grid.uniform(5), Grid.uniform(7)):
+            with pytest.raises(ValueError, match="outcome grid"):
+                effect_ci(ds, Curve(grid, np.zeros(len(grid))))
+
+    def test_zero_regime_memory_bounded(self):
+        # T=400: a table of draws of the limiting norm took over 600 MB here
+        ds, x = gaussian_ds(n=400, t=400, seed=8)
+        d = delta_hat(ds, x)
+        tracemalloc.start()
+        try:
+            ci = effect_ci(ds, d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ci.regime is Regime.ZERO_NORM
+        assert peak < 20e6
+
     def test_tiny_arm_rejected(self):
         grid = Grid.uniform(4)
         samples = [
@@ -108,6 +132,58 @@ class TestEffectCi:
         ds = Dataset(samples)
         with pytest.raises(ArmEmptyError):
             effect_ci(ds, Curve(grid, np.zeros(4)))
+
+
+def laplace_oracle_cdf(x, evals):
+    """P(sum_k evals[k] Z_k^2 <= x) by 30-digit Talbot inversion of
+    prod_k (1 + 2 evals[k] s)^(-1/2) / s."""
+    with mpmath.workdps(30):
+        lam = [mpmath.mpf(float(v)) for v in evals]
+
+        def transform(s):
+            out = 1 / s
+            for v in lam:
+                out /= mpmath.sqrt(1 + 2 * v * s)
+            return out
+
+        return float(mpmath.invertlaplace(transform, mpmath.mpf(float(x)), method="talbot"))
+
+
+class TestWeightedChi2Quantile:
+    PROBS = (0.005, 0.025, 0.5, 0.975, 0.995)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 10, 100, 1000])
+    def test_equal_weights_match_chi2(self, r):
+        for p in self.PROBS:
+            q = _weighted_chi2_quantile(p, np.full(r, 0.7))
+            assert abs(stats.chi2.cdf(q / 0.7, r) - p) <= 1e-7
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("floored", [False, True])
+    def test_matches_laplace_oracle(self, seed, floored):
+        rng = np.random.default_rng(seed)
+        r = int(rng.integers(2, 40))
+        evals = rng.exponential(size=r) * 10.0 ** rng.uniform(-3.0, 2.0)
+        if floored:
+            evals[r // 2 :] = EIGENVALUE_FLOOR
+        for p in (0.025, 0.975):
+            q = _weighted_chi2_quantile(p, evals)
+            assert abs(laplace_oracle_cdf(q, evals) - p) <= 1e-7
+
+    def test_oracle_matches_chi2(self):
+        assert laplace_oracle_cdf(7.0, np.ones(3)) == pytest.approx(stats.chi2.cdf(7.0, 3), abs=1e-15)
+
+    def test_scale_equivariant(self):
+        evals = np.random.default_rng(5).exponential(size=12)
+        for p in self.PROBS:
+            q = _weighted_chi2_quantile(p, evals)
+            for c in (1e-6, 3.7, 1e4):
+                assert _weighted_chi2_quantile(p, c * evals) == pytest.approx(c * q, rel=1e-9)
+
+    def test_monotone_in_p(self):
+        evals = np.random.default_rng(6).exponential(size=20)
+        qs = [_weighted_chi2_quantile(p, evals) for p in self.PROBS]
+        assert np.all(np.diff(qs) > 0)
 
 
 class TestPointwiseCi:
