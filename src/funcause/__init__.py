@@ -18,7 +18,6 @@ from .fdata import (
     Curve,
     Dataset,
     Grid,
-    ObservationalSample,
     derivative,
     grid_norm,
     load_dataset,

@@ -6,12 +6,15 @@ nT x nT matrix is never materialized.  Builds potential-outcome curves,
 dynamic effects, dose-response curves, outcome pre-registration, the
 registered-curve estimator (covariate and outcome curves registered once
 to their Karcher means, then one fit) and the holdout hyperparameter
-search, and runs every named estimator through ``run_estimator``.
+search, and runs every named estimator through ``run_estimator``.  It
+reads a dataset's arrays and derives new datasets with
+``dataclasses.replace`` (registered curves) and ``Dataset.take`` (the
+holdout's training units).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -105,7 +108,7 @@ def _default_kernels(ds: Dataset):
     scale, from one median heuristic per input."""
     fisher_rao = ds.covariate_grid is not None
     kv = KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN) if fisher_rao else None
-    v = _covariate_points(ds.samples, kv)
+    v = _covariate_points(ds, kv)
     mx = None if ds.is_binary() else median_heuristic(ds.treatments)
     mv = median_heuristic(v) if v.shape[1] > 0 else None
 
@@ -168,7 +171,7 @@ def krr_fit(
     lam: float = 1e-3,
 ) -> KrrModel:
     """Solve (K_XV (x) K_Y + lambda I) vec(alpha) = vec(Y)."""
-    v = _covariate_points(ds.samples, kv)
+    v = _covariate_points(ds, kv)
     alpha = _ridge_path(input_gram(ds, kx, kv, v).entries, ds.outcome_matrix, k_y)(lam)
     return KrrModel(
         alpha=alpha,
@@ -299,7 +302,7 @@ def register_outcomes(
         groups = [np.arange(len(ds))]
     y = ds.outcome_matrix
     y, warps, _ = _register_rows(y, grid, groups, max_iter, tol, REGISTER_PENALTY, smooth_window)
-    return ds.with_outcomes(y), warps
+    return replace(ds, outcome_matrix=y), warps
 
 
 def register_covariate_curves(
@@ -311,7 +314,7 @@ def register_covariate_curves(
     v, warps, _ = _register_rows(
         ds.covariate_curve_matrix, ds.covariate_grid, groups, max_iter, tol, penalty, 0
     )
-    return ds.with_covariate_curves(v), warps
+    return replace(ds, covariate_curve_matrix=v), warps
 
 
 def _holdout_split(n: int, seed: int):
@@ -339,7 +342,7 @@ def _holdout_errors(
     """
     train, test = _holdout_split(len(ds), seed)
     try:
-        ds_train = Dataset([ds.samples[i] for i in train])
+        ds_train = ds.take(train)
     except ValueError:
         return [math.inf] * len(lam_grid)
     ky_mat = None if k_y is None else k_y.entries
@@ -364,7 +367,7 @@ def holdout_error(
 ) -> float:
     """Squared prediction error on a random 20% holdout; inf when the split
     degenerates."""
-    v = _covariate_points(ds.samples, kv)
+    v = _covariate_points(ds, kv)
     return _holdout_errors(ds, kx, kv, k_y, v, (lam,), seed)[0]
 
 
@@ -439,13 +442,12 @@ def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = Non
         ds.outcome_matrix, ds.outcome_grid, everyone, sweeps, ITER_KARCHER_TOL,
         REGISTER_PENALTY, window,
     )
-    registered = ds.with_outcomes(y)
+    v = ds.covariate_curve_matrix
     if has_vcurves:
         v, _, v_converged = _register_rows(
-            ds.covariate_curve_matrix, ds.covariate_grid, everyone, sweeps, ITER_KARCHER_TOL,
-            0.0, 0,
+            v, ds.covariate_grid, everyone, sweeps, ITER_KARCHER_TOL, 0.0, 0
         )
-        registered = registered.with_covariate_curves(v)
+    registered = replace(ds, outcome_matrix=y, covariate_curve_matrix=v)
     converged = not has_vcurves or (y_converged and v_converged)
     model = krr_fit(registered, *kernel_setup(registered), lam=cfg.lam)
     return IterativeResult(

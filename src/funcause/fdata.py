@@ -1,15 +1,16 @@
 """Core functional data model.
 
 Curves are real-valued functions sampled on a shared uniform grid over
-[0, 1].  A dataset bundles one observational sample per row: treatment,
-baseline covariates, an optional covariate curve and an outcome curve.
+[0, 1].  A dataset holds its n units as arrays, one row per unit:
+treatments, baseline covariates, outcome curves and optional covariate
+curves, each curve set on its own shared grid.
 """
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,7 +22,6 @@ from .errors import GridTooSmall, SchemaError
 __all__ = [
     "Grid",
     "Curve",
-    "ObservationalSample",
     "Dataset",
     "derivative",
     "resample",
@@ -31,8 +31,8 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values) -> np.ndarray:
+    arr = np.array(values, dtype=float, order="C")
     arr.flags.writeable = False
     return arr
 
@@ -97,107 +97,70 @@ class Curve:
         )
 
 
-@dataclass(frozen=True)
-class ObservationalSample:
-    """One unit: treatment, baseline covariates and curves."""
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """n units as read-only arrays on shared grids: ``treatments`` (n,),
+    baseline ``covariate_matrix`` (n, d), outcome curves ``outcome_matrix``
+    (n, T) on ``outcome_grid`` and, optionally, covariate curves
+    ``covariate_curve_matrix`` (n, Tc) on ``covariate_grid``.  ``ids`` are
+    kept as given.  Validated on construction, so ``dataclasses.replace``
+    and ``take`` re-check every rule."""
 
-    id: str
-    treatment: float
-    covariates: np.ndarray
-    outcome: Curve
-    covariate_curve: Optional[Curve] = None
+    ids: Sequence
+    treatments: np.ndarray
+    covariate_matrix: np.ndarray
+    outcome_grid: Grid
+    outcome_matrix: np.ndarray
+    covariate_grid: Optional[Grid] = None
+    covariate_curve_matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "covariates", _frozen_array(self.covariates))
-        if self.covariates.ndim != 1:
-            raise ValueError("covariates must be a flat vector")
-
-
-class Dataset:
-    """Collection of observational samples sharing common grids."""
-
-    def __init__(self, samples: Sequence[ObservationalSample]):
-        samples = list(samples)
-        if len(samples) < 2:
-            raise ValueError("a dataset needs at least 2 samples")
-        grid = samples[0].outcome.grid
-        cgrid = None if samples[0].covariate_curve is None else samples[0].covariate_curve.grid
-        d = samples[0].covariates.size
-        for i, s in enumerate(samples):
-            if s.outcome.grid != grid:
-                raise ValueError(f"sample {i}: outcome grid mismatch")
-            if (s.covariate_curve is None) != (cgrid is None):
-                raise ValueError(f"sample {i}: covariate curve presence mismatch")
-            if cgrid is not None and s.covariate_curve.grid != cgrid:
-                raise ValueError(f"sample {i}: covariate grid mismatch")
-            if s.covariates.size != d:
-                raise ValueError(f"sample {i}: covariate dimension mismatch")
-        self.samples = samples
-        self.outcome_grid = grid
-        self.covariate_grid = cgrid
-        if self.is_binary():
-            x = self.treatments
-            if not (np.any(x == 0.0) and np.any(x == 1.0)):
-                raise ValueError("binary datasets need samples in both arms")
+        names = ["treatments", "covariate_matrix", "outcome_matrix"]
+        if (self.covariate_grid is None) != (self.covariate_curve_matrix is None):
+            raise ValueError("covariate curves need a covariate grid, and vice versa")
+        if self.covariate_grid is not None:
+            names.append("covariate_curve_matrix")
+        for name in names:
+            arr = _frozen_array(getattr(self, name))
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, arr)
+        x = self.treatments
+        if x.ndim != 1 or x.size < 2:
+            raise ValueError("a dataset needs a flat vector of at least 2 treatments")
+        n = x.size
+        if len(self.ids) != n or self.covariate_matrix.ndim != 2 or len(self.covariate_matrix) != n:
+            raise ValueError("ids and covariate rows must match the treatments")
+        for name, grid in (
+            ("outcome_matrix", self.outcome_grid),
+            ("covariate_curve_matrix", self.covariate_grid),
+        ):
+            if grid is not None and getattr(self, name).shape != (n, len(grid)):
+                raise ValueError(f"{name} must have shape (n, grid length)")
+        if self.is_binary() and not (np.any(x == 0.0) and np.any(x == 1.0)):
+            raise ValueError("binary datasets need samples in both arms")
 
     def __len__(self) -> int:
-        return len(self.samples)
-
-    @property
-    def treatments(self) -> np.ndarray:
-        return np.array([s.treatment for s in self.samples])
-
-    @property
-    def covariate_matrix(self) -> np.ndarray:
-        return np.array([s.covariates for s in self.samples])
-
-    @property
-    def outcome_matrix(self) -> np.ndarray:
-        return np.array([s.outcome.values for s in self.samples])
-
-    @property
-    def covariate_curve_matrix(self) -> Optional[np.ndarray]:
-        if self.covariate_grid is None:
-            return None
-        return np.array([s.covariate_curve.values for s in self.samples])
+        return self.treatments.size
 
     def is_binary(self) -> bool:
         x = self.treatments
         return bool(np.all((x == 0.0) | (x == 1.0)))
 
-    def outcome_curves(self) -> list:
-        return [s.outcome for s in self.samples]
-
     def arm_indices(self, x: float) -> np.ndarray:
         return np.flatnonzero(self.treatments == x)
 
-    def with_outcomes(self, values: np.ndarray) -> "Dataset":
-        """Copy of the dataset with outcome curves replaced row-wise."""
-        return Dataset(
-            [
-                ObservationalSample(
-                    id=s.id,
-                    treatment=s.treatment,
-                    covariates=s.covariates,
-                    outcome=Curve(self.outcome_grid, row),
-                    covariate_curve=s.covariate_curve,
-                )
-                for s, row in zip(self.samples, values)
-            ]
-        )
-
-    def with_covariate_curves(self, values: np.ndarray) -> "Dataset":
-        return Dataset(
-            [
-                ObservationalSample(
-                    id=s.id,
-                    treatment=s.treatment,
-                    covariates=s.covariates,
-                    outcome=s.outcome,
-                    covariate_curve=Curve(self.covariate_grid, row),
-                )
-                for s, row in zip(self.samples, values)
-            ]
+    def take(self, idx) -> "Dataset":
+        """The units ``idx``, in that order, as a new (re-validated) dataset."""
+        idx = np.asarray(idx, dtype=int)
+        vc = self.covariate_curve_matrix
+        return replace(
+            self,
+            ids=[self.ids[i] for i in idx],
+            treatments=self.treatments[idx],
+            covariate_matrix=self.covariate_matrix[idx],
+            outcome_matrix=self.outcome_matrix[idx],
+            covariate_curve_matrix=None if vc is None else vc[idx],
         )
 
 
@@ -257,41 +220,34 @@ def _is_json(path) -> bool:
 
 def save_dataset(ds: Dataset, path) -> None:
     """Write a dataset as JSON when ``path`` ends in ``.json``, else as CSV."""
+    vc = ds.covariate_curve_matrix
     if _is_json(path):
         payload = {
             "outcome_grid": ds.outcome_grid.points.tolist(),
-            "covariate_grid": None
-            if ds.covariate_grid is None
-            else ds.covariate_grid.points.tolist(),
+            "covariate_grid": None if vc is None else ds.covariate_grid.points.tolist(),
             "samples": [
                 {
-                    "id": s.id,
-                    "treatment": s.treatment,
-                    "covariates": s.covariates.tolist(),
-                    "outcome": s.outcome.values.tolist(),
-                    "covariate_curve": None
-                    if s.covariate_curve is None
-                    else s.covariate_curve.values.tolist(),
+                    "id": ds.ids[i],
+                    "treatment": float(ds.treatments[i]),
+                    "covariates": ds.covariate_matrix[i].tolist(),
+                    "outcome": ds.outcome_matrix[i].tolist(),
+                    "covariate_curve": None if vc is None else vc[i].tolist(),
                 }
-                for s in ds.samples
+                for i in range(len(ds))
             ],
         }
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         return
-    d = ds.samples[0].covariates.size
-    t = len(ds.outcome_grid)
-    tc = None if ds.covariate_grid is None else len(ds.covariate_grid)
+    blocks = [ds.treatments[:, None], ds.covariate_matrix, ds.outcome_matrix]
+    header = _csv_header(
+        ds.covariate_matrix.shape[1], len(ds.outcome_grid), None if vc is None else vc.shape[1]
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_csv_header(d, t, tc))
-        for s in ds.samples:
-            row = [s.id, repr(float(s.treatment))]
-            row += [repr(float(x)) for x in s.covariates]
-            row += [repr(float(x)) for x in s.outcome.values]
-            if tc is not None:
-                row += [repr(float(x)) for x in s.covariate_curve.values]
-            writer.writerow(row)
+        writer.writerow(header)
+        for uid, row in zip(ds.ids, np.hstack(blocks if vc is None else blocks + [vc])):
+            writer.writerow([uid] + [repr(x) for x in row.tolist()])
 
 
 def _parse_csv_header(header: list):
@@ -313,25 +269,18 @@ _PAYLOAD_ERRORS = (KeyError, TypeError, ValueError, OverflowError, GridTooSmall,
 
 
 def _dataset_from_json(payload) -> Dataset:
-    grid = Grid(payload["outcome_grid"])
     cgrid = None if payload["covariate_grid"] is None else Grid(payload["covariate_grid"])
-    samples = []
-    for i, rec in enumerate(payload["samples"]):
-        try:
-            samples.append(
-                ObservationalSample(
-                    id=rec["id"],
-                    treatment=float(rec["treatment"]),
-                    covariates=np.asarray(rec["covariates"], dtype=float),
-                    outcome=Curve(grid, rec["outcome"]),
-                    covariate_curve=None
-                    if rec["covariate_curve"] is None
-                    else Curve(cgrid, rec["covariate_curve"]),
-                )
-            )
-        except _PAYLOAD_ERRORS as exc:
-            raise SchemaError(str(exc), row=i) from exc
-    return Dataset(samples)
+    recs = payload["samples"]
+    vcurves = [rec["covariate_curve"] for rec in recs]
+    return Dataset(
+        ids=[rec["id"] for rec in recs],
+        treatments=[rec["treatment"] for rec in recs],
+        covariate_matrix=[rec["covariates"] for rec in recs],
+        outcome_grid=Grid(payload["outcome_grid"]),
+        outcome_matrix=[rec["outcome"] for rec in recs],
+        covariate_grid=cgrid,
+        covariate_curve_matrix=None if all(c is None for c in vcurves) else vcurves,
+    )
 
 
 def _dataset_from_csv(fh) -> Dataset:
@@ -341,31 +290,29 @@ def _dataset_from_csv(fh) -> Dataset:
     except StopIteration:
         raise SchemaError("empty file") from None
     d, t, tc = _parse_csv_header(header)
-    grid = Grid.uniform(t)
-    cgrid = None if tc is None else Grid.uniform(tc)
-    samples = []
+    ids, rows = [], []
     for i, row in enumerate(reader):
         if len(row) != len(header):
             raise SchemaError(f"expected {len(header)} columns, got {len(row)}", row=i)
         try:
-            vals = [float(x) for x in row[1:]]
+            rows.append([float(x) for x in row[1:]])
         except ValueError as exc:
             raise SchemaError(str(exc), row=i) from exc
-        if not all(math.isfinite(x) for x in vals):
-            raise SchemaError("non-finite value", row=i)
-        k = 1 + d
-        samples.append(
-            ObservationalSample(
-                id=row[0],
-                treatment=vals[0],
-                covariates=np.asarray(vals[1:k], dtype=float),
-                outcome=Curve(grid, vals[k : k + t]),
-                covariate_curve=None
-                if tc is None
-                else Curve(cgrid, vals[k + t : k + t + tc]),
-            )
-        )
-    return Dataset(samples)
+        ids.append(row[0])
+    vals = np.array(rows).reshape(len(rows), len(header) - 1)
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
+    if bad.size:
+        raise SchemaError("non-finite value", row=int(bad[0]))
+    k = 1 + d
+    return Dataset(
+        ids=ids,
+        treatments=vals[:, 0],
+        covariate_matrix=vals[:, 1:k],
+        outcome_grid=Grid.uniform(t),
+        outcome_matrix=vals[:, k : k + t],
+        covariate_grid=None if tc is None else Grid.uniform(tc),
+        covariate_curve_matrix=None if tc is None else vals[:, k + t :],
+    )
 
 
 def load_dataset(path) -> Dataset:

@@ -160,9 +160,9 @@ def group_potential_outcomes(
         w1 = 1.0 / pi[idx1]
         w0 = 1.0 / (1.0 - pi[idx0])
 
-    curves = ds.outcome_curves()
-    f1 = frechet_mean([curves[i] for i in idx1], weights=w1, metric=metric)
-    f0 = frechet_mean([curves[i] for i in idx0], weights=w0, metric=metric)
+    y, grid = ds.outcome_matrix, ds.outcome_grid
+    f1 = frechet_mean([Curve(grid, y[i]) for i in idx1], weights=w1, metric=metric)
+    f0 = frechet_mean([Curve(grid, y[i]) for i in idx0], weights=w0, metric=metric)
     return f1, f0
 
 

@@ -10,13 +10,13 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist, pdist
 
 from .elastic import _srsf_rows
-from .fdata import Curve, Grid
+from .fdata import Grid
 
 __all__ = [
     "KernelFamily",
@@ -33,7 +33,6 @@ class KernelFamily(enum.Enum):
     SQUARED_EXPONENTIAL = "se"
     BINARY_INDICATOR = "binary"
     FISHER_RAO_GAUSSIAN = "fisher_rao"
-    CONSTANT = "constant"
 
 
 @dataclass(frozen=True)
@@ -50,11 +49,9 @@ class KernelSpec:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Symmetric PSD kernel matrix with provenance; ``entries`` is
-    read-only."""
+    """Symmetric PSD kernel matrix; ``entries`` is read-only."""
 
     entries: np.ndarray
-    spec: Optional[KernelSpec] = None
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=float)
@@ -76,10 +73,10 @@ class GramMatrix:
         return evals, evecs
 
 
-def _srsf_feature_matrix(curves: Sequence[Curve]) -> np.ndarray:
-    """SRSF values scaled so Euclidean row distances equal d_FR."""
-    grid = curves[0].grid
-    qmat = _srsf_rows(np.array([c.values for c in curves]), grid)
+def _srsf_feature_matrix(fmat: np.ndarray, grid: Grid) -> np.ndarray:
+    """SRSF values of the rows of ``fmat`` scaled so Euclidean row
+    distances equal d_FR."""
+    qmat = _srsf_rows(fmat, grid)
     w = np.full(len(grid), grid.spacing)
     w[0] = w[-1] = grid.spacing / 2.0
     return qmat * np.sqrt(w)
@@ -99,7 +96,8 @@ def median_heuristic(points, metric: str = "euclidean") -> float:
             mat = mat.T
         dists = pdist(mat)
     elif metric == "fisher_rao":
-        dists = pdist(_srsf_feature_matrix(list(points)))
+        curves = list(points)
+        dists = pdist(_srsf_feature_matrix(np.array([c.values for c in curves]), curves[0].grid))
     else:
         raise ValueError(f"unknown metric: {metric}")
     med = float(np.median(dists))
@@ -116,13 +114,13 @@ def cross_gram(spec: Optional[KernelSpec], a, b) -> np.ndarray:
 
     Rows are scalar treatments (1-D input) or covariate vectors; Fisher-Rao
     kernels take SRSF feature rows, whose Euclidean distances equal d_FR.
-    A None spec, a constant kernel or zero-width rows give all ones.
+    A None spec or zero-width rows give all ones.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim == 1:
         a, b = a[:, None], b[:, None]
-    if spec is None or spec.family is KernelFamily.CONSTANT or a.shape[1] == 0:
+    if spec is None or a.shape[1] == 0:
         return np.ones((len(a), len(b)))
     if spec.family is KernelFamily.BINARY_INDICATOR:
         return (a == b.T).astype(float)
@@ -134,14 +132,14 @@ def cross_gram(spec: Optional[KernelSpec], a, b) -> np.ndarray:
     raise ValueError(f"unsupported kernel family: {spec.family}")
 
 
-def _covariate_points(samples, kv: Optional[KernelSpec]) -> np.ndarray:
+def _covariate_points(ds, kv: Optional[KernelSpec]) -> np.ndarray:
     """Rows the covariate kernel acts on: SRSF features of the covariate
     curves for Fisher-Rao kernels, the baseline covariates otherwise."""
     if kv is not None and kv.family is KernelFamily.FISHER_RAO_GAUSSIAN:
-        if samples[0].covariate_curve is None:
+        if ds.covariate_curve_matrix is None:
             raise ValueError("dataset has no covariate curves")
-        return _srsf_feature_matrix([s.covariate_curve for s in samples])
-    return np.array([s.covariates for s in samples])
+        return _srsf_feature_matrix(ds.covariate_curve_matrix, ds.covariate_grid)
+    return ds.covariate_matrix
 
 
 def input_gram(
@@ -152,11 +150,11 @@ def input_gram(
     ``kv`` may be None (or have zero covariate columns), in which case the
     covariate factor is constant one.  Fisher-Rao covariate kernels act on
     the dataset's covariate curves.  ``v`` holds the covariate rows
-    ``_covariate_points(ds.samples, kv)`` when the caller already has them.
+    ``_covariate_points(ds, kv)`` when the caller already has them.
     """
-    v = _covariate_points(ds.samples, kv) if v is None else v
+    v = _covariate_points(ds, kv) if v is None else v
     x = ds.treatments
-    return GramMatrix(cross_gram(kx, x, x) * cross_gram(kv, v, v), spec=kx)
+    return GramMatrix(cross_gram(kx, x, x) * cross_gram(kv, v, v))
 
 
 def output_gram(grid: Grid, lengthscale: Optional[float] = None) -> GramMatrix:
@@ -168,4 +166,4 @@ def output_gram(grid: Grid, lengthscale: Optional[float] = None) -> GramMatrix:
     if lengthscale is None:
         lengthscale = median_heuristic(pts)
     spec = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale)
-    return GramMatrix(cross_gram(spec, pts, pts), spec=spec)
+    return GramMatrix(cross_gram(spec, pts, pts))

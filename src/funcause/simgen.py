@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 from scipy.integrate import trapezoid
 
-from .fdata import Curve, Dataset, Grid, ObservationalSample
+from .fdata import Curve, Dataset, Grid
 
 __all__ = [
     "Scenario",
@@ -166,18 +166,15 @@ def generate(cfg: ScenarioConfig, replicate: int = 0) -> Tuple[Dataset, GroundTr
             z = base_i + (0.5 + cfg.confounding * u[i]) * arc_shape + effect
             y[i] = z + cfg.noise * eps[i]
 
-    samples = []
-    for i in range(n):
-        samples.append(
-            ObservationalSample(
-                id=f"s{i:04d}",
-                treatment=float(x[i]),
-                covariates=v[i],
-                outcome=Curve(grid, y[i]),
-                covariate_curve=None if vcurves is None else Curve(grid, vcurves[i]),
-            )
-        )
-    ds = Dataset(samples)
+    ds = Dataset(
+        ids=[f"s{i:04d}" for i in range(n)],
+        treatments=x,
+        covariate_matrix=v,
+        outcome_grid=grid,
+        outcome_matrix=y,
+        covariate_grid=None if vcurves is None else grid,
+        covariate_curve_matrix=vcurves,
+    )
 
     beta = _true_beta(grid, cfg)
     truth = GroundTruth(

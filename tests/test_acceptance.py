@@ -34,7 +34,7 @@ from funcause import (
     welch_t_test,
 )
 from funcause.elastic import WarpingFunction
-from funcause.fdata import Dataset, ObservationalSample
+from funcause.fdata import Dataset
 from funcause.cli import run_estimator
 
 
@@ -69,22 +69,15 @@ def test_criterion_01_fisher_rao_gram_psd():
         zeta = 1.0 / (2.0 * median_heuristic(curves, metric="fisher_rao") ** 2)
         rng = np.random.default_rng(seed)
         ds = Dataset(
-            [
-                ObservationalSample(
-                    id=f"s{i}",
-                    treatment=float(i % 2),
-                    covariates=np.zeros(0),
-                    outcome=Curve(grid, rng.standard_normal(40)),
-                    covariate_curve=c,
-                )
-                for i, c in enumerate(curves)
-            ]
+            [f"s{i}" for i in range(50)],
+            (np.arange(50) % 2).astype(float),
+            np.zeros((50, 0)),
+            grid,
+            rng.standard_normal((50, 40)),
+            grid,
+            np.array([c.values for c in curves]),
         )
-        gram = input_gram(
-            ds,
-            KernelSpec(KernelFamily.CONSTANT),
-            KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN, zeta),
-        )
+        gram = input_gram(ds, None, KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN, zeta))
         eigs = np.linalg.eigvalsh(gram.entries)
         ratio = eigs[0] / max(eigs[-1], 1e-300)
         worst = min(worst, ratio)
@@ -151,16 +144,9 @@ def test_criterion_04_kronecker_matches_dense():
         n = int(rng.integers(4, 9))
         t_len = int(rng.integers(3, max(4, 64 // n) + 1))
         grid = Grid.uniform(t_len)
-        samples = [
-            ObservationalSample(
-                id=f"s{i}",
-                treatment=float(i % 2),
-                covariates=rng.standard_normal(2),
-                outcome=Curve(grid, rng.standard_normal(t_len)),
-            )
-            for i in range(n)
-        ]
-        ds = Dataset(samples)
+        draws = rng.standard_normal((n, 2 + t_len))  # per unit: covariates, outcome
+        x = (np.arange(n) % 2).astype(float)
+        ds = Dataset([f"s{i}" for i in range(n)], x, draws[:, :2], grid, draws[:, 2:])
         kx = KernelSpec(KernelFamily.BINARY_INDICATOR)
         kv = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, 1.0)
         k_y = output_gram(grid) if trial % 2 else None
@@ -248,16 +234,7 @@ def _gaussian_ci_dataset(rng, delta):
     if x.sum() < 2 or x.sum() > 198:
         x[:4] = [0, 0, 1, 1]
     y = x[:, None] * delta[None, :] + rng.standard_normal((200, 10))
-    samples = [
-        ObservationalSample(
-            id=f"s{i}",
-            treatment=float(x[i]),
-            covariates=np.zeros(0),
-            outcome=Curve(grid, y[i]),
-        )
-        for i in range(200)
-    ]
-    return Dataset(samples), x, y
+    return Dataset([f"s{i}" for i in range(200)], x, np.zeros((200, 0)), grid, y), x, y
 
 
 def test_criterion_08_ci_coverage_and_regime():

@@ -1,12 +1,12 @@
 """Tests for propensity, IPW, and doubly robust estimators."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from funcause import (
-    Curve,
     Dataset,
     Grid,
-    ObservationalSample,
     OutcomeModel,
     dr_effect,
     fit_outcome_models,
@@ -26,15 +26,8 @@ def make_ds(n, t, seed=0, confounded=False, noise=0.1, gap=1.0):
         x = (rng.uniform(size=n) < 0.5).astype(float)
     if np.all(x == x[0]):
         x[0] = 1.0 - x[0]
-    samples = []
-    for i in range(n):
-        y = gap * x[i] + v[i, 0] + noise * rng.standard_normal(t)
-        samples.append(
-            ObservationalSample(
-                id=f"s{i}", treatment=float(x[i]), covariates=v[i], outcome=Curve(grid, y)
-            )
-        )
-    return Dataset(samples)
+    y = gap * x[:, None] + v[:, :1] + noise * rng.standard_normal((n, t))
+    return Dataset([f"s{i}" for i in range(n)], x, v, grid, y)
 
 
 class TestPropensity:
@@ -43,16 +36,7 @@ class TestPropensity:
         grid = Grid.uniform(8)
         x = (rng.uniform(size=100) < 0.3).astype(float)
         x[:2] = [0, 1]
-        samples = [
-            ObservationalSample(
-                id=f"s{i}",
-                treatment=float(x[i]),
-                covariates=np.zeros(0),
-                outcome=Curve(grid, np.zeros(8)),
-            )
-            for i in range(100)
-        ]
-        ds = Dataset(samples)
+        ds = Dataset([f"s{i}" for i in range(100)], x, np.zeros((100, 0)), grid, np.zeros((100, 8)))
         pm = fit_propensity(ds)
         pi = pm.predict(ds.covariate_matrix)
         assert np.allclose(pi, x.mean(), atol=1e-6)
@@ -71,12 +55,10 @@ class TestPropensity:
 
     def test_continuous_treatment_rejected(self):
         ds = make_ds(20, 6)
-        samples = list(ds.samples)
-        samples[0] = ObservationalSample(
-            samples[0].id, 0.3, samples[0].covariates, samples[0].outcome
-        )
+        x = ds.treatments.copy()
+        x[0] = 0.3
         with pytest.raises(ValueError):
-            fit_propensity(Dataset(samples))
+            fit_propensity(replace(ds, treatments=x))
 
 
 class TestIpw:
@@ -87,23 +69,9 @@ class TestIpw:
         n = len(ds)
         # logistic model with zero slope and intercept logit(n1/n)
         p = n1 / n
-        pm_const = fit_propensity(
-            Dataset(
-                [
-                    ObservationalSample(s.id, s.treatment, np.zeros(0), s.outcome)
-                    for s in ds.samples
-                ]
-            )
-        )
-        eff = ipw_effect(
-            Dataset(
-                [
-                    ObservationalSample(s.id, s.treatment, np.zeros(0), s.outcome)
-                    for s in ds.samples
-                ]
-            ),
-            pm_const,
-        )
+        no_covariates = replace(ds, covariate_matrix=np.zeros((n, 0)))
+        pm_const = fit_propensity(no_covariates)
+        eff = ipw_effect(no_covariates, pm_const)
         y = ds.outcome_matrix
         expected = (
             (x / p)[:, None] * y - ((1 - x) / (1 - p))[:, None] * y
@@ -137,7 +105,7 @@ class TestOutcomeModels:
 
     def test_zero_outcomes_give_zero_effect(self):
         ds = make_ds(30, 6, seed=5)
-        zero = ds.with_outcomes(np.zeros((30, 6)))
+        zero = replace(ds, outcome_matrix=np.zeros((30, 6)))
         om = fit_outcome_models(zero)
         pm = fit_propensity(zero)
         eff = dr_effect(zero, pm, om)
@@ -167,7 +135,7 @@ class TestDoublyRobust:
 
     def test_location_equivariance(self):
         ds = make_ds(50, 8, seed=7)
-        shifted = ds.with_outcomes(ds.outcome_matrix + 11.0)
+        shifted = replace(ds, outcome_matrix=ds.outcome_matrix + 11.0)
         pm = fit_propensity(ds)
         eff = dr_effect(ds, pm, fit_outcome_models(ds))
         eff_shift = dr_effect(shifted, pm, fit_outcome_models(shifted))

@@ -159,6 +159,7 @@ class TestBenchmark:
         assert code == 0
         for name in (
             "summary.csv",
+            "timings.csv",
             "boxplot_data.csv",
             "per_t_error.csv",
             "per_t_error.svg",
@@ -169,6 +170,10 @@ class TestBenchmark:
         with open(outdir / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4  # 2 estimators x 2 sizes
+        with open(outdir / "timings.csv") as fh:
+            timings = list(csv.DictReader(fh))
+        assert [(r["estimator"], r["n"]) for r in timings] == [(r["estimator"], r["n"]) for r in rows]
+        assert all(float(r["wall_time_s"]) >= 0.0 for r in timings)
         with open(outdir / "boxplot_data.csv") as fh:
             raw = list(csv.DictReader(fh))
         assert len(raw) == 12  # 2 estimators x 2 sizes x 3 replicates
@@ -196,8 +201,12 @@ class TestBenchmark:
                 ]
             )
             assert code == 0
-            with open(outdir / "boxplot_data.csv") as fh:
-                outputs.append(fh.read())
+            outputs.append(
+                [
+                    (outdir / name).read_bytes()
+                    for name in ("boxplot_data.csv", "summary.csv", "per_t_error.csv")
+                ]
+            )
         assert outputs[0] == outputs[1]
 
     def test_config_file_overrides_flags(self, tmp_path):

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from funcause import (
-    Curve,
     Dataset,
     Grid,
     GramMatrix,
     IterativeConfig,
     KernelFamily,
     KernelSpec,
-    ObservationalSample,
     Scenario,
     ScenarioConfig,
     dose_response,
@@ -34,22 +32,20 @@ BIN_KX = KernelSpec(KernelFamily.BINARY_INDICATOR)
 SE_KV = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, 1.0)
 
 
+def ids(n):
+    return [f"s{i}" for i in range(n)]
+
+
+def alternating(n):
+    return (np.arange(n) % 2).astype(float)
+
+
 def make_ds(n=12, t=6, seed=0, gap=1.0, noise=0.1, d=2):
     rng = np.random.default_rng(seed)
-    grid = Grid.uniform(t)
-    samples = []
-    for i in range(n):
-        x = float(i % 2)
-        y = gap * x + noise * rng.standard_normal(t)
-        samples.append(
-            ObservationalSample(
-                id=f"s{i}",
-                treatment=x,
-                covariates=rng.standard_normal(d),
-                outcome=Curve(grid, y),
-            )
-        )
-    return Dataset(samples)
+    x = alternating(n)
+    draws = rng.standard_normal((n, t + d))  # per unit: outcome noise, covariates
+    y = gap * x[:, None] + noise * draws[:, :t]
+    return Dataset(ids(n), x, draws[:, t:], Grid.uniform(t), y)
 
 
 def dense_solve(ds, kx, kv, k_y, lam):
@@ -102,7 +98,7 @@ class TestPotentialOutcome:
         ds = make_ds(n=10, t=5, seed=3)
         rng = np.random.default_rng(0)
         perm = rng.permutation(10)
-        ds_perm = Dataset([ds.samples[i] for i in perm])
+        ds_perm = ds.take(perm)
         m1 = krr_fit(ds, BIN_KX, SE_KV, lam=1e-2)
         m2 = krr_fit(ds_perm, BIN_KX, SE_KV, lam=1e-2)
         np.testing.assert_allclose(
@@ -114,7 +110,7 @@ class TestPotentialOutcome:
     def test_effect_approaches_arm_mean_difference(self):
         ds = make_ds(n=20, t=6, seed=4, gap=2.0)
         model = krr_fit(
-            ds, BIN_KX, KernelSpec(KernelFamily.CONSTANT), lam=1e-10
+            ds, BIN_KX, None, lam=1e-10
         )
         eff = kernel_dynamic_effect(model)
         y, x = ds.outcome_matrix, ds.treatments
@@ -125,20 +121,11 @@ class TestPotentialOutcome:
 class TestDoseResponse:
     def continuous_ds(self, n=40, t=5, seed=0):
         rng = np.random.default_rng(seed)
-        grid = Grid.uniform(t)
-        samples = []
-        for i in range(n):
-            x = float(rng.uniform(0, 2))
-            y = x * np.ones(t) + 0.01 * rng.standard_normal(t)
-            samples.append(
-                ObservationalSample(
-                    id=f"s{i}",
-                    treatment=x,
-                    covariates=rng.standard_normal(1),
-                    outcome=Curve(grid, y),
-                )
-            )
-        return Dataset(samples)
+        # per unit: treatment, outcome noise, one covariate
+        draws = np.array([[rng.uniform(0, 2), *rng.standard_normal(t + 1)] for _ in range(n)])
+        x = draws[:, 0]
+        y = x[:, None] * np.ones(t) + 0.01 * draws[:, 1 : t + 1]
+        return Dataset(ids(n), x, draws[:, t + 1 :], Grid.uniform(t), y)
 
     def test_linear_dose_monotone(self):
         ds = self.continuous_ds()
@@ -159,19 +146,9 @@ class TestRegisterOutcomes:
     def shifted_ds(self, n=12, t=60, seed=0):
         rng = np.random.default_rng(seed)
         grid = Grid.uniform(t)
-        samples = []
-        for i in range(n):
-            s = rng.uniform(-0.05, 0.05)
-            y = np.exp(-((grid.points - 0.5 - s) ** 2) / 0.01)
-            samples.append(
-                ObservationalSample(
-                    id=f"s{i}",
-                    treatment=float(i % 2),
-                    covariates=np.zeros(0),
-                    outcome=Curve(grid, y),
-                )
-            )
-        return Dataset(samples)
+        s = rng.uniform(-0.05, 0.05, size=n)
+        y = np.exp(-((grid.points - 0.5 - s[:, None]) ** 2) / 0.01)
+        return Dataset(ids(n), alternating(n), np.zeros((n, 0)), grid, y)
 
     def test_reduces_cross_sectional_variance(self):
         ds = self.shifted_ds()
@@ -185,7 +162,7 @@ class TestRegisterOutcomes:
         ds = self.shifted_ds()
         registered, _ = register_outcomes(ds)
         assert registered.outcome_grid == ds.outcome_grid
-        assert [s.id for s in registered.samples] == [s.id for s in ds.samples]
+        assert list(registered.ids) == list(ds.ids)
         np.testing.assert_array_equal(registered.treatments, ds.treatments)
 
 
@@ -200,22 +177,12 @@ class TestIterativeEstimate:
     def curve_covariate_ds(self, n=16, t=24, seed=0):
         rng = np.random.default_rng(seed)
         grid = Grid.uniform(t)
-        samples = []
-        for i in range(n):
-            x = float(i % 2)
-            s = rng.uniform(-0.04, 0.04)
-            vc = np.exp(-((grid.points - 0.5 - s) ** 2) / 0.02)
-            y = x + vc + 0.05 * rng.standard_normal(t)
-            samples.append(
-                ObservationalSample(
-                    id=f"s{i}",
-                    treatment=x,
-                    covariates=np.zeros(0),
-                    outcome=Curve(grid, y),
-                    covariate_curve=Curve(grid, vc),
-                )
-            )
-        return Dataset(samples)
+        # per unit: phase shift, outcome noise
+        draws = np.array([[rng.uniform(-0.04, 0.04), *rng.standard_normal(t)] for _ in range(n)])
+        x = alternating(n)
+        vc = np.exp(-((grid.points - 0.5 - draws[:, :1]) ** 2) / 0.02)
+        y = x[:, None] + vc + 0.05 * draws[:, 1:]
+        return Dataset(ids(n), x, np.zeros((n, 0)), grid, y, grid, vc)
 
     def test_terminates_and_reports_trace(self):
         ds = self.curve_covariate_ds()
@@ -322,9 +289,9 @@ class TestCovariateFeatureBuilds:
         builds = []
         build = kernels._srsf_feature_matrix
 
-        def counting_build(curves):
-            builds.append(len(curves))
-            return build(curves)
+        def counting_build(fmat, grid):
+            builds.append(len(fmat))
+            return build(fmat, grid)
 
         monkeypatch.setattr(kernels, "_srsf_feature_matrix", counting_build)
         return builds

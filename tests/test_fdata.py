@@ -1,6 +1,7 @@
 """Tests for grids, curves, datasets, and dataset I/O."""
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from funcause import (
     Dataset,
     Grid,
     GridTooSmall,
-    ObservationalSample,
     SchemaError,
     derivative,
     grid_norm,
@@ -25,20 +25,17 @@ from funcause import (
 def make_dataset(n=3, t=12, d=2, with_vcurves=False, seed=0):
     rng = np.random.default_rng(seed)
     grid = Grid.uniform(t)
-    samples = []
-    for i in range(n):
-        samples.append(
-            ObservationalSample(
-                id=f"s{i}",
-                treatment=float(i % 2),
-                covariates=rng.standard_normal(d),
-                outcome=Curve(grid, rng.standard_normal(t)),
-                covariate_curve=(
-                    Curve(grid, rng.standard_normal(t)) if with_vcurves else None
-                ),
-            )
-        )
-    return Dataset(samples)
+    # per unit: covariates, outcome, then the covariate curve if any
+    draws = rng.standard_normal((n, d + t + (t if with_vcurves else 0)))
+    return Dataset(
+        [f"s{i}" for i in range(n)],
+        (np.arange(n) % 2).astype(float),
+        draws[:, :d],
+        grid,
+        draws[:, d : d + t],
+        grid if with_vcurves else None,
+        draws[:, d + t :] if with_vcurves else None,
+    )
 
 
 class TestGrid:
@@ -152,11 +149,78 @@ class TestDataset:
         assert list(ds.arm_indices(0.0)) == [0, 2]
 
     def test_mismatched_grids_rejected(self):
-        g1, g2 = Grid.uniform(8), Grid.uniform(9)
-        s1 = ObservationalSample("a", 0.0, np.zeros(1), Curve(g1, np.zeros(8)))
-        s2 = ObservationalSample("b", 1.0, np.zeros(1), Curve(g2, np.zeros(9)))
         with pytest.raises(ValueError):
-            Dataset([s1, s2])
+            Dataset(["a", "b"], [0.0, 1.0], np.zeros((2, 1)), Grid.uniform(8), np.zeros((2, 9)))
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"ids": ["a", "b"]},
+            {"treatments": np.zeros((4, 1))},
+            {"treatments": np.zeros(3)},
+            {"covariate_matrix": np.zeros(4)},
+            {"covariate_matrix": np.zeros((3, 2))},
+            {"outcome_matrix": np.zeros((4, 11))},
+            {"covariate_curve_matrix": np.zeros((4, 11))},
+            {"covariate_grid": None},
+            {"covariate_grid": Grid.uniform(11)},
+        ],
+        ids=lambda change: "-".join(change),
+    )
+    def test_wrong_shape_rejected(self, change):
+        ds = make_dataset(n=4, t=10, with_vcurves=True)
+        with pytest.raises(ValueError):
+            replace(ds, **change)
+
+    @pytest.mark.parametrize(
+        "name", ["treatments", "covariate_matrix", "outcome_matrix", "covariate_curve_matrix"]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_rejected(self, name, bad):
+        ds = make_dataset(n=4, t=10, with_vcurves=True)
+        values = getattr(ds, name).copy()
+        values[(1,) * values.ndim] = bad
+        with pytest.raises(ValueError, match="finite"):
+            replace(ds, **{name: values})
+
+    @pytest.mark.parametrize("arm", [0.0, 1.0])
+    def test_empty_arm_rejected(self, arm):
+        ds = make_dataset(n=4)
+        with pytest.raises(ValueError, match="both arms"):
+            replace(ds, treatments=np.full(4, arm))
+
+    def test_too_few_units_rejected(self):
+        with pytest.raises(ValueError):
+            make_dataset(n=1)
+
+    def test_arrays_read_only_and_copied(self):
+        y = np.zeros((2, 5))
+        ds = Dataset(["a", "b"], [0.0, 1.0], np.zeros((2, 1)), Grid.uniform(5), y)
+        y[0, 0] = 1.0
+        assert ds.outcome_matrix[0, 0] == 0.0
+        vc = make_dataset(with_vcurves=True)
+        for name in ("treatments", "covariate_matrix", "outcome_matrix", "covariate_curve_matrix"):
+            values = getattr(vc, name)
+            with pytest.raises(ValueError):
+                values[(0,) * values.ndim] = 1.0
+
+    def test_take_keeps_order_and_ids(self):
+        ds = make_dataset(n=6, t=9, with_vcurves=True)
+        idx = [4, 1, 2]
+        sub = ds.take(idx)
+        assert list(sub.ids) == ["s4", "s1", "s2"]
+        np.testing.assert_array_equal(sub.treatments, ds.treatments[idx])
+        np.testing.assert_array_equal(sub.covariate_matrix, ds.covariate_matrix[idx])
+        np.testing.assert_array_equal(sub.outcome_matrix, ds.outcome_matrix[idx])
+        np.testing.assert_array_equal(sub.covariate_curve_matrix, ds.covariate_curve_matrix[idx])
+        assert sub.outcome_grid == ds.outcome_grid and sub.covariate_grid == ds.covariate_grid
+
+    def test_take_revalidates(self):
+        ds = make_dataset(n=6)
+        with pytest.raises(ValueError, match="both arms"):
+            ds.take([0, 2, 4])
+        with pytest.raises(ValueError):
+            ds.take([3])
 
 
 class TestDatasetIO:
@@ -175,7 +239,7 @@ class TestDatasetIO:
             np.testing.assert_allclose(
                 back.covariate_curve_matrix, ds.covariate_curve_matrix, atol=1e-12
             )
-        assert [s.id for s in back.samples] == [s.id for s in ds.samples]
+        assert list(back.ids) == list(ds.ids)
 
     def test_short_row_rejected_with_row_index(self, tmp_path):
         ds = make_dataset(n=3, t=8, d=1)
@@ -202,13 +266,24 @@ class TestDatasetIO:
         with pytest.raises(SchemaError):
             load_dataset(path)
 
+    def test_non_finite_cell_rejected_with_row_index(self, tmp_path):
+        ds = make_dataset(n=4, t=8, d=1)
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        lines = path.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[5] = "nan"
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert err.value.row == 2
+
     def test_mixed_treatment_column_loads(self, tmp_path):
         ds = make_dataset(n=4, t=8, d=1)
-        samples = list(ds.samples)
-        samples[0] = ObservationalSample(
-            samples[0].id, 0.37, samples[0].covariates, samples[0].outcome
-        )
-        mixed = Dataset(samples)
+        x = ds.treatments.copy()
+        x[0] = 0.37
+        mixed = replace(ds, treatments=x)
         path = tmp_path / "data.csv"
         save_dataset(mixed, path)
         back = load_dataset(path)

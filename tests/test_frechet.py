@@ -1,4 +1,6 @@
 """Tests for Fréchet means and metric-space group effects."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from funcause import (
     DomainError,
     Grid,
     Metric,
-    ObservationalSample,
     WeightError,
     Weighting,
     dynamic_effect,
@@ -34,20 +35,10 @@ def curve_family(grid, n, seed=0, center=0.5):
 
 def binary_dataset(n=20, t=16, seed=0, gap=1.0):
     rng = np.random.default_rng(seed)
-    grid = Grid.uniform(t)
-    samples = []
-    for i in range(n):
-        x = float(i % 2)
-        y = gap * x + rng.standard_normal(t) * 0.1
-        samples.append(
-            ObservationalSample(
-                id=f"s{i}",
-                treatment=x,
-                covariates=rng.standard_normal(2),
-                outcome=Curve(grid, y),
-            )
-        )
-    return Dataset(samples)
+    x = (np.arange(n) % 2).astype(float)
+    draws = rng.standard_normal((n, t + 2))  # per unit: outcome noise, covariates
+    y = gap * x[:, None] + draws[:, :t] * 0.1
+    return Dataset([f"s{i}" for i in range(n)], x, draws[:, t:], Grid.uniform(t), y)
 
 
 class TestEuclideanMean:
@@ -237,12 +228,10 @@ class TestGroupPotentialOutcomes:
 
     def test_continuous_treatments_rejected(self):
         ds = binary_dataset()
-        samples = list(ds.samples)
-        samples[0] = ObservationalSample(
-            samples[0].id, 0.4, samples[0].covariates, samples[0].outcome
-        )
+        x = ds.treatments.copy()
+        x[0] = 0.4
         with pytest.raises(ValueError):
-            group_potential_outcomes(Dataset(samples))
+            group_potential_outcomes(replace(ds, treatments=x))
 
 
 class TestDynamicEffect:

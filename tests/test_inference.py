@@ -12,7 +12,6 @@ from funcause import (
     Dataset,
     EffectCI,
     Grid,
-    ObservationalSample,
     Regime,
     effect_ci,
     pointwise_ci,
@@ -27,18 +26,8 @@ def gaussian_ds(n=80, t=6, delta=None, seed=0):
     d = np.zeros(t) if delta is None else np.asarray(delta, dtype=float)
     x = (rng.uniform(size=n) < 0.5).astype(float)
     x[:4] = [0, 0, 1, 1]
-    samples = []
-    for i in range(n):
-        y = x[i] * d + rng.standard_normal(t)
-        samples.append(
-            ObservationalSample(
-                id=f"s{i}",
-                treatment=float(x[i]),
-                covariates=np.zeros(0),
-                outcome=Curve(grid, y),
-            )
-        )
-    return Dataset(samples), x
+    y = x[:, None] * d + rng.standard_normal((n, t))
+    return Dataset([f"s{i}" for i in range(n)], x, np.zeros((n, 0)), grid, y), x
 
 
 def delta_hat(ds, x):
@@ -92,7 +81,7 @@ class TestEffectCi:
         rng = np.random.default_rng(0)
         i1, i0 = np.flatnonzero(x == 1), np.flatnonzero(x == 0)
         order = np.concatenate([rng.permutation(i1), rng.permutation(i0)])
-        ds_perm = Dataset([ds.samples[i] for i in order])
+        ds_perm = ds.take(order)
         c1 = effect_ci(ds, d)
         c2 = effect_ci(ds_perm, d)
         assert c1.lower == pytest.approx(c2.lower, abs=1e-10)
@@ -124,12 +113,8 @@ class TestEffectCi:
 
     def test_tiny_arm_rejected(self):
         grid = Grid.uniform(4)
-        samples = [
-            ObservationalSample("a", 1.0, np.zeros(0), Curve(grid, np.zeros(4))),
-            ObservationalSample("b", 0.0, np.zeros(0), Curve(grid, np.ones(4))),
-            ObservationalSample("c", 0.0, np.zeros(0), Curve(grid, np.ones(4))),
-        ]
-        ds = Dataset(samples)
+        y = np.array([np.zeros(4), np.ones(4), np.ones(4)])
+        ds = Dataset(["a", "b", "c"], [1.0, 0.0, 0.0], np.zeros((3, 0)), grid, y)
         with pytest.raises(ArmEmptyError):
             effect_ci(ds, Curve(grid, np.zeros(4)))
 

@@ -1,4 +1,6 @@
 """Tests for kernel functions, Gram builders, and the median heuristic."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from funcause import (
     GramMatrix,
     KernelFamily,
     KernelSpec,
-    ObservationalSample,
     cross_gram,
     fr_distance_srsf,
     input_gram,
@@ -38,18 +39,14 @@ def smooth_curves(grid, n, seed=0):
 def curve_dataset(n=8, t=20, seed=0):
     rng = np.random.default_rng(seed)
     grid = Grid.uniform(t)
-    vcurves = smooth_curves(grid, n, seed=seed + 1)
-    samples = [
-        ObservationalSample(
-            id=f"s{i}",
-            treatment=float(i % 2),
-            covariates=rng.standard_normal(2),
-            outcome=Curve(grid, rng.standard_normal(t)),
-            covariate_curve=vcurves[i],
-        )
-        for i in range(n)
-    ]
-    return Dataset(samples)
+    vcurves = np.array([c.values for c in smooth_curves(grid, n, seed=seed + 1)])
+    draws = rng.standard_normal((n, 2 + t))  # per unit: covariates, outcome
+    x = (np.arange(n) % 2).astype(float)
+    return Dataset([f"s{i}" for i in range(n)], x, draws[:, :2], grid, draws[:, 2:], grid, vcurves)
+
+
+def covariate_curves(ds):
+    return [Curve(ds.covariate_grid, row) for row in ds.covariate_curve_matrix]
 
 
 class TestScalarKernels:
@@ -150,7 +147,8 @@ class TestInputGram:
     def test_constant_covariate_kernel(self):
         ds = curve_dataset()
         kx = KernelSpec(KernelFamily.BINARY_INDICATOR)
-        g_const = input_gram(ds, kx, KernelSpec(KernelFamily.CONSTANT))
+        no_covariates = replace(ds, covariate_matrix=np.zeros((len(ds), 0)))
+        g_const = input_gram(no_covariates, kx, KernelSpec(KernelFamily.SQUARED_EXPONENTIAL))
         g_none = input_gram(ds, kx, None)
         np.testing.assert_array_equal(g_const.entries, g_none.entries)
 
@@ -164,12 +162,7 @@ class TestInputGram:
 
     def test_fisher_rao_needs_covariate_curves(self):
         ds = curve_dataset()
-        stripped = Dataset(
-            [
-                ObservationalSample(s.id, s.treatment, s.covariates, s.outcome)
-                for s in ds.samples
-            ]
-        )
+        stripped = replace(ds, covariate_grid=None, covariate_curve_matrix=None)
         with pytest.raises(ValueError):
             input_gram(
                 stripped,
@@ -180,8 +173,8 @@ class TestInputGram:
     def test_gram_matches_pairwise_kernel(self):
         ds = curve_dataset(n=6)
         kv = KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN, 0.7)
-        g = input_gram(ds, KernelSpec(KernelFamily.CONSTANT), kv)
-        curves = [s.covariate_curve for s in ds.samples]
+        g = input_gram(ds, None, kv)
+        curves = covariate_curves(ds)
         for i in range(6):
             for j in range(6):
                 assert g.entries[i, j] == pytest.approx(
@@ -220,18 +213,17 @@ class TestCrossGram:
     def test_fisher_rao_on_srsf_features(self):
         ds = curve_dataset(n=9)
         spec = KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN, 0.7)
-        test, train = ds.samples[:3], ds.samples[3:]
+        test, train = ds.take(range(3)), ds.take(range(3, 9))
         k = cross_gram(spec, _covariate_points(test, spec), _covariate_points(train, spec))
         assert k.shape == (3, 6)
-        for i, s in enumerate(test):
-            for j, r in enumerate(train):
-                ref = fr_kernel(s.covariate_curve, r.covariate_curve, 0.7)
+        for i, s in enumerate(covariate_curves(test)):
+            for j, r in enumerate(covariate_curves(train)):
+                ref = fr_kernel(s, r, 0.7)
                 assert abs(k[i, j] - ref) <= 1e-12
 
-    @pytest.mark.parametrize("spec", [None, KernelSpec(KernelFamily.CONSTANT)])
-    def test_constant_and_absent_kernels_are_ones(self, spec):
+    def test_absent_kernel_is_ones(self):
         rng = np.random.default_rng(2)
-        k = cross_gram(spec, rng.standard_normal((3, 2)), rng.standard_normal((5, 2)))
+        k = cross_gram(None, rng.standard_normal((3, 2)), rng.standard_normal((5, 2)))
         np.testing.assert_array_equal(k, np.ones((3, 5)))
 
     def test_zero_width_rows_are_ones(self):
@@ -244,7 +236,9 @@ class TestOutputGram:
     def test_default_lengthscale_median_heuristic(self):
         grid = Grid.uniform(16)
         g = output_gram(grid)
-        assert g.spec.lengthscale == pytest.approx(median_heuristic(grid.points))
+        np.testing.assert_array_equal(
+            g.entries, output_gram(grid, median_heuristic(grid.points)).entries
+        )
 
     def test_psd_and_unit_diagonal(self):
         g = output_gram(Grid.uniform(32), lengthscale=0.2)
@@ -261,17 +255,14 @@ class TestFrGramPsdSweep:
             zeta = 1.0 / (2.0 * median_heuristic(curves, metric="fisher_rao") ** 2)
             feats_spec = KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN, zeta)
             rng = np.random.default_rng(seed)
-            samples = [
-                ObservationalSample(
-                    id=f"s{i}",
-                    treatment=float(i % 2),
-                    covariates=np.zeros(0),
-                    outcome=Curve(grid, rng.standard_normal(40)),
-                    covariate_curve=c,
-                )
-                for i, c in enumerate(curves)
-            ]
-            g = input_gram(
-                Dataset(samples), KernelSpec(KernelFamily.CONSTANT), feats_spec
+            ds = Dataset(
+                [f"s{i}" for i in range(50)],
+                (np.arange(50) % 2).astype(float),
+                np.zeros((50, 0)),
+                grid,
+                rng.standard_normal((50, 40)),
+                grid,
+                np.array([c.values for c in curves]),
             )
+            g = input_gram(ds, None, feats_spec)
             assert is_psd(g)
