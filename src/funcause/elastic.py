@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
 
 from .errors import DomainError, GridTooSmall, WeightError
-from .fdata import Curve, Grid, grid_norm
+from .fdata import Curve, Grid, _trapezoid, _trapezoid_terms, grid_norm
 
 __all__ = [
     "SrsfCurve",
@@ -121,8 +120,8 @@ def srsf_transform(f: Curve) -> SrsfCurve:
 
 def srsf_inverse(q: SrsfCurve) -> Curve:
     """Recover f(t) = f(0) + int_0^t q|q| by trapezoidal integration."""
-    integrand = q.values * np.abs(q.values)
-    f = cumulative_trapezoid(integrand, q.grid.points, initial=0.0) + q.origin
+    terms = _trapezoid_terms(q.values * np.abs(q.values), q.grid.points)
+    f = np.cumsum(np.concatenate(([0.0], terms))) + q.origin
     return Curve(q.grid, f)
 
 
@@ -169,7 +168,7 @@ def warp_curve(f: Curve, gamma: WarpingFunction) -> Curve:
 
 def _row_norms(rows, grid: Grid) -> np.ndarray:
     """``grid_norm`` of every row: trapezoidal L2 norms over [0, 1]."""
-    return np.sqrt(trapezoid(np.asarray(rows) ** 2, grid.points, axis=-1))
+    return np.sqrt(_trapezoid(np.asarray(rows) ** 2, grid.points))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -9,7 +9,10 @@ to their Karcher means, then one fit) and the holdout hyperparameter
 search, and runs every named estimator through ``run_estimator``.  It
 reads a dataset's arrays and derives new datasets with
 ``dataclasses.replace`` (registered curves) and ``Dataset.take`` (the
-holdout's training units).
+holdout's training units).  Each fit or search, and each estimator run
+that searches and then fits, builds the dataset's kernel inputs once
+(``kernels._Input``: the covariate rows and each input's pairwise
+distances) and slices every Gram block and median heuristic from them.
 """
 from __future__ import annotations
 
@@ -28,9 +31,8 @@ from .kernels import (
     KernelFamily,
     KernelSpec,
     _covariate_points,
+    _Input,
     cross_gram,
-    input_gram,
-    median_heuristic,
     output_gram,
 )
 
@@ -81,6 +83,7 @@ class KrrModel:
     covariate_points: np.ndarray  # rows kv acts on (SRSF features for FR kernels)
     k_y: Optional[np.ndarray]  # output Gram, None means identity
     grid: Grid
+    covariate_mean_row: np.ndarray  # column means of the training covariate Gram
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -102,15 +105,22 @@ def kernel_setup(ds: Dataset, scale: float = 1.0):
     return _default_kernels(ds)[1](scale)
 
 
+def _inputs(ds: Dataset, kv: Optional[KernelSpec]):
+    """The (treatment, covariate) kernel inputs of ``ds`` under the
+    covariate kernel ``kv``; their distances are computed on first use."""
+    return _Input(ds.treatments), _Input(_covariate_points(ds, kv))
+
+
 def _default_kernels(ds: Dataset):
-    """The default covariate kernel's rows (SRSF features of the covariate
-    curves if there are any) and ``kernel_setup`` as a function of the
-    scale, from one median heuristic per input."""
+    """The kernel inputs of the default covariate kernel (SRSF features of
+    the covariate curves if there are any) and ``kernel_setup`` as a
+    function of the scale, from one median heuristic per input."""
     fisher_rao = ds.covariate_grid is not None
-    kv = KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN) if fisher_rao else None
-    v = _covariate_points(ds, kv)
-    mx = None if ds.is_binary() else median_heuristic(ds.treatments)
-    mv = median_heuristic(v) if v.shape[1] > 0 else None
+    inputs = xin, vin = _inputs(
+        ds, KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN) if fisher_rao else None
+    )
+    mx = None if ds.is_binary() else xin.median()
+    mv = vin.median() if vin.rows.shape[1] > 0 else None
 
     def setup(scale: float):
         kx = KernelSpec(KernelFamily.BINARY_INDICATOR)
@@ -123,7 +133,7 @@ def _default_kernels(ds: Dataset):
             return kx, KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN, zeta)
         return kx, KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, scale * mv)
 
-    return v, setup
+    return inputs, setup
 
 
 def _ridge_path(k_in: np.ndarray, y: np.ndarray, k_y: Optional[GramMatrix]):
@@ -171,17 +181,24 @@ def krr_fit(
     lam: float = 1e-3,
 ) -> KrrModel:
     """Solve (K_XV (x) K_Y + lambda I) vec(alpha) = vec(Y)."""
-    v = _covariate_points(ds, kv)
-    alpha = _ridge_path(input_gram(ds, kx, kv, v).entries, ds.outcome_matrix, k_y)(lam)
+    return _fit(ds, _inputs(ds, kv), kx, kv, k_y, lam)
+
+
+def _fit(ds, inputs, kx, kv, k_y, lam) -> KrrModel:
+    """``krr_fit`` on the kernel inputs ``_inputs(ds, kv)``."""
+    xin, vin = inputs
+    kv_gram = vin.gram(kv)
+    k_in = GramMatrix(xin.gram(kx) * kv_gram).entries
     return KrrModel(
-        alpha=alpha,
+        alpha=_ridge_path(k_in, ds.outcome_matrix, k_y)(lam),
         lam=lam,
         kx=kx,
         kv=kv,
         treatments=ds.treatments,
-        covariate_points=v,
+        covariate_points=vin.rows,
         k_y=None if k_y is None else k_y.entries,
         grid=ds.outcome_grid,
+        covariate_mean_row=kv_gram.mean(axis=0),
     )
 
 
@@ -203,8 +220,7 @@ def potential_outcome(model: KrrModel, x: float) -> Curve:
     """Expected potential outcome curve: the prediction averaged over the
     training covariate distribution (equivalently, the averaged kernel row
     applied to the coefficients)."""
-    v = model.covariate_points
-    row = cross_gram(model.kx, [x], model.treatments)[0] * cross_gram(model.kv, v, v).mean(axis=0)
+    row = cross_gram(model.kx, [x], model.treatments)[0] * model.covariate_mean_row
     return Curve(model.grid, _outputs(row, model.alpha, model.k_y))
 
 
@@ -317,40 +333,42 @@ def register_covariate_curves(
     return replace(ds, covariate_curve_matrix=v), warps
 
 
-def _holdout_split(n: int, seed: int):
-    """Sorted (train, test) unit indices of a random ``HOLDOUT`` split."""
+def _holdout_split(ds: Dataset, seed: int):
+    """Sorted (train, test) unit indices of a random ``HOLDOUT`` split, or
+    None when the training units do not form a valid dataset."""
+    n = len(ds)
     perm = np.random.default_rng(seed).permutation(n)
     n_test = max(1, int(round(HOLDOUT * n)))
-    return np.sort(perm[n_test:]), np.sort(perm[:n_test])
+    train, test = np.sort(perm[n_test:]), np.sort(perm[:n_test])
+    try:
+        ds.take(train)
+    except ValueError:
+        return None
+    return train, test
 
 
 def _holdout_errors(
     ds: Dataset,
+    inputs,
+    split,
     kx: KernelSpec,
     kv: Optional[KernelSpec],
     k_y: Optional[GramMatrix],
-    v: np.ndarray,
     lam_grid: Sequence[float],
-    seed: int = 0,
 ) -> list:
-    """Squared prediction error on a random holdout for every lambda.
+    """Squared prediction error on the holdout ``split`` for every lambda.
 
-    Fits on the remaining units from one eigendecomposition of their Gram
+    Fits on the training units from one eigendecomposition of their Gram
     and scores each held-out unit at its own treatment and covariates;
-    ``v`` holds every unit's covariate rows (``_covariate_points``), which
-    the split slices.  Every error is inf when the split degenerates.
+    both Gram blocks are sliced from the kernel inputs ``inputs``
+    (``_inputs(ds, kv)``).
     """
-    train, test = _holdout_split(len(ds), seed)
-    try:
-        ds_train = ds.take(train)
-    except ValueError:
-        return [math.inf] * len(lam_grid)
+    xin, vin = inputs
+    train, test = split
     ky_mat = None if k_y is None else k_y.entries
-    solve = _ridge_path(
-        input_gram(ds_train, kx, kv, v[train]).entries, ds_train.outcome_matrix, k_y
-    )
-    x = ds.treatments
-    rows = cross_gram(kx, x[test], x[train]) * cross_gram(kv, v[test], v[train])
+    k_train = GramMatrix(xin.gram(kx, train, train) * vin.gram(kv, train, train)).entries
+    solve = _ridge_path(k_train, ds.outcome_matrix[train], k_y)
+    rows = xin.gram(kx, test, train) * vin.gram(kv, test, train)
     y_test = ds.outcome_matrix[test]
     return [
         float(np.sum((_outputs(rows, solve(lam), ky_mat) - y_test) ** 2)) for lam in lam_grid
@@ -367,8 +385,10 @@ def holdout_error(
 ) -> float:
     """Squared prediction error on a random 20% holdout; inf when the split
     degenerates."""
-    v = _covariate_points(ds, kv)
-    return _holdout_errors(ds, kx, kv, k_y, v, (lam,), seed)[0]
+    split = _holdout_split(ds, seed)
+    if split is None:
+        return math.inf
+    return _holdout_errors(ds, _inputs(ds, kv), split, kx, kv, k_y, (lam,))[0]
 
 
 def select_hyperparameters(ds: Dataset, k_y: Optional[GramMatrix] = None, seed: int = 0):
@@ -376,13 +396,22 @@ def select_hyperparameters(ds: Dataset, k_y: Optional[GramMatrix] = None, seed: 
 
     Returns (kx, kv, lam) with the first minimum error in scale-major
     order, or the default kernels with lambda = 1e-2 when every error is
-    inf.  The covariate rows are computed once and sliced by the split.
+    inf (as when the split leaves an arm without training units).
     """
-    v, setup = _default_kernels(ds)
+    return _search(ds, *_default_kernels(ds), k_y, seed)
+
+
+def _search(ds, inputs, setup, k_y, seed):
+    """``select_hyperparameters`` on the kernel inputs and ``setup`` of
+    ``_default_kernels(ds)``: one split, and every scale's Gram blocks
+    sliced from the same distances."""
+    split = _holdout_split(ds, seed)
+    if split is None:
+        return (*setup(1.0), 1e-2)
     candidates = []
     for scale in _SCALE_GRID:
         kx, kv = setup(scale)
-        errs = _holdout_errors(ds, kx, kv, k_y, v, _LAM_GRID, seed=seed)
+        errs = _holdout_errors(ds, inputs, split, kx, kv, k_y, _LAM_GRID)
         candidates += [(err, kx, kv, lam) for lam, err in zip(_LAM_GRID, errs)]
     err, kx, kv, lam = min(candidates, key=lambda c: c[0])
     if err == math.inf:
@@ -449,7 +478,8 @@ def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = Non
         )
     registered = replace(ds, outcome_matrix=y, covariate_curve_matrix=v)
     converged = not has_vcurves or (y_converged and v_converged)
-    model = krr_fit(registered, *kernel_setup(registered), lam=cfg.lam)
+    inputs, setup = _default_kernels(registered)
+    model = _fit(registered, inputs, *setup(1.0), None, cfg.lam)
     return IterativeResult(
         kernel_dynamic_effect(model), registered, trace=[], converged=converged, model=model
     )
@@ -490,11 +520,12 @@ def run_estimator(
     if name in ("operator-kernel", "srvf-operator-kernel"):
         k_y = output_gram(work_ds.outcome_grid)
 
+    inputs, setup = _default_kernels(work_ds)
     if search:
-        kx, kv, chosen = select_hyperparameters(work_ds, k_y=k_y, seed=seed)
+        kx, kv, chosen = _search(work_ds, inputs, setup, k_y, seed)
         lam = chosen if lam is None else lam
     else:
-        kx, kv = kernel_setup(work_ds)
+        kx, kv = setup(1.0)
         if lam is None:
             lam = 1e-2
-    return kernel_dynamic_effect(krr_fit(work_ds, kx, kv, k_y=k_y, lam=lam))
+    return kernel_dynamic_effect(_fit(work_ds, inputs, kx, kv, k_y, lam))

@@ -14,8 +14,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import trapezoid
-from scipy.interpolate import CubicSpline
 
 from .errors import GridTooSmall, SchemaError
 
@@ -186,13 +184,27 @@ def resample(c: Curve, g: Grid) -> Curve:
     """
     if g == c.grid:
         return Curve(g, c.values)
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(c.grid.points, c.values)
     return Curve(g, spline(g.points))
 
 
+def _trapezoid_terms(y, x: np.ndarray) -> np.ndarray:
+    """Trapezoid areas between consecutive points of the last axis of ``y``
+    over the points ``x``; their sum is ``scipy.integrate.trapezoid(y, x)``
+    bit for bit, since scipy evaluates the same expression."""
+    return np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0
+
+
+def _trapezoid(y, x: np.ndarray):
+    """Trapezoidal integral of ``y`` over ``x`` along the last axis."""
+    return np.sum(_trapezoid_terms(y, x), axis=-1)
+
+
 def grid_norm(values: np.ndarray, grid: Grid) -> float:
     """L2 norm via trapezoidal quadrature over [0, 1]."""
-    return math.sqrt(float(trapezoid(np.asarray(values) ** 2, grid.points)))
+    return math.sqrt(float(_trapezoid(np.asarray(values) ** 2, grid.points)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ sum_k lambda_k Z_k^2 over the eigenvalues lambda_k of the estimated kernel,
 whose exact quantiles come from numerical inversion of the Laplace
 transform of its CDF (Imhof, Biometrika 1961; Abate & Whitt, ORSA J.
 Computing 1995).  Also provides a Welch two-sample t-test for comparing
-benchmark error samples.
+benchmark error samples.  scipy is imported by the functions that need
+its quantiles and root finder, on their first call, not with the module.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import optimize, special
 
 from .errors import ArmEmptyError
 from .fdata import Curve, Dataset
@@ -41,7 +41,7 @@ EIGENVALUE_FLOOR = 1e-12
 # 15 terms fail at r >= 400.
 _EULER_A = 18.4
 _EULER_M = 11
-_EULER_WEIGHTS = special.comb(_EULER_M, np.arange(_EULER_M + 1)) / 2.0**_EULER_M
+_EULER_WEIGHTS = np.array([math.comb(_EULER_M, k) for k in range(_EULER_M + 1)]) / 2.0**_EULER_M
 
 
 class Regime(enum.Enum):
@@ -81,6 +81,8 @@ def _covariance_kernel(ds: Dataset) -> np.ndarray:
 
 
 def _norm_quantile(p: float) -> float:
+    from scipy import special
+
     return math.sqrt(2.0) * special.erfinv(2.0 * p - 1.0)
 
 
@@ -107,6 +109,8 @@ def _weighted_chi2_quantile(p: float, evals: np.ndarray) -> float:
     (r = 1, or equal eigenvalues) and the inverted CDF is exact only to
     about 1e-8.
     """
+    from scipy import optimize, special
+
     lam_max = float(evals.max())
     scaled = evals / lam_max
     lo = 0.99 * special.chdtri(1, 1.0 - p)
@@ -171,6 +175,8 @@ def pointwise_ci(delta_hat: Curve, k_diag: np.ndarray, level: float, n: int) -> 
 
 def welch_t_test(a, b) -> TTestResult:
     """Welch's unequal-variance two-sample t-test (two-sided)."""
+    from scipy import special
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.size < 2 or b.size < 2:

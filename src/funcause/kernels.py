@@ -3,7 +3,9 @@
 Input Grams combine a treatment kernel and a covariate kernel entrywise;
 the output Gram encodes correlation among grid points.  Curve inputs go
 through the Fisher-Rao SRSF embedding, which keeps the Gaussian curve
-kernel positive definite.
+kernel positive definite.  Every distance kernel and median heuristic reads
+squared Euclidean distances from ``_sq_dists``; ``_Input`` keeps one input's
+n x n distances, so a fit or search computes them once and slices blocks.
 """
 from __future__ import annotations
 
@@ -13,7 +15,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
 
 from .elastic import _srsf_rows
 from .fdata import Grid
@@ -82,6 +83,65 @@ def _srsf_feature_matrix(fmat: np.ndarray, grid: Grid) -> np.ndarray:
     return qmat * np.sqrt(w)
 
 
+def _sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of 2-D ``a`` and ``b``.
+
+    Adds the squared differences column by column in order, as
+    ``scipy.spatial.distance.cdist(a, b, "sqeuclidean")`` does, so the two
+    agree bit for bit.
+    """
+    if a.shape[1] != b.shape[1]:
+        raise ValueError("rows must have the same number of columns")
+    d2 = np.zeros((len(a), len(b)))
+    diff = np.empty_like(d2)
+    for ak, bk in zip(a.T, b.T):
+        np.subtract.outer(ak, bk, out=diff)
+        diff *= diff
+        d2 += diff
+    return d2
+
+
+def _as_rows(points) -> np.ndarray:
+    """Float rows: a 1-D input is one scalar per row."""
+    p = np.asarray(points, dtype=float)
+    return p[:, None] if p.ndim == 1 else p
+
+
+class _Input:
+    """The rows one kernel acts on, with their pairwise squared distances
+    computed on first use and kept: every Gram block and median heuristic
+    of a fit or search slices the one n x n matrix."""
+
+    def __init__(self, points):
+        self.rows = _as_rows(points)
+
+    @functools.cached_property
+    def sq_dists(self) -> np.ndarray:
+        """Read-only n x n squared distances."""
+        d2 = _sq_dists(self.rows, self.rows)
+        d2.flags.writeable = False
+        return d2
+
+    def median(self) -> float:
+        """Median distance over the pairs of rows, with ``median_heuristic``'s
+        fallbacks."""
+        dists = np.sqrt(self.sq_dists[np.triu_indices(len(self.rows), 1)])
+        med = float(np.median(dists))
+        if med > 0:
+            return med
+        positive = dists[dists > 0]
+        if positive.size:
+            return float(np.mean(positive))
+        return 1.0
+
+    def gram(self, spec: Optional[KernelSpec], rows=slice(None), cols=slice(None)) -> np.ndarray:
+        """Kernel block between the rows ``rows`` and the rows ``cols``, by
+        default all of them; equal to ``cross_gram`` on those rows."""
+        return _gram(
+            spec, self.rows[rows], self.rows[cols], lambda: self.sq_dists[rows][:, cols]
+        )
+
+
 def median_heuristic(points, metric: str = "euclidean") -> float:
     """Median pairwise distance, with degenerate-case fallbacks.
 
@@ -91,22 +151,27 @@ def median_heuristic(points, metric: str = "euclidean") -> float:
     if len(points) < 2:
         raise ValueError("need at least 2 points")
     if metric == "euclidean":
-        mat = np.atleast_2d(np.asarray(points, dtype=float))
-        if mat.shape[0] == 1:
-            mat = mat.T
-        dists = pdist(mat)
+        mat = _as_rows(points)
     elif metric == "fisher_rao":
         curves = list(points)
-        dists = pdist(_srsf_feature_matrix(np.array([c.values for c in curves]), curves[0].grid))
+        mat = _srsf_feature_matrix(np.array([c.values for c in curves]), curves[0].grid)
     else:
         raise ValueError(f"unknown metric: {metric}")
-    med = float(np.median(dists))
-    if med > 0:
-        return med
-    positive = dists[dists > 0]
-    if positive.size:
-        return float(np.mean(positive))
-    return 1.0
+    return _Input(mat).median()
+
+
+def _gram(spec: Optional[KernelSpec], a: np.ndarray, b: np.ndarray, sq_dists) -> np.ndarray:
+    """Kernel matrix between the rows of 2-D ``a`` and ``b``; only the
+    distance kernels call ``sq_dists()`` for their squared distances."""
+    if spec is None or a.shape[1] == 0:
+        return np.ones((len(a), len(b)))
+    if spec.family is KernelFamily.BINARY_INDICATOR:
+        return (a == b.T).astype(float)
+    if spec.family is KernelFamily.SQUARED_EXPONENTIAL:
+        return np.exp(-sq_dists() / (2.0 * spec.lengthscale**2))
+    if spec.family is KernelFamily.FISHER_RAO_GAUSSIAN:
+        return np.exp(-spec.lengthscale * sq_dists())
+    raise ValueError(f"unsupported kernel family: {spec.family}")
 
 
 def cross_gram(spec: Optional[KernelSpec], a, b) -> np.ndarray:
@@ -116,20 +181,8 @@ def cross_gram(spec: Optional[KernelSpec], a, b) -> np.ndarray:
     kernels take SRSF feature rows, whose Euclidean distances equal d_FR.
     A None spec or zero-width rows give all ones.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim == 1:
-        a, b = a[:, None], b[:, None]
-    if spec is None or a.shape[1] == 0:
-        return np.ones((len(a), len(b)))
-    if spec.family is KernelFamily.BINARY_INDICATOR:
-        return (a == b.T).astype(float)
-    d2 = cdist(a, b, "sqeuclidean")
-    if spec.family is KernelFamily.SQUARED_EXPONENTIAL:
-        return np.exp(-d2 / (2.0 * spec.lengthscale**2))
-    if spec.family is KernelFamily.FISHER_RAO_GAUSSIAN:
-        return np.exp(-spec.lengthscale * d2)
-    raise ValueError(f"unsupported kernel family: {spec.family}")
+    a, b = _as_rows(a), _as_rows(b)
+    return _gram(spec, a, b, lambda: _sq_dists(a, b))
 
 
 def _covariate_points(ds, kv: Optional[KernelSpec]) -> np.ndarray:
@@ -162,8 +215,7 @@ def output_gram(grid: Grid, lengthscale: Optional[float] = None) -> GramMatrix:
 
     Defaults the lengthscale to the median heuristic over the grid points.
     """
-    pts = grid.points
+    pts = _Input(grid.points)
     if lengthscale is None:
-        lengthscale = median_heuristic(pts)
-    spec = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale)
-    return GramMatrix(cross_gram(spec, pts, pts))
+        lengthscale = pts.median()
+    return GramMatrix(pts.gram(KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale)))

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.integrate import trapezoid
 
-from .fdata import Curve, Dataset, Grid
+from .fdata import Curve, Dataset, Grid, _trapezoid
 
 __all__ = [
     "Scenario",
@@ -179,7 +178,7 @@ def generate(cfg: ScenarioConfig, replicate: int = 0) -> Tuple[Dataset, GroundTr
     beta = _true_beta(grid, cfg)
     truth = GroundTruth(
         beta_x=Curve(grid, beta),
-        true_phi_date=float(np.sqrt(trapezoid(beta**2, tvals))),
+        true_phi_date=float(np.sqrt(_trapezoid(beta**2, tvals))),
         scenario=cfg.scenario,
     )
     return ds, truth

@@ -223,7 +223,8 @@ class TestIterativeEstimate:
         )
         ds = generate(cfg)[0]
         aligns, fits = [], []
-        align, fit = elastic._align_rows, estimators.krr_fit
+        # every KRR fit, krr_fit's included, runs through estimators._fit
+        align, fit = elastic._align_rows, estimators._fit
 
         def counting_align(template, Q, *args, **kwargs):
             aligns.append(Q.shape[0])
@@ -234,7 +235,7 @@ class TestIterativeEstimate:
             return fit(*args, **kwargs)
 
         monkeypatch.setattr(elastic, "_align_rows", counting_align)
-        monkeypatch.setattr(estimators, "krr_fit", counting_fit)
+        monkeypatch.setattr(estimators, "_fit", counting_fit)
         iterative_srvf_estimate(ds, IterativeConfig(r_max=3, karcher_max_iter=2))
         # curves aligned: two curve sets, each with at most
         # karcher_max_iter + r_max - 1 sweeps of 20 curves
@@ -281,8 +282,8 @@ class TestHyperparameterSearch:
 
 
 class TestCovariateFeatureBuilds:
-    """SRSF features of the covariate curves are built once per fit and
-    once per search."""
+    """SRSF features of the covariate curves are built once per fit, once
+    per search, and once per estimator run, search and fit together."""
 
     @staticmethod
     def count_builds(monkeypatch):
@@ -314,3 +315,57 @@ class TestCovariateFeatureBuilds:
         builds = self.count_builds(monkeypatch)
         select_hyperparameters(ds, seed=0)
         assert builds == [20]
+
+    def test_once_per_iterative_estimate(self, monkeypatch):
+        ds = self.curve_ds()
+        builds = self.count_builds(monkeypatch)
+        iterative_srvf_estimate(ds, IterativeConfig(r_max=1, karcher_max_iter=1))
+        assert builds == [20]
+
+    @pytest.mark.parametrize("search", [False, True])
+    def test_once_per_kernel_run(self, monkeypatch, search):
+        ds = self.curve_ds()
+        builds = self.count_builds(monkeypatch)
+        estimators.run_estimator(ds, "kernel", search=search)
+        assert builds == [20]
+
+
+class TestDistancesOncePerRun:
+    """A searched run computes each input's n x n distances once; only the
+    potential outcomes' new treatment levels add (1 x n) distances."""
+
+    @pytest.mark.parametrize(
+        "scenario, name, square",
+        [
+            # treatments and SRSF features; the output grid's distances
+            (Scenario.CONTINUOUS_FUNCTIONAL, "kernel", [(20, 20), (20, 20)]),
+            (Scenario.CONTINUOUS_FUNCTIONAL, "operator-kernel", [(12, 12), (20, 20), (20, 20)]),
+            # the binary kernel reads no distances: the covariates' only
+            (Scenario.BINARY_MONOTONIC, "kernel", [(20, 20)]),
+        ],
+    )
+    def test_each_input_once(self, monkeypatch, scenario, name, square):
+        ds, _ = generate(ScenarioConfig(n=20, t=12, scenario=scenario))
+        shapes = []
+        real = kernels._sq_dists
+
+        def counting(a, b):
+            shapes.append((len(a), len(b)))
+            return real(a, b)
+
+        monkeypatch.setattr(kernels, "_sq_dists", counting)
+        estimators.run_estimator(ds, name, search=True)
+        assert sorted(sh for sh in shapes if sh[0] > 1) == square
+        assert all(sh == (1, 20) for sh in shapes if sh[0] == 1)
+
+    def test_one_split_and_one_training_set_per_search(self, monkeypatch):
+        ds, _ = generate(ScenarioConfig(n=24, t=16))
+        splits, takes = [], []
+        split, take = estimators._holdout_split, Dataset.take
+        monkeypatch.setattr(
+            estimators, "_holdout_split", lambda *a: splits.append(1) or split(*a)
+        )
+        monkeypatch.setattr(Dataset, "take", lambda self, idx: takes.append(1) or take(self, idx))
+        select_hyperparameters(ds, k_y=output_gram(ds.outcome_grid))
+        assert splits == [1]
+        assert takes == [1]

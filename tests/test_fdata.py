@@ -1,6 +1,7 @@
 """Tests for grids, curves, datasets, and dataset I/O."""
 import csv
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,12 +15,15 @@ from funcause import (
     Grid,
     GridTooSmall,
     SchemaError,
+    SrsfCurve,
     derivative,
     grid_norm,
     load_dataset,
     resample,
     save_dataset,
+    srsf_inverse,
 )
+from funcause.fdata import _trapezoid, _trapezoid_terms
 
 
 def make_dataset(n=3, t=12, d=2, with_vcurves=False, seed=0):
@@ -131,6 +135,41 @@ class TestGridNorm:
         grid = Grid.uniform(512)
         v = np.sin(2 * np.pi * grid.points)
         assert grid_norm(v, grid) == pytest.approx(np.sqrt(0.5), abs=1e-4)
+
+
+# (rows, grid length): one curve, the shortest grid, and batches of curves
+QUAD_SHAPES = [(None, 2), (None, 3), (None, 100), (1, 2), (5, 50), (400, 100)]
+
+
+class TestTrapezoid:
+    """The numpy quadrature reproduces scipy's trapezoid rules bit for bit,
+    so norms, SRSF inverses and simgen truths are as they were with scipy."""
+
+    @staticmethod
+    def values(rows, t):
+        shape = (t,) if rows is None else (rows, t)
+        return np.random.default_rng(t).standard_normal(shape)
+
+    @pytest.mark.parametrize("rows, t", QUAD_SHAPES)
+    def test_matches_scipy_trapezoid(self, rows, t):
+        from scipy.integrate import trapezoid
+
+        y, x = self.values(rows, t), Grid.uniform(t).points
+        assert np.array_equal(_trapezoid(y, x), trapezoid(y, x, axis=-1))
+        if rows is None:
+            assert grid_norm(y, Grid(x)) == math.sqrt(float(trapezoid(y**2, x)))
+
+    @pytest.mark.parametrize("t", [2, 3, 100])
+    def test_running_sum_matches_cumulative_trapezoid(self, t):
+        from scipy.integrate import cumulative_trapezoid
+
+        y, x = self.values(None, t), Grid.uniform(t).points
+        ours = np.cumsum(np.concatenate(([0.0], _trapezoid_terms(y, x))))
+        assert np.array_equal(ours, cumulative_trapezoid(y, x, initial=0.0))
+        q = SrsfCurve(Grid(x), y, origin=0.25)
+        integrand = y * np.abs(y)
+        expected = cumulative_trapezoid(integrand, x, initial=0.0) + 0.25
+        assert np.array_equal(srsf_inverse(q).values, expected)
 
 
 class TestDataset:

@@ -17,6 +17,7 @@ from funcause import (
     pointwise_ci,
     welch_t_test,
 )
+from funcause import inference
 from funcause.inference import EIGENVALUE_FLOOR, _weighted_chi2_quantile
 
 
@@ -154,6 +155,13 @@ class TestWeightedChi2Quantile:
         for p in (0.025, 0.975):
             q = _weighted_chi2_quantile(p, evals)
             assert abs(laplace_oracle_cdf(q, evals) - p) <= 1e-7
+
+    def test_euler_weights_match_scipy_comb(self):
+        from scipy import special
+
+        m = inference._EULER_M
+        expected = special.comb(m, np.arange(m + 1)) / 2.0**m
+        assert np.array_equal(inference._EULER_WEIGHTS, expected)
 
     def test_oracle_matches_chi2(self):
         assert laplace_oracle_cdf(7.0, np.ones(3)) == pytest.approx(stats.chi2.cdf(7.0, 3), abs=1e-15)

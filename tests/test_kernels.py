@@ -19,7 +19,8 @@ from funcause import (
     median_heuristic,
     output_gram,
 )
-from funcause.kernels import _covariate_points
+from funcause import kernels
+from funcause.kernels import _covariate_points, _Input, _sq_dists
 from kernel_oracles import binary_kernel, fr_kernel, is_psd, se_kernel
 
 
@@ -266,3 +267,80 @@ class TestFrGramPsdSweep:
             )
             g = input_gram(ds, None, feats_spec)
             assert is_psd(g)
+
+
+# (rows of a, rows of b, columns): one column, one row on either side, the
+# shapes of a binary n=400 fit and of a curve-covariate fit, and a
+# test x train block
+DIST_SHAPES = [
+    (400, 400, 1),
+    (1, 30, 4),
+    (30, 1, 4),
+    (400, 400, 3),
+    (100, 100, 50),
+    (80, 320, 3),
+    (7, 7, 0),
+]
+
+
+class TestSqDists:
+    """The numpy distance helper reproduces scipy's ``cdist``/``pdist`` bit
+    for bit, which keeps every Gram and bandwidth as it was with scipy."""
+
+    @pytest.mark.parametrize("na, nb, d", DIST_SHAPES)
+    def test_matches_cdist(self, na, nb, d):
+        from scipy.spatial.distance import cdist
+
+        rng = np.random.default_rng(na + nb + d)
+        a, b = rng.standard_normal((na, d)), rng.standard_normal((nb, d))
+        assert np.array_equal(_sq_dists(a, b), cdist(a, b, "sqeuclidean"))
+
+    @pytest.mark.parametrize("n, d", [(400, 1), (2, 1), (400, 3), (100, 50)])
+    def test_upper_triangle_matches_pdist(self, n, d):
+        from scipy.spatial.distance import pdist
+
+        a = np.random.default_rng(n + d).standard_normal((n, d))
+        sq = _Input(a).sq_dists
+        assert np.array_equal(np.sqrt(sq[np.triu_indices(n, 1)]), pdist(a))
+
+    def test_column_counts_must_match(self):
+        with pytest.raises(ValueError):
+            _sq_dists(np.zeros((3, 2)), np.zeros((4, 3)))
+
+
+class TestInput:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            None,
+            KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, 0.7),
+            KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN, 1.3),
+        ],
+        ids=["none", "se", "fr"],
+    )
+    def test_blocks_equal_cross_gram_on_the_rows(self, spec):
+        rows = np.random.default_rng(3).standard_normal((30, 4))
+        train, test = np.arange(0, 30, 3), np.array([1, 2, 29])
+        inp = _Input(rows)
+        assert np.array_equal(inp.gram(spec), cross_gram(spec, rows, rows))
+        assert np.array_equal(
+            inp.gram(spec, test, train), cross_gram(spec, rows[test], rows[train])
+        )
+
+    def test_binary_blocks_and_scalar_rows(self):
+        x = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+        spec = KernelSpec(KernelFamily.BINARY_INDICATOR)
+        oracle = [[binary_kernel(a, b) for b in x[2:]] for a in x[:2]]
+        assert np.array_equal(_Input(x).gram(spec, [0, 1], [2, 3, 4]), oracle)
+
+    def test_distances_computed_once_and_read_only(self, monkeypatch):
+        calls = []
+        real = kernels._sq_dists
+        monkeypatch.setattr(kernels, "_sq_dists", lambda a, b: calls.append(1) or real(a, b))
+        inp = _Input(np.random.default_rng(0).standard_normal((12, 2)))
+        spec = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL)
+        inp.median()
+        inp.gram(spec)
+        inp.gram(spec, [0, 1], [2, 3])
+        assert calls == [1]
+        assert not inp.sq_dists.flags.writeable
