@@ -123,9 +123,7 @@ def cmd_register(args) -> int:
     # not a fixed point: on noisy curves a second run moves them again
     current = ds
     if do_cov:
-        current, _ = estimators.register_covariate_curves(
-            current, penalty=estimators.REGISTER_PENALTY
-        )
+        current, _ = estimators.register_covariate_curves(current)
     if do_out:
         current, _ = estimators.register_outcomes(current, smooth_window=0)
     save_dataset(current, args.output)

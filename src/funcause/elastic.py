@@ -8,16 +8,17 @@ arccos form for density-like vectors).
 
 The DP visits only the band of lattice cells that a path of slopes in
 [1/3, 3] from corner to corner can cross, which gives the same result as
-the full lattice.  A Karcher mean builds the curves' side of the DP once
-and re-uses it on every sweep, and the whole sweep (DP, backtrack, warp
-read-off, norms, centring) works on (n, T) matrices, not curve by curve.
+the full lattice.  A Karcher mean takes its curves as one (n, T) matrix
+and returns their warps as one; it builds the curves' side of the DP once,
+and the whole sweep (DP, backtrack, warp read-off, norms, centring) works on
+(n, T) matrices, with no per-curve objects.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -97,7 +98,7 @@ class WarpingFunction:
 @dataclass
 class KarcherMeanResult:
     mean: Curve
-    warps: list
+    warps: np.ndarray  # read-only (n, T): row i warps curve i to the mean
     objective_trace: list
     mean_srsf: SrsfCurve
     converged: bool
@@ -232,10 +233,8 @@ def _node_tables(Q: np.ndarray, grid: Grid) -> np.ndarray:
     return stack
 
 
-def _align_rows(template: SrsfCurve, Q: np.ndarray, stack: np.ndarray, penalty: float):
-    """``align_batch`` on the node stack already built from ``Q``."""
-    grid = template.grid
-    q1 = template.values
+def _align_rows(q1: np.ndarray, Q: np.ndarray, grid: Grid, stack: np.ndarray, penalty: float):
+    """``align_batch`` toward the SRSF values ``q1``, on ``Q``'s node stack."""
     n, t = Q.shape
     h = grid.spacing
     node_m = np.array([m for m, _ in _NODES])
@@ -348,7 +347,7 @@ def align_batch(template: SrsfCurve, Q, penalty: float = 0.0):
         raise ValueError("Q must hold one row of grid values per curve")
     if not np.all(np.isfinite(Q)):
         raise ValueError("srsf values must be finite")
-    return _align_rows(template, Q, _node_tables(Q, template.grid), penalty)
+    return _align_rows(template.values, Q, template.grid, _node_tables(Q, template.grid), penalty)
 
 
 def align_pair(q1: SrsfCurve, q2: SrsfCurve, penalty: float = 0.0):
@@ -392,31 +391,34 @@ def _weighted_spread(mu: np.ndarray, rows: np.ndarray, w: np.ndarray, grid: Grid
 
 
 def karcher_mean(
-    curves: Sequence[Curve],
+    fmat,
+    grid: Grid,
     max_iter: int = 20,
     tol: float = 1e-6,
     weights: Optional[np.ndarray] = None,
     penalty: float = 0.0,
 ) -> KarcherMeanResult:
-    """Karcher mean under the elastic metric.
+    """Karcher mean under the elastic metric of the n >= 1 unsmoothed,
+    finite rows of the (n, T) matrix ``fmat`` on ``grid``.
 
     Alternates (a) averaging of aligned SRSFs and (b) re-alignment of every
     curve to the current mean, until the relative objective decrease drops
-    below ``tol``.  The objective trace is guaranteed non-increasing.
-    Curves enter unsmoothed and must share a grid.  The curves' side of the
-    DP (``_node_tables``) is built once; each sweep then aligns all curves
-    to the mean in one banded dynamic program, as ``align_batch`` does.
+    below ``tol``.  The objective trace is guaranteed non-increasing.  The
+    curves' side of the DP (``_node_tables``) is built once; each sweep then
+    aligns all curves to the mean in one banded dynamic program, as
+    ``align_batch`` does.  ``warps`` is one read-only (n, T) matrix.
     """
-    curves = list(curves)
-    n = len(curves)
+    # C order, so that the weighted sums do not depend on the caller's layout
+    fmat = np.ascontiguousarray(fmat, dtype=float)
+    if fmat.ndim != 2 or fmat.shape[1] != len(grid):
+        raise ValueError("curves must be an (n, T) matrix, one value per grid point")
+    n = len(fmat)
     if n == 0:
         raise ValueError("need at least one curve")
-    grid = curves[0].grid
-    if any(c.grid != grid for c in curves):
-        raise ValueError("curves must share a grid")
+    if not np.all(np.isfinite(fmat)):
+        raise ValueError("curve values must be finite")
     w = _normalized_weights(n, weights)
 
-    fmat = np.array([c.values for c in curves])
     qmat = _srsf_rows(fmat, grid)
     origins = fmat[:, 0].copy()  # contiguous: a strided w @ moves the last bit
     mean_vals = w @ qmat
@@ -427,7 +429,7 @@ def karcher_mean(
     trace = [_weighted_spread(mean_vals, aligned, w, grid)]
     converged = False
     for _ in range(max_iter):
-        new_gmat, new_aligned, _ = _align_rows(SrsfCurve(grid, mean_vals), qmat, stack, penalty)
+        new_gmat, new_aligned, _ = _align_rows(mean_vals, qmat, grid, stack, penalty)
         new_mean = w @ new_aligned
         obj = _weighted_spread(new_mean, new_aligned, w, grid)
         if obj > trace[-1]:
@@ -457,7 +459,7 @@ def karcher_mean(
     mean_srsf = SrsfCurve(grid, mean_vals, origin=float(w @ origins))
     return KarcherMeanResult(
         mean=srsf_inverse(mean_srsf),
-        warps=[WarpingFunction(grid, g) for g in gmat],
+        warps=_read_only(gmat),
         objective_trace=trace,
         mean_srsf=mean_srsf,
         converged=converged,

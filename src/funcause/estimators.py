@@ -143,7 +143,8 @@ def _ridge_path(k_in: np.ndarray, y: np.ndarray, k_y: Optional[GramMatrix]):
     lambda; K_Y's decomposition is the one its ``GramMatrix`` keeps, so a
     search and the final fit decompose the output Gram once.  With identity
     K_Y (None) this reduces to a single n x n solve applied to every output
-    column.
+    column.  ``eigh`` reads one triangle of ``k_in``; every input-Gram
+    product is exactly symmetric, as its distances are.
     """
     d1, u1 = np.linalg.eigh(k_in)
     if k_y is None:
@@ -188,9 +189,8 @@ def _fit(ds, inputs, kx, kv, k_y, lam) -> KrrModel:
     """``krr_fit`` on the kernel inputs ``_inputs(ds, kv)``."""
     xin, vin = inputs
     kv_gram = vin.gram(kv)
-    k_in = GramMatrix(xin.gram(kx) * kv_gram).entries
     return KrrModel(
-        alpha=_ridge_path(k_in, ds.outcome_matrix, k_y)(lam),
+        alpha=_ridge_path(xin.gram(kx) * kv_gram, ds.outcome_matrix, k_y)(lam),
         lam=lam,
         kx=kx,
         kv=kv,
@@ -251,8 +251,11 @@ def dose_response(model: KrrModel, levels: Sequence[float]) -> DoseResponseCurve
     return DoseResponseCurve(levels=list(levels), effects=effects, curves=curves)
 
 
-# slope penalty of every outcome registration, and of `funcause register`
+# slope penalty of every outcome registration, and of `funcause register`;
+# sweep budget and relative tolerance of the `register_*` Karcher means
 REGISTER_PENALTY = 0.05
+REGISTER_SWEEPS = 10
+REGISTER_TOL = 1e-6
 
 
 def _moving_average(v: np.ndarray, window: int) -> np.ndarray:
@@ -268,8 +271,8 @@ def _register_rows(y, grid, groups, max_iter, tol, penalty, window):
     With ``window`` > 1 each row is split into a moving-average smooth part
     and a rough residual: the warps are estimated from and applied to the
     smooth part only, and the residual is added back unwarped.  Returns the
-    registered rows, the per-row warps and whether every group's Karcher
-    mean converged.
+    registered rows, the read-only matrix of their warps and whether every
+    group's Karcher mean converged.
     """
     if window > 1:
         smooth = np.array([_moving_average(row, window) for row in y])
@@ -277,37 +280,32 @@ def _register_rows(y, grid, groups, max_iter, tol, penalty, window):
     else:
         smooth = y
         resid = np.zeros_like(y)
-    warps = [None] * len(y)
+    warps = np.empty_like(y)
     registered = y.copy()
     converged = True
     for idx in groups:
-        result = elastic.karcher_mean(
-            [Curve(grid, smooth[i]) for i in idx], max_iter=max_iter, tol=tol, penalty=penalty
-        )
+        result = elastic.karcher_mean(smooth[idx], grid, max_iter, tol, penalty=penalty)
         converged = converged and result.converged
-        gmat = np.array([g.values for g in result.warps])
-        registered[idx] = elastic._interp_rows(gmat, grid.points, smooth[idx]) + resid[idx]
-        for i, g in zip(idx, result.warps):
-            warps[i] = g
-    return registered, warps, converged
+        warps[idx] = result.warps
+        registered[idx] = elastic._interp_rows(result.warps, grid.points, smooth[idx]) + resid[idx]
+    return registered, elastic._read_only(warps), converged
 
 
 def register_outcomes(
     ds: Dataset,
-    max_iter: int = 10,
-    tol: float = 1e-6,
+    max_iter: int = REGISTER_SWEEPS,
     smooth_window: Optional[int] = None,
     per_arm: bool = False,
 ):
     """Register every outcome curve to the elastic Karcher mean, with slope
-    penalty ``REGISTER_PENALTY``.
+    penalty ``REGISTER_PENALTY`` and tolerance ``REGISTER_TOL``.
 
     ``smooth_window`` (default about a fifth of the grid length) is the
     window of ``_register_rows``' smooth/residual split: warping rough
     observation noise makes it locally smooth, which defeats downstream
     output smoothing.  ``per_arm`` registers each treatment arm to its own
     (phase-centered) mean, which preserves the arm contrast.  Returns the
-    registered dataset and the per-sample warps.
+    registered dataset and the read-only (n, T) matrix of its warps.
     """
     grid = ds.outcome_grid
     if smooth_window is None:
@@ -316,19 +314,19 @@ def register_outcomes(
         groups = [ds.arm_indices(0.0), ds.arm_indices(1.0)]
     else:
         groups = [np.arange(len(ds))]
-    y = ds.outcome_matrix
-    y, warps, _ = _register_rows(y, grid, groups, max_iter, tol, REGISTER_PENALTY, smooth_window)
+    y, warps, _ = _register_rows(
+        ds.outcome_matrix, grid, groups, max_iter, REGISTER_TOL, REGISTER_PENALTY, smooth_window
+    )
     return replace(ds, outcome_matrix=y), warps
 
 
-def register_covariate_curves(
-    ds: Dataset, max_iter: int = 10, tol: float = 1e-6, penalty: float = 0.0
-):
+def register_covariate_curves(ds: Dataset):
     """Register every covariate curve, unsmoothed, to their elastic Karcher
-    mean.  Returns the registered dataset and the per-sample warps."""
-    groups = [np.arange(len(ds))]
+    mean with the ``REGISTER_*`` settings.  Returns the registered dataset
+    and the read-only (n, Tc) matrix of its warps."""
     v, warps, _ = _register_rows(
-        ds.covariate_curve_matrix, ds.covariate_grid, groups, max_iter, tol, penalty, 0
+        ds.covariate_curve_matrix, ds.covariate_grid, [np.arange(len(ds))],
+        REGISTER_SWEEPS, REGISTER_TOL, REGISTER_PENALTY, 0,
     )
     return replace(ds, covariate_curve_matrix=v), warps
 
@@ -366,7 +364,7 @@ def _holdout_errors(
     xin, vin = inputs
     train, test = split
     ky_mat = None if k_y is None else k_y.entries
-    k_train = GramMatrix(xin.gram(kx, train, train) * vin.gram(kv, train, train)).entries
+    k_train = xin.gram(kx, train, train) * vin.gram(kv, train, train)
     solve = _ridge_path(k_train, ds.outcome_matrix[train], k_y)
     rows = xin.gram(kx, test, train) * vin.gram(kv, test, train)
     y_test = ds.outcome_matrix[test]

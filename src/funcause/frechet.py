@@ -15,7 +15,7 @@ import numpy as np
 
 from . import elastic
 from .errors import ArmEmptyError, DomainError
-from .fdata import Curve, Dataset, grid_norm
+from .fdata import Curve, Dataset, Grid, grid_norm
 
 __all__ = [
     "Metric",
@@ -61,9 +61,9 @@ class DynamicEffect:
 
 
 def _sphere_mean(
-    curves: Sequence[Curve], w: np.ndarray, max_iter: int = 50, tol: float = 1e-10
+    ymat: np.ndarray, grid: Grid, w: np.ndarray, max_iter: int = 50, tol: float = 1e-10
 ) -> FrechetMeanResult:
-    """Karcher mean on the unit sphere of square-root densities.
+    """Karcher mean on the unit sphere of square-root densities (rows of ``ymat``).
 
     Each curve p enters as u = sqrt(p / sum(p)): inputs whose mass is
     below one (or above) are normalised, and a negative entry or a zero
@@ -74,7 +74,6 @@ def _sphere_mean(
     objective sum_i w_i (2 theta_i)**2, in the units of
     ``fr_distance_sphere``.
     """
-    ymat = np.array([c.values for c in curves])
     mass = ymat.sum(axis=1)
     if np.any(ymat < 0) or np.any(mass <= 0):
         raise DomainError("spherical metric needs nonnegative curves of positive mass")
@@ -93,8 +92,7 @@ def _sphere_mean(
         mu = np.cos(norm) * mu + np.sinc(norm / np.pi) * step
     theta = np.arccos(np.clip(u @ mu, -1.0, 1.0))
     obj = float(np.sum(w * (2.0 * theta) ** 2))
-    mean = Curve(curves[0].grid, mu**2)
-    return FrechetMeanResult(mean, Metric.FISHER_RAO_SPHERE, obj, converged)
+    return FrechetMeanResult(Curve(grid, mu**2), Metric.FISHER_RAO_SPHERE, obj, converged)
 
 
 def frechet_mean(
@@ -105,6 +103,7 @@ def frechet_mean(
 ) -> FrechetMeanResult:
     """Weighted empirical Fréchet mean of curves under a chosen metric.
 
+    The curves must share a grid, and are stacked once for every metric.
     ``options`` go to the iterative solvers of the two Fisher-Rao metrics,
     which both take ``max_iter`` and ``tol`` (see ``elastic.karcher_mean``
     and ``_sphere_mean``).
@@ -112,23 +111,25 @@ def frechet_mean(
     curves = list(curves)
     if not curves:
         raise ValueError("need at least one curve")
-    w = elastic._normalized_weights(len(curves), weights)
     grid = curves[0].grid
+    if any(c.grid != grid for c in curves):
+        raise ValueError("curves must share a grid")
+    w = elastic._normalized_weights(len(curves), weights)
+    ymat = np.array([c.values for c in curves])
 
     if metric is Metric.EUCLIDEAN:
-        ymat = np.array([c.values for c in curves])
         mean = w @ ymat
         obj = elastic._weighted_spread(mean, ymat, w, grid)
         return FrechetMeanResult(Curve(grid, mean), metric, obj, True)
 
     if metric is Metric.FISHER_RAO_SRSF:
-        result = elastic.karcher_mean(curves, weights=w, **options)
+        result = elastic.karcher_mean(ymat, grid, weights=w, **options)
         return FrechetMeanResult(
             result.mean, metric, result.objective_trace[-1], result.converged
         )
 
     if metric is Metric.FISHER_RAO_SPHERE:
-        return _sphere_mean(curves, w, **options)
+        return _sphere_mean(ymat, grid, w, **options)
 
     raise ValueError(f"unknown metric: {metric}")
 

@@ -329,51 +329,78 @@ class TestBand:
                     a[0] = 0
 
 
+def assert_valid_warps(warps, grid):
+    """Each row is a warp of ``grid``: read-only, fixes 0 and 1, strictly
+    increasing."""
+    assert warps.ndim == 2 and warps.shape[1] == len(grid)
+    assert not warps.flags.writeable
+    assert np.all(warps[:, 0] == 0.0) and np.all(warps[:, -1] == 1.0)
+    assert np.all(np.diff(warps, axis=1) > 0)
+
+
 class TestKarcherMean:
     def make_shifted_family(self, grid, n, seed=0):
         rng = np.random.default_rng(seed)
-        t = grid.points
-        curves = []
-        for _ in range(n):
-            s = rng.uniform(-0.05, 0.05)
-            curves.append(Curve(grid, np.exp(-((t - 0.5 - s) ** 2) / 0.01)))
-        return curves
+        s = rng.uniform(-0.05, 0.05, size=(n, 1))
+        return np.exp(-((grid.points - 0.5 - s) ** 2) / 0.01)
 
     def test_objective_trace_monotone(self):
         grid = Grid.uniform(80)
-        curves = self.make_shifted_family(grid, 8)
-        res = karcher_mean(curves)
+        res = karcher_mean(self.make_shifted_family(grid, 8), grid)
         trace = np.array(res.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_alignment_tightens_family(self):
         grid = Grid.uniform(80)
-        curves = self.make_shifted_family(grid, 8)
-        res = karcher_mean(curves)
+        res = karcher_mean(self.make_shifted_family(grid, 8), grid)
         assert res.objective_trace[-1] <= res.objective_trace[0]
-        assert len(res.warps) == 8
+        assert res.warps.shape == (8, 80)
 
     def test_single_curve_is_fixed_point(self):
         grid = Grid.uniform(128)
         c = smooth_curve(grid, 3)
-        res = karcher_mean([c])
+        res = karcher_mean(c.values[None, :], grid)
         # up to round-trip discretization error of the transform
         assert np.max(np.abs(res.mean.values - c.values)) <= 5e-3
 
     def test_mean_warp_is_identity(self):
         grid = Grid.uniform(80)
-        curves = self.make_shifted_family(grid, 10, seed=4)
-        res = karcher_mean(curves)
-        gbar = np.mean([g.values for g in res.warps], axis=0)
+        res = karcher_mean(self.make_shifted_family(grid, 10, seed=4), grid)
+        gbar = np.mean(res.warps, axis=0)
         assert np.max(np.abs(gbar - grid.points)) <= 1e-2
+
+    @pytest.mark.parametrize("seed,penalty", [(0, 0.0), (4, 0.0), (7, 0.05)])
+    def test_shifted_family_warps_valid(self, seed, penalty):
+        grid = Grid.uniform(60)
+        res = karcher_mean(self.make_shifted_family(grid, 9, seed=seed), grid, penalty=penalty)
+        assert_valid_warps(res.warps, grid)
+
+    @given(
+        rows=st.integers(1, 5).flatmap(
+            lambda n: st.integers(3, 16).flatmap(
+                lambda t: st.lists(
+                    st.lists(st.floats(-5.0, 5.0), min_size=t, max_size=t),
+                    min_size=n,
+                    max_size=n,
+                )
+            )
+        ),
+        penalty=st.sampled_from([0.0, 0.05]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_warps_valid_on_any_curves(self, rows, penalty):
+        fmat = np.array(rows)
+        grid = Grid.uniform(fmat.shape[1])
+        res = karcher_mean(fmat, grid, max_iter=3, penalty=penalty)
+        assert_valid_warps(res.warps, grid)
 
     def test_weights_validated(self):
         grid = Grid.uniform(32)
         curves = self.make_shifted_family(grid, 3)
         with pytest.raises(ValueError):
-            karcher_mean(curves, weights=np.array([1.0, -1.0, 1.0]))
+            karcher_mean(curves, grid, weights=np.array([1.0, -1.0, 1.0]))
         with pytest.raises(ValueError):
-            karcher_mean(curves, weights=np.zeros(3))
+            karcher_mean(curves, grid, weights=np.zeros(3))
 
     def test_weight_count_checked_before_alignment(self, monkeypatch):
         def no_alignment(*args, **kwargs):
@@ -381,20 +408,43 @@ class TestKarcherMean:
 
         monkeypatch.setattr(elastic, "_node_tables", no_alignment)
         monkeypatch.setattr(elastic, "_align_rows", no_alignment)
-        curves = self.make_shifted_family(Grid.uniform(32), 3)
+        grid = Grid.uniform(32)
+        curves = self.make_shifted_family(grid, 3)
         with pytest.raises(WeightError):
-            karcher_mean(curves, weights=np.array([1.0, 2.0]))
+            karcher_mean(curves, grid, weights=np.array([1.0, 2.0]))
         assert issubclass(WeightError, ValueError)
 
-    def test_curves_on_different_grids_rejected(self, monkeypatch):
+    @staticmethod
+    def forbid_work(monkeypatch):
         def no_work(*args, **kwargs):
-            raise AssertionError("SRSF or DP work ran before the grids were checked")
+            raise AssertionError("SRSF or DP work ran before the matrix was checked")
 
         for name in ("_srsf_rows", "_node_tables", "_align_rows"):
             monkeypatch.setattr(elastic, name, no_work)
-        curves = [smooth_curve(Grid.uniform(32), 0), smooth_curve(Grid.uniform(33), 1)]
-        with pytest.raises(ValueError, match="curves must share a grid"):
-            karcher_mean(curves)
+
+    def test_empty_input_rejected(self, monkeypatch):
+        self.forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match="need at least one curve"):
+            karcher_mean(np.zeros((0, 32)), Grid.uniform(32))
+        with pytest.raises(ValueError):
+            karcher_mean([], Grid.uniform(32))
+
+    @pytest.mark.parametrize(
+        "fmat,match",
+        [
+            (np.zeros(32), "must be an"),
+            (np.zeros((2, 32, 1)), "must be an"),
+            (np.zeros((3, 33)), "one value per grid point"),
+            (np.zeros((3, 31)), "one value per grid point"),
+            (np.array([[0.0] * 31 + [np.nan]]), "finite"),
+            (np.array([[0.0] * 31 + [np.inf]] * 2), "finite"),
+        ],
+        ids=["1-D", "3-D", "wide", "narrow", "nan", "inf"],
+    )
+    def test_malformed_matrix_rejected_before_work(self, monkeypatch, fmat, match):
+        self.forbid_work(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            karcher_mean(fmat, Grid.uniform(32))
 
     def test_weighted_spread_matches_per_row_norms(self):
         # the objective trace is pinned: the spread must stay the row-order
@@ -413,21 +463,29 @@ class TestKarcherMean:
                 one = elastic._weighted_spread(mu, row[None, :], np.ones(1), grid)
                 assert one == grid_norm(mu - row, grid) ** 2
 
-    def test_empty_input_rejected(self):
-        with pytest.raises(ValueError):
-            karcher_mean([])
-
     @pytest.mark.parametrize("case", PINNED_KARCHER["means"], ids=lambda c: f"pen{c['penalty']}")
     def test_pinned(self, case):
-        grid = Grid.uniform(len(PINNED_KARCHER["curves"][0]))
-        curves = [Curve(grid, vals) for vals in PINNED_KARCHER["curves"]]
-        res = karcher_mean(curves, max_iter=PINNED_KARCHER["max_iter"], penalty=case["penalty"])
+        fmat = np.array(PINNED_KARCHER["curves"])
+        grid = Grid.uniform(fmat.shape[1])
+        res = karcher_mean(fmat, grid, max_iter=PINNED_KARCHER["max_iter"], penalty=case["penalty"])
         np.testing.assert_allclose(res.mean.values, case["mean"], rtol=0, atol=0)
         np.testing.assert_allclose(res.mean_srsf.values, case["mean_srsf"], rtol=0, atol=0)
         assert res.mean_srsf.origin == case["origin"]
-        np.testing.assert_allclose([g.values for g in res.warps], case["warps"], rtol=0, atol=0)
+        np.testing.assert_allclose(res.warps, case["warps"], rtol=0, atol=0)
         assert res.objective_trace == case["objective_trace"]
         assert res.converged == case["converged"]
+        assert_valid_warps(res.warps, grid)
+
+    def test_layout_does_not_change_the_mean(self):
+        # a Fortran-ordered or strided matrix gives the C-ordered result
+        fmat = np.array(PINNED_KARCHER["curves"])
+        grid = Grid.uniform(fmat.shape[1])
+        ref = karcher_mean(fmat, grid, max_iter=2)
+        for other in (np.asfortranarray(fmat), np.repeat(fmat, 2, axis=0)[::2]):
+            res = karcher_mean(other, grid, max_iter=2)
+            assert np.array_equal(res.mean.values, ref.mean.values)
+            assert np.array_equal(res.warps, ref.warps)
+            assert res.objective_trace == ref.objective_trace
 
 
 class TestFisherRaoDistances:

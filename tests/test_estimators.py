@@ -1,10 +1,12 @@
 """Tests for kernel ridge regression estimators and the registration loop."""
+import collections
 import math
 
 import numpy as np
 import pytest
 
 from funcause import (
+    Curve,
     Dataset,
     Grid,
     GramMatrix,
@@ -27,6 +29,8 @@ from funcause import (
 )
 from funcause import elastic, estimators, kernels
 from funcause.estimators import holdout_error, predict_curve
+
+from test_elastic import assert_valid_warps
 
 BIN_KX = KernelSpec(KernelFamily.BINARY_INDICATOR)
 SE_KV = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, 1.0)
@@ -165,6 +169,66 @@ class TestRegisterOutcomes:
         assert list(registered.ids) == list(ds.ids)
         np.testing.assert_array_equal(registered.treatments, ds.treatments)
 
+    @pytest.mark.parametrize("per_arm", [False, True])
+    @pytest.mark.parametrize("smooth_window", [None, 0])
+    def test_outcome_warps_valid(self, per_arm, smooth_window):
+        for ds in (self.shifted_ds(seed=3), generate(ScenarioConfig(n=20, t=30))[0]):
+            _, warps = register_outcomes(ds, smooth_window=smooth_window, per_arm=per_arm)
+            assert warps.shape == ds.outcome_matrix.shape
+            assert_valid_warps(warps, ds.outcome_grid)
+
+    def test_covariate_warps_valid(self):
+        cfg = ScenarioConfig(n=20, t=30, scenario=Scenario.CONTINUOUS_FUNCTIONAL)
+        ds = generate(cfg)[0]
+        _, warps = estimators.register_covariate_curves(ds)
+        assert warps.shape == ds.covariate_curve_matrix.shape
+        assert_valid_warps(warps, ds.covariate_grid)
+
+
+class TestNoPerCurveObjects:
+    """Registration passes (n, T) matrices through: no ``WarpingFunction``
+    at all, and per Karcher mean one ``SrsfCurve`` (its ``mean_srsf``) and
+    no ``Curve`` per row."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = collections.Counter()
+        for cls in (Curve, elastic.SrsfCurve, elastic.WarpingFunction):
+
+            def counting(obj, post=cls.__post_init__, name=cls.__name__):
+                counts[name] += 1
+                post(obj)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        karcher = elastic.karcher_mean
+
+        def counting_karcher(*args, **kwargs):
+            counts["karcher_mean"] += 1
+            return karcher(*args, **kwargs)
+
+        monkeypatch.setattr(elastic, "karcher_mean", counting_karcher)
+        return counts
+
+    def test_register_outcomes_per_arm(self, counts):
+        ds, _ = generate(ScenarioConfig(n=20, t=30))
+        counts.clear()
+        register_outcomes(ds, per_arm=True)
+        assert counts["karcher_mean"] == 2
+        assert counts["WarpingFunction"] == 0
+        assert counts["SrsfCurve"] <= counts["karcher_mean"]
+        assert counts["Curve"] <= counts["karcher_mean"]
+
+    def test_iterative_estimate(self, counts):
+        cfg = ScenarioConfig(n=20, t=30, scenario=Scenario.CONTINUOUS_FUNCTIONAL)
+        ds = generate(cfg)[0]
+        counts.clear()
+        iterative_srvf_estimate(ds, IterativeConfig(r_max=2, karcher_max_iter=2))
+        assert counts["karcher_mean"] == 2
+        assert counts["WarpingFunction"] == 0
+        assert counts["SrsfCurve"] <= counts["karcher_mean"]
+        # the two means, two potential outcomes and their difference
+        assert counts["Curve"] <= 5
+
 
 class TestHyperparameterSelection:
     def test_holdout_error_finite(self):
@@ -241,6 +305,35 @@ class TestIterativeEstimate:
         # karcher_max_iter + r_max - 1 sweeps of 20 curves
         assert 0 < sum(aligns) <= 2 * 20 * (2 + 3 - 1)
         assert len(fits) == 1
+
+
+class TestInputGramSymmetry:
+    """Every input-Gram product that a fit or search eigendecomposes is
+    exactly symmetric, so ``eigh`` reading one triangle loses nothing."""
+
+    @pytest.mark.parametrize(
+        "scenario, families",
+        [
+            (Scenario.BINARY_MONOTONIC, ("binary", "se")),
+            (Scenario.CONTINUOUS_FUNCTIONAL, ("se", "fisher_rao")),
+        ],
+    )
+    def test_full_and_train_blocks(self, monkeypatch, scenario, families):
+        ds, _ = generate(ScenarioConfig(n=60, t=20, scenario=scenario))
+        kx, kv = kernel_setup(ds)
+        assert (kx.family.value, kv.family.value) == families
+        grams = []
+        ridge_path = estimators._ridge_path
+
+        def recording(k_in, *args):
+            grams.append(k_in)
+            return ridge_path(k_in, *args)
+
+        monkeypatch.setattr(estimators, "_ridge_path", recording)
+        estimators.run_estimator(ds, "operator-kernel", search=True)
+        # one train x train block per bandwidth scale, then the full fit
+        assert [k.shape for k in grams] == [(48, 48)] * 3 + [(60, 60)]
+        assert all(np.array_equal(k, k.T) for k in grams)
 
 
 class TestHyperparameterSearch:

@@ -69,6 +69,12 @@ class TestEuclideanMean:
         with pytest.raises(ValueError):
             frechet_mean([])
 
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_curves_on_different_grids_rejected(self, metric):
+        curves = curve_family(Grid.uniform(16), 2) + curve_family(Grid.uniform(17), 1)
+        with pytest.raises(ValueError, match="curves must share a grid"):
+            frechet_mean(curves, metric=metric)
+
 
 class TestMinimizerProperty:
     @pytest.mark.parametrize(
