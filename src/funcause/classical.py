@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fdata import Curve, Dataset
-from .frechet import PROPENSITY_CLIP, DynamicEffect, Metric, effect_from_means
+from .fdata import Dataset
+from .frechet import PROPENSITY_CLIP, DynamicEffect, _euclidean_effect
 
 __all__ = [
     "PropensityModel",
@@ -93,9 +93,7 @@ def ipw_effect(ds: Dataset, pm: PropensityModel) -> DynamicEffect:
     y = ds.outcome_matrix
     pi = pm.predict(ds.covariate_matrix)
     w = x / pi - (1.0 - x) / (1.0 - pi)
-    delta = (w[:, None] * y).mean(axis=0)
-    grid = ds.outcome_grid
-    return effect_from_means(Curve(grid, delta), Curve(grid, np.zeros(len(grid))), Metric.EUCLIDEAN)
+    return _euclidean_effect((w[:, None] * y).mean(axis=0), ds.outcome_grid)
 
 
 def _ridge_fit(z: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
@@ -137,6 +135,4 @@ def dr_effect(ds: Dataset, pm: PropensityModel, om: OutcomeModel) -> DynamicEffe
         - ((1.0 - x) / (1.0 - pi))[:, None] * (y - m0)
         - m0
     )
-    delta = contrib.mean(axis=0)
-    grid = ds.outcome_grid
-    return effect_from_means(Curve(grid, delta), Curve(grid, np.zeros(len(grid))), Metric.EUCLIDEAN)
+    return _euclidean_effect(contrib.mean(axis=0), ds.outcome_grid)

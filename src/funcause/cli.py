@@ -159,24 +159,17 @@ def _apply_config(parser: argparse.ArgumentParser, args) -> None:
 
 
 def _benchmark_task(args, names: list, n: int, rep: int) -> list:
+    """(MAE, wall time in s, per-t absolute error) of each estimator in
+    ``names`` on replicate ``rep`` of the scenario at size ``n``."""
     ds, truth = simgen.generate(_scenario_config(args, n), replicate=rep)
-    records = []
+    results = []
     for est in names:
         t0 = time.perf_counter()
         effect = run_estimator(ds, est, search=args.search, seed=args.seed + rep)
         wall = time.perf_counter() - t0
         mae, per_t = simgen.effect_error(effect, truth)
-        records.append(
-            {
-                "estimator": est,
-                "n": n,
-                "replicate": rep,
-                "mae": mae,
-                "per_t": per_t.values,
-                "wall_time_s": wall,
-            }
-        )
-    return records
+        results.append((mae, wall, per_t.values))
+    return results
 
 
 def cmd_benchmark(args) -> int:
@@ -187,15 +180,21 @@ def cmd_benchmark(args) -> int:
     for est in names:
         if est not in ESTIMATOR_NAMES:
             raise ValueError(f"unknown estimator: {est}")
+    for what, values in (("estimators", names), ("sizes", sizes)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"repeated {what}: {', '.join(map(str, values))}")
     outdir = args.output
     os.makedirs(outdir, exist_ok=True)
 
-    # records of each (estimator, n) cell in replicate order
-    cells = {(est, n): [] for est in names for n in sizes}
-    for n in sizes:
+    # [estimator, size, replicate] arrays of the MAE, the wall time and
+    # (on a last axis) the absolute error at each grid point
+    shape = (len(names), len(sizes), args.replicates)
+    mae, wall, per_t = np.empty(shape), np.empty(shape), np.empty(shape + (args.t,))
+    for b, n in enumerate(sizes):
         for rep in range(args.replicates):
-            for r in _benchmark_task(args, names, n, rep):
-                cells[(r["estimator"], n)].append(r)
+            results = _benchmark_task(args, names, n, rep)
+            mae[:, b, rep], wall[:, b, rep], per_t[:, b, rep] = zip(*results)
+    per_t_std, per_t_mean = per_t.std(axis=-1), per_t.mean(axis=2)
 
     # wall times go to their own file, so every other report file is
     # deterministic given the config and seed
@@ -206,51 +205,47 @@ def cmd_benchmark(args) -> int:
         writer, timings = csv.writer(fh), csv.writer(th)
         writer.writerow(["estimator", "n", "mae_mean", "mae_sd", "per_t_std_mean"])
         timings.writerow(["estimator", "n", "wall_time_s"])
-        for est in names:
-            for n in sizes:
-                rows = cells[(est, n)]
-                maes = np.array([r["mae"] for r in rows])
-                stds = np.array([float(np.std(r["per_t"])) for r in rows])
-                wall = sum(r["wall_time_s"] for r in rows)
+        for a, est in enumerate(names):
+            for b, n in enumerate(sizes):
+                maes = mae[a, b]
                 writer.writerow(
                     [
                         est,
                         n,
                         f"{maes.mean():.6f}",
                         f"{maes.std(ddof=1) if maes.size > 1 else 0.0:.6f}",
-                        f"{stds.mean():.6f}",
+                        f"{per_t_std[a, b].mean():.6f}",
                     ]
                 )
-                timings.writerow([est, n, f"{wall:.3f}"])
+                timings.writerow([est, n, f"{wall[a, b].sum():.3f}"])
 
     with open(os.path.join(outdir, "boxplot_data.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["estimator", "n", "replicate", "mae"])
-        for key in sorted(cells):
-            for r in cells[key]:
-                writer.writerow([r["estimator"], r["n"], r["replicate"], f"{r['mae']:.6f}"])
+        for est, n in sorted((est, n) for est in names for n in sizes):
+            maes = mae[names.index(est), sizes.index(n)]
+            writer.writerows([est, n, rep, f"{m:.6f}"] for rep, m in enumerate(maes))
 
     n_max = max(sizes)
     tgrid = np.linspace(0.0, 1.0, args.t)
-    per_t = {key: np.mean([r["per_t"] for r in rows], axis=0) for key, rows in cells.items()}
     with open(os.path.join(outdir, "per_t_error.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["estimator", "n", "t_index", "t", "abs_error_mean"])
-        for est in names:
-            for n in sizes:
-                for j, (tv, ev) in enumerate(zip(tgrid, per_t[(est, n)])):
+        for a, est in enumerate(names):
+            for b, n in enumerate(sizes):
+                for j, (tv, ev) in enumerate(zip(tgrid, per_t_mean[a, b])):
                     writer.writerow([est, n, j, f"{tv:.6f}", f"{ev:.6f}"])
 
     plots.line_plot_svg(
         os.path.join(outdir, "per_t_error.svg"),
         tgrid,
-        [per_t[(est, n_max)] for est in names],
+        per_t_mean[:, sizes.index(n_max)],
         labels=names,
         title=f"Mean absolute error over time (n={n_max})",
     )
     plots.box_plot_svg(
         os.path.join(outdir, "mae_boxplot.svg"),
-        [[r["mae"] for r in cells[(est, n)]] for est in names for n in sizes],
+        mae.reshape(-1, args.replicates),
         labels=[f"{est}\u00a0n={n}" for est in names for n in sizes],
         title="MAE by estimator and sample size",
     )

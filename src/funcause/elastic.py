@@ -22,8 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, GridTooSmall, WeightError
-from .fdata import Curve, Grid, _trapezoid, _trapezoid_terms, grid_norm
+from .errors import DomainError, WeightError
+from .fdata import (
+    Curve, Grid, _curve_values, _derivative_rows, _row_norms, _trapezoid_terms, grid_norm
+)
 
 __all__ = [
     "SrsfCurve",
@@ -63,13 +65,7 @@ class SrsfCurve:
     origin: float = 0.0
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
-        if arr.shape != (len(self.grid),):
-            raise ValueError("values length must match grid length")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("srsf values must be finite")
+        object.__setattr__(self, "values", _curve_values(self.values, self.grid, "srsf"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,11 +76,8 @@ class WarpingFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=float)
-        arr.flags.writeable = False
+        arr = _curve_values(self.values, self.grid, "warping")
         object.__setattr__(self, "values", arr)
-        if arr.shape != (len(self.grid),):
-            raise ValueError("values length must match grid length")
         if arr[0] != 0.0 or arr[-1] != 1.0:
             raise ValueError("warping must fix the endpoints")
         if np.any(np.diff(arr) <= 0):
@@ -107,9 +100,7 @@ class KarcherMeanResult:
 def _srsf_rows(fmat, grid: Grid) -> np.ndarray:
     """SRSF values of every row of ``fmat``: sign(f') sqrt(|f'|) of the
     unsmoothed second-order finite-difference derivative (``derivative``)."""
-    if len(grid) < 3:
-        raise GridTooSmall("derivative needs at least 3 grid points")
-    df = np.gradient(fmat, grid.spacing, axis=-1, edge_order=2)
+    df = _derivative_rows(fmat, grid)
     return np.sign(df) * np.sqrt(np.abs(df))
 
 
@@ -127,8 +118,7 @@ def srsf_inverse(q: SrsfCurve) -> Curve:
 
 
 def _warp_slopes(gmat, grid: Grid) -> np.ndarray:
-    slopes = np.gradient(gmat, grid.spacing, axis=-1, edge_order=2)
-    return np.clip(slopes, 0.0, None)
+    return np.clip(_derivative_rows(gmat, grid), 0.0, None)
 
 
 def _interp_rows(x, xp: np.ndarray, fmat: np.ndarray) -> np.ndarray:
@@ -165,11 +155,6 @@ def warp_curve(f: Curve, gamma: WarpingFunction) -> Curve:
     if f.grid != gamma.grid:
         raise ValueError("curve and warping must share a grid")
     return Curve(f.grid, np.interp(gamma.values, f.grid.points, f.values))
-
-
-def _row_norms(rows, grid: Grid) -> np.ndarray:
-    """``grid_norm`` of every row: trapezoidal L2 norms over [0, 1]."""
-    return np.sqrt(_trapezoid(np.asarray(rows) ** 2, grid.points))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import classical, elastic, frechet
 from .errors import NumericalError
-from .fdata import Curve, Dataset, Grid
+from .fdata import Curve, Dataset, Grid, grid_norm
 from .frechet import DynamicEffect, Metric, Weighting, effect_from_means
 from .kernels import (
     GramMatrix,
@@ -243,11 +243,10 @@ def dose_response(model: KrrModel, levels: Sequence[float]) -> DoseResponseCurve
     """Euclidean norm of the potential-outcome curve at each treatment
     level."""
     curves, effects = [], []
-    zero = Curve(model.grid, np.zeros(len(model.grid)))
     for x in levels:
         c = potential_outcome(model, float(x))
         curves.append(c)
-        effects.append(effect_from_means(c, zero, Metric.EUCLIDEAN).scalar_norm)
+        effects.append(grid_norm(c.values, model.grid))
     return DoseResponseCurve(levels=list(levels), effects=effects, curves=curves)
 
 

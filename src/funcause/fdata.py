@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -32,6 +31,17 @@ __all__ = [
 def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=float, order="C")
     arr.flags.writeable = False
+    return arr
+
+
+def _curve_values(values, grid: Grid, what: str) -> np.ndarray:
+    """Read-only C-order copy of one curve's ``values`` on ``grid``;
+    ``ValueError`` unless it holds one finite value per grid point."""
+    arr = _frozen_array(values)
+    if arr.shape != (len(grid),):
+        raise ValueError("values length must match grid length")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} values must be finite")
     return arr
 
 
@@ -81,11 +91,7 @@ class Curve:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values))
-        if self.values.shape != (len(self.grid),):
-            raise ValueError("values length must match grid length")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("curve values must be finite")
+        object.__setattr__(self, "values", _curve_values(self.values, self.grid, "curve"))
 
     def __eq__(self, other) -> bool:
         return (
@@ -169,10 +175,14 @@ def derivative(c: Curve) -> Curve:
     boundaries.  No pre-smoothing: outcome registration splits off its own
     moving-average smooth part (``estimators.register_outcomes``).
     """
-    if len(c.grid) < 3:
+    return Curve(c.grid, _derivative_rows(c.values, c.grid))
+
+
+def _derivative_rows(fmat, grid: Grid) -> np.ndarray:
+    """``derivative`` of every row of ``fmat`` (or of one curve's values)."""
+    if len(grid) < 3:
         raise GridTooSmall("derivative needs at least 3 grid points")
-    dv = np.gradient(c.values, c.grid.spacing, edge_order=2)
-    return Curve(c.grid, dv)
+    return np.gradient(fmat, grid.spacing, axis=-1, edge_order=2)
 
 
 def resample(c: Curve, g: Grid) -> Curve:
@@ -202,9 +212,14 @@ def _trapezoid(y, x: np.ndarray):
     return np.sum(_trapezoid_terms(y, x), axis=-1)
 
 
+def _row_norms(rows, grid: Grid) -> np.ndarray:
+    """``grid_norm`` of every row: trapezoidal L2 norms over [0, 1]."""
+    return np.sqrt(_trapezoid(np.asarray(rows) ** 2, grid.points))
+
+
 def grid_norm(values: np.ndarray, grid: Grid) -> float:
     """L2 norm via trapezoidal quadrature over [0, 1]."""
-    return math.sqrt(float(_trapezoid(np.asarray(values) ** 2, grid.points)))
+    return float(_row_norms(values, grid))
 
 
 # ---------------------------------------------------------------------------

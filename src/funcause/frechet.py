@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import elastic
-from .errors import ArmEmptyError, DomainError
+from .errors import DomainError
 from .fdata import Curve, Dataset, Grid, grid_norm
 
 __all__ = [
@@ -147,10 +147,7 @@ def group_potential_outcomes(
     """
     if not ds.is_binary():
         raise ValueError("group potential outcomes need binary treatments")
-    x = ds.treatments
-    idx1, idx0 = np.flatnonzero(x == 1.0), np.flatnonzero(x == 0.0)
-    if idx1.size == 0 or idx0.size == 0:
-        raise ArmEmptyError("both treatment arms must be non-empty")
+    idx1, idx0 = ds.arm_indices(1.0), ds.arm_indices(0.0)
 
     if weighting is Weighting.UNIFORM:
         w1 = w0 = None
@@ -167,20 +164,25 @@ def group_potential_outcomes(
     return f1, f0
 
 
+def _euclidean_effect(delta: np.ndarray, grid: Grid) -> DynamicEffect:
+    """Euclidean effect of the pointwise difference ``delta`` on ``grid``."""
+    return DynamicEffect(Curve(grid, delta), grid_norm(delta, grid), Metric.EUCLIDEAN)
+
+
 def effect_from_means(mean1: Curve, mean0: Curve, metric: Metric) -> DynamicEffect:
     """Assemble a DynamicEffect from two mean curves."""
     if mean1.grid != mean0.grid:
         raise ValueError("means must share a grid")
-    delta = Curve(mean1.grid, mean1.values - mean0.values)
+    delta = mean1.values - mean0.values
     if metric is Metric.EUCLIDEAN:
-        norm = grid_norm(delta.values, delta.grid)
-    elif metric is Metric.FISHER_RAO_SRSF:
+        return _euclidean_effect(delta, mean1.grid)
+    if metric is Metric.FISHER_RAO_SRSF:
         norm = elastic.fr_distance_srsf(mean1, mean0)
     elif metric is Metric.FISHER_RAO_SPHERE:
         norm = elastic.fr_distance_sphere(mean1, mean0)
     else:
         raise ValueError(f"unknown metric: {metric}")
-    return DynamicEffect(delta=delta, scalar_norm=norm, metric=metric)
+    return DynamicEffect(Curve(mean1.grid, delta), norm, metric)
 
 
 def dynamic_effect(

@@ -195,17 +195,14 @@ def _covariate_points(ds, kv: Optional[KernelSpec]) -> np.ndarray:
     return ds.covariate_matrix
 
 
-def input_gram(
-    ds, kx: KernelSpec, kv: Optional[KernelSpec], v: Optional[np.ndarray] = None
-) -> GramMatrix:
+def input_gram(ds, kx: KernelSpec, kv: Optional[KernelSpec]) -> GramMatrix:
     """Entrywise product of treatment and covariate Grams.
 
     ``kv`` may be None (or have zero covariate columns), in which case the
     covariate factor is constant one.  Fisher-Rao covariate kernels act on
-    the dataset's covariate curves.  ``v`` holds the covariate rows
-    ``_covariate_points(ds, kv)`` when the caller already has them.
+    the dataset's covariate curves.
     """
-    v = _covariate_points(ds, kv) if v is None else v
+    v = _covariate_points(ds, kv)
     x = ds.treatments
     return GramMatrix(cross_gram(kx, x, x) * cross_gram(kv, v, v))
 

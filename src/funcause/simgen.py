@@ -14,7 +14,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .fdata import Curve, Dataset, Grid, _trapezoid
+from .fdata import Curve, Dataset, Grid, grid_norm
 
 __all__ = [
     "Scenario",
@@ -126,12 +126,10 @@ def generate(cfg: ScenarioConfig, replicate: int = 0) -> Tuple[Dataset, GroundTr
         x = np.abs(rng.normal(1.0 + 0.3 * cfg.confounding * u, 0.5))
         # covariate curves: amplitude carries the confounder, phase is noise
         heights = 1.0 + 0.3 * u
-        phases = rng.uniform(-0.15, 0.15, size=n)
-        vcurves = np.empty((n, cfg.t))
-        for i in range(n):
-            vcurves[i] = heights[i] * np.exp(
-                -((tvals - 0.5 - phases[i]) ** 2) / (2.0 * (2.0 * cfg.width) ** 2)
-            )
+        phases = rng.uniform(-0.15, 0.15, size=n)[:, None]
+        vcurves = heights[:, None] * np.exp(
+            -((tvals - 0.5 - phases) ** 2) / (2.0 * (2.0 * cfg.width) ** 2)
+        )
     else:
         p = 1.0 / (1.0 + np.exp(-cfg.confounding * u))
         x = (rng.uniform(size=n) < p).astype(float)
@@ -140,30 +138,29 @@ def generate(cfg: ScenarioConfig, replicate: int = 0) -> Tuple[Dataset, GroundTr
             x[0] = 1.0 - x[0]
         vcurves = None
 
-    baseline = cfg.baseline_offset + BASELINE_AMPLITUDE * np.sin(2.0 * np.pi * tvals)
     eps = rng.standard_normal((n, cfg.t))
-    y = np.empty((n, cfg.t))
-    for i in range(n):
-        ts = tvals - shifts[i]
-        effect = x[i] * _bumps(ts, cfg)
-        arc_shape = np.exp(-((ts - 0.5) ** 2) / (2.0 * (3.0 * cfg.width) ** 2))
-        if cfg.scenario is Scenario.BINARY_MONOTONIC:
-            # the per-sample phase shift moves only the peaked features; the
-            # confounder moves the level of the accumulated curve, not its
-            # shape, and observation noise sits on top of the smooth
-            # accumulated process
-            z = baseline + 0.5 * arc_shape + effect
-            y[i] = (
-                np.cumsum(z) * grid.spacing
-                + 0.2 * cfg.confounding * u[i]
-                + cfg.noise * eps[i]
-            )
-        else:
-            # the whole signal shares the per-sample phase shift, so a
-            # reparameterization of [0, 1] can undo it
-            base_i = cfg.baseline_offset + BASELINE_AMPLITUDE * np.sin(2.0 * np.pi * ts)
-            z = base_i + (0.5 + cfg.confounding * u[i]) * arc_shape + effect
-            y[i] = z + cfg.noise * eps[i]
+    # one row per unit, each on its own shifted time axis
+    ts = tvals - shifts[:, None]
+    effect = x[:, None] * _bumps(ts, cfg)
+    arc_shape = np.exp(-((ts - 0.5) ** 2) / (2.0 * (3.0 * cfg.width) ** 2))
+    if cfg.scenario is Scenario.BINARY_MONOTONIC:
+        # the per-sample phase shift moves only the peaked features; the
+        # confounder moves the level of the accumulated curve, not its
+        # shape, and observation noise sits on top of the smooth
+        # accumulated process
+        baseline = cfg.baseline_offset + BASELINE_AMPLITUDE * np.sin(2.0 * np.pi * tvals)
+        z = baseline + 0.5 * arc_shape + effect
+        y = (
+            np.cumsum(z, axis=1) * grid.spacing
+            + 0.2 * cfg.confounding * u[:, None]
+            + cfg.noise * eps
+        )
+    else:
+        # the whole signal shares the per-sample phase shift, so a
+        # reparameterization of [0, 1] can undo it
+        baseline = cfg.baseline_offset + BASELINE_AMPLITUDE * np.sin(2.0 * np.pi * ts)
+        z = baseline + (0.5 + cfg.confounding * u[:, None]) * arc_shape + effect
+        y = z + cfg.noise * eps
 
     ds = Dataset(
         ids=[f"s{i:04d}" for i in range(n)],
@@ -178,7 +175,7 @@ def generate(cfg: ScenarioConfig, replicate: int = 0) -> Tuple[Dataset, GroundTr
     beta = _true_beta(grid, cfg)
     truth = GroundTruth(
         beta_x=Curve(grid, beta),
-        true_phi_date=float(np.sqrt(_trapezoid(beta**2, tvals))),
+        true_phi_date=grid_norm(beta, grid),
         scenario=cfg.scenario,
     )
     return ds, truth

@@ -7,7 +7,7 @@ import pytest
 
 from funcause import load_dataset
 from funcause.cli import ESTIMATOR_NAMES, main, run_estimator
-from funcause import ScenarioConfig, Scenario, generate
+from funcause import ScenarioConfig, Scenario, effect_error, generate
 
 
 def run(argv):
@@ -181,6 +181,45 @@ class TestBenchmark:
         assert meta["schema_version"] == 1
         assert "git_hash" in meta
 
+    def test_report_matches_per_record_reference(self, tmp_path):
+        # every aggregate recomputed from one (estimator, n, replicate)
+        # record at a time; the names and sizes are not in sorted order
+        names, sizes, reps, t = ["ipw", "frechet-euclid"], [24, 20], 3, 10
+        outdir = tmp_path / "report"
+        argv = ["benchmark", "--estimators", ",".join(names), "--sizes", "24,20", "--t", str(t)]
+        assert run(argv + ["--replicates", str(reps), "--output", str(outdir)]) == 0
+        records = {}
+        for n in sizes:
+            for rep in range(reps):
+                ds, truth = generate(ScenarioConfig(n=n, t=t), replicate=rep)
+                for est in names:
+                    mae, per_t = effect_error(run_estimator(ds, est, seed=rep), truth)
+                    records[est, n, rep] = (mae, per_t.values)
+
+        box, summary, per_t_rows = [], [], []
+        for est, n in sorted((est, n) for est in names for n in sizes):
+            box += [[est, str(n), str(r), f"{records[est, n, r][0]:.6f}"] for r in range(reps)]
+        for est in names:
+            for n in sizes:
+                maes = np.array([records[est, n, r][0] for r in range(reps)])
+                stds = np.array([float(np.std(records[est, n, r][1])) for r in range(reps)])
+                summary.append(
+                    [est, str(n), f"{maes.mean():.6f}", f"{maes.std(ddof=1):.6f}", f"{stds.mean():.6f}"]
+                )
+                mean_t = np.mean([records[est, n, r][1] for r in range(reps)], axis=0)
+                per_t_rows += [
+                    [est, str(n), str(j), f"{tv:.6f}", f"{ev:.6f}"]
+                    for j, (tv, ev) in enumerate(zip(np.linspace(0.0, 1.0, t), mean_t))
+                ]
+
+        def read(name):
+            with open(outdir / name) as fh:
+                return [list(row.values()) for row in csv.DictReader(fh)]
+
+        assert read("boxplot_data.csv") == box
+        assert read("summary.csv") == summary
+        assert read("per_t_error.csv") == per_t_rows
+
     def test_benchmark_deterministic(self, tmp_path):
         outputs = []
         for sub in ("a", "b"):
@@ -299,6 +338,33 @@ class TestBenchmark:
             ]
         )
         assert code == 1
+
+
+    @pytest.mark.parametrize(
+        "estimators,sizes,repeated",
+        [
+            ("ipw,ipw", "20,24", "estimators"),
+            ("ipw", "20,20", "sizes"),
+            ("ipw,dr,ipw", "20", "estimators"),
+        ],
+    )
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+    def test_repeated_estimators_or_sizes_rejected(
+        self, tmp_path, capsys, estimators, sizes, repeated, via_config
+    ):
+        outdir = tmp_path / "x"
+        argv = ["benchmark", "--t", "8", "--replicates", "2", "--output", str(outdir)]
+        if via_config:
+            ini = tmp_path / "bench.ini"
+            ini.write_text(f"[benchmark]\nestimators = {estimators}\nsizes = {sizes}\n")
+            argv += ["--config", str(ini)]
+        else:
+            argv += ["--estimators", estimators, "--sizes", sizes]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: repeated {repeated}: ")
+        assert "Traceback" not in err
+        assert not outdir.exists()
 
 
 class TestRunEstimator:

@@ -91,6 +91,14 @@ class TestSrsfTransform:
         c = Curve(grid, grid.points + 4.0)
         assert srsf_transform(c).origin == pytest.approx(4.0)
 
+    def test_srsf_values_checked(self):
+        grid = Grid.uniform(4)
+        with pytest.raises(ValueError, match="srsf values must be finite"):
+            SrsfCurve(grid, [0.0, np.nan, 0.0, 0.0])
+        with pytest.raises(ValueError, match="length"):
+            SrsfCurve(grid, np.zeros(5))
+        assert not SrsfCurve(grid, np.zeros(4)).values.flags.writeable
+
 
 class TestWarpingFunction:
     def test_identity(self):
@@ -107,6 +115,19 @@ class TestWarpingFunction:
         grid = Grid.uniform(5)
         with pytest.raises(ValueError):
             WarpingFunction(grid, np.array([0.0, 0.5, 0.4, 0.8, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN passes both the endpoint and the np.diff <= 0 checks
+        with pytest.raises(ValueError, match="finite"):
+            WarpingFunction(Grid.uniform(5), [0.0, 0.2, bad, 0.7, 1.0])
+
+    def test_values_are_a_read_only_copy(self):
+        grid = Grid.uniform(5)
+        src = np.linspace(0.0, 1.0, 9)[::2]
+        g = WarpingFunction(grid, src)
+        assert g.values.flags.c_contiguous and not g.values.flags.writeable
+        assert not np.shares_memory(g.values, src)
 
 
 class TestWarpAction:

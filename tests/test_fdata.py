@@ -23,7 +23,7 @@ from funcause import (
     save_dataset,
     srsf_inverse,
 )
-from funcause.fdata import _trapezoid, _trapezoid_terms
+from funcause.fdata import _derivative_rows, _row_norms, _trapezoid, _trapezoid_terms
 
 
 def make_dataset(n=3, t=12, d=2, with_vcurves=False, seed=0):
@@ -135,6 +135,25 @@ class TestGridNorm:
         grid = Grid.uniform(512)
         v = np.sin(2 * np.pi * grid.points)
         assert grid_norm(v, grid) == pytest.approx(np.sqrt(0.5), abs=1e-4)
+
+
+class TestRowHelpers:
+    """The row-wise derivative and norm give, row by row, exactly what the
+    one-curve ``derivative`` and ``grid_norm`` give."""
+
+    @pytest.mark.parametrize("n,t", [(1, 3), (7, 8), (40, 100)])
+    def test_rows_match_one_curve(self, n, t):
+        grid = Grid.uniform(t)
+        rows = np.random.default_rng(t).standard_normal((n, t)).cumsum(axis=1)
+        d, norms = _derivative_rows(rows, grid), _row_norms(rows, grid)
+        assert d.shape == (n, t) and norms.shape == (n,)
+        for row, d_row, norm in zip(rows, d, norms):
+            assert np.array_equal(d_row, derivative(Curve(grid, row)).values)
+            assert norm == grid_norm(row, grid)
+
+    def test_derivative_needs_three_points(self):
+        with pytest.raises(GridTooSmall):
+            _derivative_rows(np.zeros((4, 2)), Grid.uniform(2))
 
 
 # (rows, grid length): one curve, the shortest grid, and batches of curves

@@ -9,6 +9,7 @@ from funcause import (
     Curve,
     Dataset,
     DomainError,
+    FrechetMeanResult,
     Grid,
     Metric,
     WeightError,
@@ -18,6 +19,7 @@ from funcause import (
     fit_propensity,
     frechet_mean,
     fr_distance_sphere,
+    fr_distance_srsf,
     grid_norm,
     group_potential_outcomes,
     resample,
@@ -254,6 +256,41 @@ class TestDynamicEffect:
         m0 = Curve(Grid.uniform(11), np.zeros(11))
         with pytest.raises(ValueError):
             effect_from_means(m1, m0, Metric.EUCLIDEAN)
+
+    @staticmethod
+    def densities(grid):
+        m1, m0 = curve_family(grid, 2, seed=4)
+        return [Curve(grid, (m.values + 0.1) / np.sum(m.values + 0.1)) for m in (m1, m0)]
+
+    @pytest.mark.parametrize(
+        "metric,distance",
+        [
+            (Metric.FISHER_RAO_SRSF, fr_distance_srsf),
+            (Metric.FISHER_RAO_SPHERE, fr_distance_sphere),
+        ],
+    )
+    def test_fisher_rao_norms(self, metric, distance):
+        m1, m0 = self.densities(Grid.uniform(40))
+        eff = effect_from_means(m1, m0, metric)
+        assert eff.metric is metric
+        assert eff.scalar_norm == distance(m1, m0) > 0
+        assert np.array_equal(eff.delta.values, m1.values - m0.values)
+
+    def test_unknown_metric_rejected(self):
+        m1, m0 = self.densities(Grid.uniform(40))
+        with pytest.raises(ValueError, match="unknown metric"):
+            effect_from_means(m1, m0, "euclidean")
+
+    def test_dynamic_effect_defaults_to_the_means_metric(self):
+        m1, m0 = self.densities(Grid.uniform(40))
+        f1 = FrechetMeanResult(m1, Metric.FISHER_RAO_SRSF, 0.0, True)
+        f0 = FrechetMeanResult(m0, Metric.FISHER_RAO_SRSF, 0.0, True)
+        eff = dynamic_effect(f1, f0)
+        assert eff.metric is Metric.FISHER_RAO_SRSF
+        assert eff.scalar_norm == fr_distance_srsf(m1, m0)
+        override = dynamic_effect(f1, f0, Metric.EUCLIDEAN)
+        assert override.metric is Metric.EUCLIDEAN
+        assert override.scalar_norm == grid_norm(m1.values - m0.values, m1.grid)
 
     def test_known_gap_recovered(self):
         ds = binary_dataset(n=60, seed=7, gap=2.0)
