@@ -42,8 +42,6 @@ from .frechet import (
     DynamicEffect,
     FrechetMeanResult,
     Metric,
-    Weighting,
-    dynamic_effect,
     effect_from_means,
     frechet_mean,
     group_potential_outcomes,

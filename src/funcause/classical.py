@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fdata import Dataset
-from .frechet import PROPENSITY_CLIP, DynamicEffect, _euclidean_effect
+from .frechet import DynamicEffect, _euclidean_effect
 
 __all__ = [
     "PropensityModel",
@@ -24,6 +24,8 @@ __all__ = [
 
 # L2 penalty of the propensity regression's slopes
 PROPENSITY_L2 = 1e-4
+# every propensity score is clipped to [PROPENSITY_CLIP, 1 - PROPENSITY_CLIP]
+PROPENSITY_CLIP = 0.01
 
 
 def _design(covariates) -> np.ndarray:
@@ -42,6 +44,13 @@ class PropensityModel:
     def predict(self, covariates: np.ndarray) -> np.ndarray:
         p = 1.0 / (1.0 + np.exp(-_design(covariates) @ self.coefficients))
         return np.clip(p, PROPENSITY_CLIP, 1.0 - PROPENSITY_CLIP)
+
+    def inverse_weights(self, ds: Dataset) -> tuple[np.ndarray, np.ndarray]:
+        """Per-unit weights (x / pi, (1 - x) / (1 - pi)) of the treated and
+        control arms: 1/pi(V) and 1/(1 - pi(V)) on each arm's units, 0 off it."""
+        x = ds.treatments
+        pi = self.predict(ds.covariate_matrix)
+        return x / pi, (1.0 - x) / (1.0 - pi)
 
 
 @dataclass(frozen=True)
@@ -89,11 +98,9 @@ def ipw_effect(ds: Dataset, pm: PropensityModel) -> DynamicEffect:
     """Inverse probability weighting applied coordinate-wise over the grid."""
     if not ds.is_binary():
         raise ValueError("IPW needs binary treatments")
-    x = ds.treatments
-    y = ds.outcome_matrix
-    pi = pm.predict(ds.covariate_matrix)
-    w = x / pi - (1.0 - x) / (1.0 - pi)
-    return _euclidean_effect((w[:, None] * y).mean(axis=0), ds.outcome_grid)
+    w1, w0 = pm.inverse_weights(ds)
+    w = w1 - w0
+    return _euclidean_effect((w[:, None] * ds.outcome_matrix).mean(axis=0), ds.outcome_grid)
 
 
 def _ridge_fit(z: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
@@ -123,16 +130,10 @@ def dr_effect(ds: Dataset, pm: PropensityModel, om: OutcomeModel) -> DynamicEffe
     """Doubly robust estimator: IPW residuals augmented with outcome models."""
     if not ds.is_binary():
         raise ValueError("doubly robust estimation needs binary treatments")
-    x = ds.treatments
     y = ds.outcome_matrix
     v = ds.covariate_matrix
-    pi = pm.predict(v)
+    w1, w0 = pm.inverse_weights(ds)
     m1 = om.predict(v, arm=1)
     m0 = om.predict(v, arm=0)
-    contrib = (
-        (x / pi)[:, None] * (y - m1)
-        + m1
-        - ((1.0 - x) / (1.0 - pi))[:, None] * (y - m0)
-        - m0
-    )
+    contrib = w1[:, None] * (y - m1) + m1 - w0[:, None] * (y - m0) - m0
     return _euclidean_effect(contrib.mean(axis=0), ds.outcome_grid)

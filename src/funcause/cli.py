@@ -47,19 +47,15 @@ def _git_hash() -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# the ``ScenarioConfig`` fields that are scenario flags, in flag order
+_SCENARIO_KNOBS = (
+    "t", "noise", "shift", "confounding", "amplitude", "n_covariates", "baseline_offset", "seed",
+)
+
+
 def _scenario_config(args, n: int) -> simgen.ScenarioConfig:
-    return simgen.ScenarioConfig(
-        n=n,
-        t=args.t,
-        scenario=simgen.Scenario(args.scenario),
-        noise=args.noise,
-        shift=args.shift,
-        confounding=args.confounding,
-        seed=args.seed,
-        amplitude=args.amplitude,
-        n_covariates=args.n_covariates,
-        baseline_offset=args.baseline_offset,
-    )
+    knobs = {knob: getattr(args, knob) for knob in _SCENARIO_KNOBS}
+    return simgen.ScenarioConfig(n=n, scenario=simgen.Scenario(args.scenario), **knobs)
 
 
 def cmd_simulate(args) -> int:
@@ -183,6 +179,8 @@ def cmd_benchmark(args) -> int:
     for what, values in (("estimators", names), ("sizes", sizes)):
         if len(set(values)) < len(values):
             raise ValueError(f"repeated {what}: {', '.join(map(str, values))}")
+    for n in sizes:  # a rejected scenario knob fails before anything is written
+        _scenario_config(args, n)
     outdir = args.output
     os.makedirs(outdir, exist_ok=True)
 
@@ -270,16 +268,13 @@ def cmd_benchmark(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_scenario_flags(p):
-    p.add_argument("--scenario", default="binary_nonmonotonic",
+    """``--scenario`` and one flag per ``_SCENARIO_KNOBS`` field, each with
+    the type and default of its ``ScenarioConfig`` field."""
+    p.add_argument("--scenario", default=simgen.ScenarioConfig.scenario.value,
                    choices=[s.value for s in simgen.Scenario])
-    p.add_argument("--t", type=int, default=50)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--shift", type=float, default=0.05)
-    p.add_argument("--confounding", type=float, default=1.0)
-    p.add_argument("--amplitude", type=float, default=1.0)
-    p.add_argument("--n-covariates", type=int, default=3)
-    p.add_argument("--baseline-offset", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    for knob in _SCENARIO_KNOBS:
+        default = getattr(simgen.ScenarioConfig, knob)
+        p.add_argument("--" + knob.replace("_", "-"), type=type(default), default=default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="generate a synthetic dataset")
     _add_scenario_flags(p)
-    p.add_argument("--n", type=int, default=100)
+    p.add_argument("--n", type=int, default=simgen.ScenarioConfig.n)
     p.add_argument("--replicate", type=int, default=0)
     p.add_argument("--output", required=True, help="dataset path (.csv or .json)")
     p.add_argument("--truth", help="optional ground-truth JSON path")

@@ -25,7 +25,7 @@ import numpy as np
 from . import classical, elastic, frechet
 from .errors import NumericalError
 from .fdata import Curve, Dataset, Grid, grid_norm
-from .frechet import DynamicEffect, Metric, Weighting, effect_from_means
+from .frechet import DynamicEffect, Metric, effect_from_means
 from .kernels import (
     GramMatrix,
     KernelFamily,
@@ -66,6 +66,8 @@ ESTIMATOR_NAMES = (
 )
 
 _LAM_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1)
+# ridge penalty when none is given and none is searched for
+DEFAULT_LAM = 1e-2
 _SCALE_GRID = (0.5, 1.0, 2.0)
 # share of the units the hyperparameter search holds out
 HOLDOUT = 0.2
@@ -392,7 +394,7 @@ def select_hyperparameters(ds: Dataset, k_y: Optional[GramMatrix] = None, seed: 
     """Grid search over bandwidth scales and lambdas on a 20% holdout.
 
     Returns (kx, kv, lam) with the first minimum error in scale-major
-    order, or the default kernels with lambda = 1e-2 when every error is
+    order, or the default kernels with ``DEFAULT_LAM`` when every error is
     inf (as when the split leaves an arm without training units).
     """
     return _search(ds, *_default_kernels(ds), k_y, seed)
@@ -404,7 +406,7 @@ def _search(ds, inputs, setup, k_y, seed):
     sliced from the same distances."""
     split = _holdout_split(ds, seed)
     if split is None:
-        return (*setup(1.0), 1e-2)
+        return (*setup(1.0), DEFAULT_LAM)
     candidates = []
     for scale in _SCALE_GRID:
         kx, kv = setup(scale)
@@ -412,7 +414,7 @@ def _search(ds, inputs, setup, k_y, seed):
         candidates += [(err, kx, kv, lam) for lam, err in zip(_LAM_GRID, errs)]
     err, kx, kv, lam = min(candidates, key=lambda c: c[0])
     if err == math.inf:
-        return (*setup(1.0), 1e-2)
+        return (*setup(1.0), DEFAULT_LAM)
     return kx, kv, lam
 
 
@@ -427,7 +429,7 @@ class IterativeConfig:
     curves) matters; ``ITER_KARCHER_TOL``, ``REGISTER_PENALTY`` and the
     outcome smoothing window ``max(3, T // 10) | 1`` are fixed."""
 
-    lam: float = 1e-2
+    lam: float = DEFAULT_LAM
     r_max: int = 10
     karcher_max_iter: int = 5
 
@@ -499,15 +501,13 @@ def run_estimator(
         pm = classical.fit_propensity(ds)
         om = classical.fit_outcome_models(ds)
         return classical.dr_effect(ds, pm, om)
-    if name == "frechet-euclid":
-        f1, f0 = frechet.group_potential_outcomes(ds, Metric.EUCLIDEAN, Weighting.UNIFORM)
-        return frechet.dynamic_effect(f1, f0)
-    if name == "frechet-fr":
-        f1, f0 = frechet.group_potential_outcomes(ds, Metric.FISHER_RAO_SRSF, Weighting.UNIFORM)
-        return frechet.dynamic_effect(f1, f0, Metric.EUCLIDEAN)
+    if name in ("frechet-euclid", "frechet-fr"):
+        metric = Metric.EUCLIDEAN if name == "frechet-euclid" else Metric.FISHER_RAO_SRSF
+        f1, f0 = frechet.group_potential_outcomes(ds, metric)
+        return effect_from_means(f1.mean, f0.mean, Metric.EUCLIDEAN)
 
     if name == "iterative-srvf":
-        cfg = IterativeConfig(lam=lam if lam is not None else 1e-2)
+        cfg = IterativeConfig(lam=DEFAULT_LAM if lam is None else lam)
         return iterative_srvf_estimate(ds, cfg).effect
 
     work_ds = ds
@@ -524,5 +524,5 @@ def run_estimator(
     else:
         kx, kv = setup(1.0)
         if lam is None:
-            lam = 1e-2
+            lam = DEFAULT_LAM
     return kernel_dynamic_effect(_fit(work_ds, inputs, kx, kv, k_y, lam))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,28 +19,18 @@ from .fdata import Curve, Dataset, Grid, grid_norm
 
 __all__ = [
     "Metric",
-    "Weighting",
     "FrechetMeanResult",
     "DynamicEffect",
     "frechet_mean",
     "group_potential_outcomes",
-    "dynamic_effect",
     "effect_from_means",
 ]
-
-# every propensity score is clipped to [PROPENSITY_CLIP, 1 - PROPENSITY_CLIP]
-PROPENSITY_CLIP = 0.01
 
 
 class Metric(enum.Enum):
     EUCLIDEAN = "euclidean"
     FISHER_RAO_SRSF = "fisher_rao_srsf"
     FISHER_RAO_SPHERE = "fisher_rao_sphere"
-
-
-class Weighting(enum.Enum):
-    UNIFORM = "uniform"
-    INVERSE_PROPENSITY = "inverse_propensity"
 
 
 @dataclass
@@ -134,29 +124,21 @@ def frechet_mean(
     raise ValueError(f"unknown metric: {metric}")
 
 
-def group_potential_outcomes(
-    ds: Dataset,
-    metric: Metric = Metric.EUCLIDEAN,
-    weighting: Weighting = Weighting.UNIFORM,
-    propensity=None,
-):
-    """Per-arm weighted Fréchet means (F1, F0) for a binary dataset.
+def group_potential_outcomes(ds: Dataset, metric: Metric = Metric.EUCLIDEAN, propensity=None):
+    """Per-arm Fréchet means (F1, F0) for a binary dataset.
 
-    With inverse-propensity weighting, treated units get weight 1/pi(V) and
-    controls 1/(1 - pi(V)), with propensities clipped away from {0, 1}.
+    The weights are uniform without a ``propensity`` model.  With a fitted
+    ``classical.PropensityModel``, each arm takes its units' rows of
+    ``propensity.inverse_weights(ds)``: 1/pi(V) for the treated and
+    1/(1 - pi(V)) for the controls.
     """
     if not ds.is_binary():
         raise ValueError("group potential outcomes need binary treatments")
     idx1, idx0 = ds.arm_indices(1.0), ds.arm_indices(0.0)
-
-    if weighting is Weighting.UNIFORM:
-        w1 = w0 = None
-    else:
-        if propensity is None:
-            raise ValueError("inverse propensity weighting needs a fitted model")
-        pi = np.clip(propensity.predict(ds.covariate_matrix), PROPENSITY_CLIP, 1 - PROPENSITY_CLIP)
-        w1 = 1.0 / pi[idx1]
-        w0 = 1.0 / (1.0 - pi[idx0])
+    w1 = w0 = None
+    if propensity is not None:
+        w1, w0 = propensity.inverse_weights(ds)
+        w1, w0 = w1[idx1], w0[idx0]
 
     y, grid = ds.outcome_matrix, ds.outcome_grid
     f1 = frechet_mean([Curve(grid, y[i]) for i in idx1], weights=w1, metric=metric)
@@ -183,10 +165,3 @@ def effect_from_means(mean1: Curve, mean0: Curve, metric: Metric) -> DynamicEffe
     else:
         raise ValueError(f"unknown metric: {metric}")
     return DynamicEffect(Curve(mean1.grid, delta), norm, metric)
-
-
-def dynamic_effect(
-    f1: FrechetMeanResult, f0: FrechetMeanResult, metric: Optional[Metric] = None
-) -> DynamicEffect:
-    """Pointwise difference of group means plus its scalar norm."""
-    return effect_from_means(f1.mean, f0.mean, metric or f1.metric)

@@ -48,6 +48,15 @@ class TestPropensity:
         pi = pm.predict(big)
         assert np.all(pi >= 0.01) and np.all(pi <= 0.99)
 
+    def test_inverse_weights_per_arm(self):
+        ds = make_ds(60, 6, confounded=True, seed=1)
+        pm = fit_propensity(ds)
+        pi = pm.predict(ds.covariate_matrix)
+        w1, w0 = pm.inverse_weights(ds)
+        treated = ds.treatments == 1.0
+        assert np.array_equal(w1[treated], 1.0 / pi[treated]) and np.all(w1[~treated] == 0.0)
+        assert np.array_equal(w0[~treated], 1.0 / (1.0 - pi[~treated])) and np.all(w0[treated] == 0.0)
+
     def test_recovers_logit_slope(self):
         ds = make_ds(4000, 4, confounded=True, seed=2)
         pm = fit_propensity(ds)

@@ -1,11 +1,12 @@
 """End-to-end tests for the command-line interface."""
 import csv
 import json
+import typing
 
 import numpy as np
 import pytest
 
-from funcause import load_dataset
+from funcause import cli, load_dataset
 from funcause.cli import ESTIMATOR_NAMES, main, run_estimator
 from funcause import ScenarioConfig, Scenario, effect_error, generate
 
@@ -365,6 +366,49 @@ class TestBenchmark:
         assert err.startswith(f"error: repeated {repeated}: ")
         assert "Traceback" not in err
         assert not outdir.exists()
+
+    @pytest.mark.parametrize(
+        "knobs,message",
+        [
+            ({"sizes": "3", "t": "8"}, "need at least 4 samples"),
+            ({"sizes": "20,24", "t": "8", "shift": "0.5"}, "shift must be in [0, 0.2]"),
+            ({"sizes": "20", "t": "7"}, "need at least 8 grid points"),
+        ],
+    )
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+    def test_rejected_scenario_knob_writes_nothing(
+        self, tmp_path, capsys, knobs, message, via_config
+    ):
+        outdir = tmp_path / "x"
+        argv = ["benchmark", "--estimators", "ipw", "--replicates", "1", "--output", str(outdir)]
+        if via_config:
+            ini = tmp_path / "bench.ini"
+            ini.write_text("[benchmark]\n" + "".join(f"{k} = {v}\n" for k, v in knobs.items()))
+            argv += ["--config", str(ini)]
+        else:
+            argv += [arg for k, v in knobs.items() for arg in (f"--{k}", v)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+        assert not outdir.exists()
+
+
+class TestScenarioFlags:
+    def test_defaults_are_scenario_config_defaults(self):
+        args = cli.build_parser().parse_args(["simulate", "--output", "x"])
+        assert cli._scenario_config(args, args.n) == ScenarioConfig()
+        assert cli._scenario_config(args, 100) == ScenarioConfig()
+
+    @pytest.mark.parametrize("command", ["simulate", "benchmark"])
+    def test_each_knob_parses_to_its_field_type(self, command):
+        hints = typing.get_type_hints(ScenarioConfig)
+        argv = [command, "--output", "x"]
+        for knob in cli._SCENARIO_KNOBS:
+            argv += ["--" + knob.replace("_", "-"), "3"]
+        args = cli.build_parser().parse_args(argv)
+        for knob in cli._SCENARIO_KNOBS:
+            value = getattr(args, knob)
+            assert type(value) is hints[knob] and value == 3
 
 
 class TestRunEstimator:

@@ -9,17 +9,18 @@ from funcause import (
     Curve,
     Dataset,
     DomainError,
-    FrechetMeanResult,
     Grid,
     Metric,
+    Scenario,
+    ScenarioConfig,
     WeightError,
-    Weighting,
-    dynamic_effect,
     effect_from_means,
+    elastic,
     fit_propensity,
     frechet_mean,
     fr_distance_sphere,
     fr_distance_srsf,
+    generate,
     grid_norm,
     group_potential_outcomes,
     resample,
@@ -212,27 +213,36 @@ class TestDiscretizationStability:
 class TestGroupPotentialOutcomes:
     def test_uniform_equals_arm_means(self):
         ds = binary_dataset()
-        f1, f0 = group_potential_outcomes(ds, Metric.EUCLIDEAN, Weighting.UNIFORM)
+        f1, f0 = group_potential_outcomes(ds, Metric.EUCLIDEAN)
         y = ds.outcome_matrix
         x = ds.treatments
         np.testing.assert_allclose(f1.mean.values, y[x == 1].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(f0.mean.values, y[x == 0].mean(axis=0), atol=1e-12)
 
-    def test_ip_weighting_needs_model(self):
-        ds = binary_dataset()
-        with pytest.raises(ValueError):
-            group_potential_outcomes(
-                ds, Metric.EUCLIDEAN, Weighting.INVERSE_PROPENSITY
-            )
-
     def test_ip_weighting_runs(self):
         ds = binary_dataset(n=40, seed=2)
         pm = fit_propensity(ds)
-        f1, f0 = group_potential_outcomes(
-            ds, Metric.EUCLIDEAN, Weighting.INVERSE_PROPENSITY, propensity=pm
-        )
-        eff = dynamic_effect(f1, f0)
+        f1, f0 = group_potential_outcomes(ds, Metric.EUCLIDEAN, propensity=pm)
+        eff = effect_from_means(f1.mean, f0.mean, Metric.EUCLIDEAN)
         assert eff.delta.values.shape == (16,)
+
+    @pytest.mark.parametrize("metric", (Metric.EUCLIDEAN, Metric.FISHER_RAO_SRSF))
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("scenario", (Scenario.BINARY_NONMONOTONIC, Scenario.BINARY_MONOTONIC))
+    def test_ip_weighted_means_exact(self, scenario, seed, metric):
+        # Hajek means with weights 1/pi and 1/(1 - pi) of the fitted model
+        ds, _ = generate(ScenarioConfig(n=40, t=20, scenario=scenario, seed=seed))
+        pm = fit_propensity(ds)
+        pi = pm.predict(ds.covariate_matrix)
+        y, grid = ds.outcome_matrix, ds.outcome_grid
+        f1, f0 = group_potential_outcomes(ds, metric, propensity=pm)
+        idx1, idx0 = ds.arm_indices(1.0), ds.arm_indices(0.0)
+        for f, idx, w in ((f1, idx1, 1.0 / pi[idx1]), (f0, idx0, 1.0 / (1.0 - pi[idx0]))):
+            if metric is Metric.EUCLIDEAN:
+                expected = (w / w.sum()) @ y[idx]
+            else:
+                expected = elastic.karcher_mean(y[idx], grid, weights=w / w.sum()).mean.values
+            assert np.array_equal(f.mean.values, expected)
 
     def test_continuous_treatments_rejected(self):
         ds = binary_dataset()
@@ -281,19 +291,8 @@ class TestDynamicEffect:
         with pytest.raises(ValueError, match="unknown metric"):
             effect_from_means(m1, m0, "euclidean")
 
-    def test_dynamic_effect_defaults_to_the_means_metric(self):
-        m1, m0 = self.densities(Grid.uniform(40))
-        f1 = FrechetMeanResult(m1, Metric.FISHER_RAO_SRSF, 0.0, True)
-        f0 = FrechetMeanResult(m0, Metric.FISHER_RAO_SRSF, 0.0, True)
-        eff = dynamic_effect(f1, f0)
-        assert eff.metric is Metric.FISHER_RAO_SRSF
-        assert eff.scalar_norm == fr_distance_srsf(m1, m0)
-        override = dynamic_effect(f1, f0, Metric.EUCLIDEAN)
-        assert override.metric is Metric.EUCLIDEAN
-        assert override.scalar_norm == grid_norm(m1.values - m0.values, m1.grid)
-
     def test_known_gap_recovered(self):
         ds = binary_dataset(n=60, seed=7, gap=2.0)
         f1, f0 = group_potential_outcomes(ds)
-        eff = dynamic_effect(f1, f0)
+        eff = effect_from_means(f1.mean, f0.mean, Metric.EUCLIDEAN)
         assert np.max(np.abs(eff.delta.values - 2.0)) <= 0.15

@@ -124,10 +124,10 @@ class TestEffectError:
 
     def test_accepts_effect_objects(self):
         ds, truth = generate(ScenarioConfig(n=30, t=32))
-        from funcause import group_potential_outcomes, dynamic_effect
+        from funcause import Metric, effect_from_means, group_potential_outcomes
 
         f1, f0 = group_potential_outcomes(ds)
-        eff = dynamic_effect(f1, f0)
+        eff = effect_from_means(f1.mean, f0.mean, Metric.EUCLIDEAN)
         mae, per_t = effect_error(eff, truth)
         assert mae >= 0.0
         assert per_t.grid == truth.beta_x.grid
