@@ -6,7 +6,8 @@ nT x nT matrix is never materialized.  Builds potential-outcome curves,
 dynamic effects, dose-response curves, outcome pre-registration, the
 registered-curve estimator (covariate and outcome curves registered once
 to their Karcher means, then one fit) and the holdout hyperparameter
-search, and runs every named estimator through ``run_estimator``.  It
+search.  ``run_estimator`` runs every named estimator: classical, Fréchet
+(``_FRECHET``) or kernel (``_KERNEL``, fitted by ``_kernel_model``).  It
 reads a dataset's arrays and derives new datasets with
 ``dataclasses.replace`` (registered curves) and ``Dataset.take`` (the
 holdout's training units).  Each fit or search, and each estimator run
@@ -54,16 +55,17 @@ __all__ = [
     "run_estimator",
 ]
 
-ESTIMATOR_NAMES = (
-    "ipw",
-    "dr",
-    "frechet-euclid",
-    "frechet-fr",
-    "kernel",
-    "operator-kernel",
-    "srvf-operator-kernel",
-    "iterative-srvf",
-)
+# Fréchet estimators by the metric of their means; kernel estimators by
+# (registration run before the fit or None, operator-valued output kernel?),
+# each registration looking its function up here when it runs
+_FRECHET = {"frechet-euclid": Metric.EUCLIDEAN, "frechet-fr": Metric.FISHER_RAO_SRSF}
+_KERNEL = {
+    "kernel": (None, False),
+    "operator-kernel": (None, True),
+    "srvf-operator-kernel": (lambda ds: register_outcomes(ds, per_arm=True, max_iter=5)[0], True),
+    "iterative-srvf": (lambda ds: _register_iterative(ds, IterativeConfig())[0], False),
+}
+ESTIMATOR_NAMES = ("ipw", "dr", *_FRECHET, *_KERNEL)
 
 _LAM_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0, 1e1)
 # ridge penalty when none is given and none is searched for
@@ -101,10 +103,10 @@ class DoseResponseCurve:
     curves: list = field(default_factory=list)
 
 
-def kernel_setup(ds: Dataset, scale: float = 1.0):
-    """Default treatment and covariate kernel specs for a dataset, with every
-    median-heuristic bandwidth multiplied by ``scale``."""
-    return _default_kernels(ds)[1](scale)
+def kernel_setup(ds: Dataset):
+    """Default treatment and covariate kernel specs, with median-heuristic
+    bandwidths, for a dataset."""
+    return _default_kernels(ds)[1](1.0)
 
 
 def _inputs(ds: Dataset, kv: Optional[KernelSpec]):
@@ -181,7 +183,7 @@ def krr_fit(
     kx: KernelSpec,
     kv: Optional[KernelSpec],
     k_y: Optional[GramMatrix] = None,
-    lam: float = 1e-3,
+    lam: float = DEFAULT_LAM,
 ) -> KrrModel:
     """Solve (K_XV (x) K_Y + lambda I) vec(alpha) = vec(Y)."""
     return _fit(ds, _inputs(ds, kv), kx, kv, k_y, lam)
@@ -379,7 +381,7 @@ def holdout_error(
     kx: KernelSpec,
     kv: Optional[KernelSpec],
     k_y: Optional[GramMatrix] = None,
-    lam: float = 1e-3,
+    lam: float = DEFAULT_LAM,
     seed: int = 0,
 ) -> float:
     """Squared prediction error on a random 20% holdout; inf when the split
@@ -394,8 +396,9 @@ def select_hyperparameters(ds: Dataset, k_y: Optional[GramMatrix] = None, seed: 
     """Grid search over bandwidth scales and lambdas on a 20% holdout.
 
     Returns (kx, kv, lam) with the first minimum error in scale-major
-    order, or the default kernels with ``DEFAULT_LAM`` when every error is
-    inf (as when the split leaves an arm without training units).
+    order, or ``kernel_setup``'s kernels with ``DEFAULT_LAM`` when the
+    training units of the split do not form a valid dataset (as when the
+    split leaves an arm without training units).
     """
     return _search(ds, *_default_kernels(ds), k_y, seed)
 
@@ -412,10 +415,7 @@ def _search(ds, inputs, setup, k_y, seed):
         kx, kv = setup(scale)
         errs = _holdout_errors(ds, inputs, split, kx, kv, k_y, _LAM_GRID)
         candidates += [(err, kx, kv, lam) for lam, err in zip(_LAM_GRID, errs)]
-    err, kx, kv, lam = min(candidates, key=lambda c: c[0])
-    if err == math.inf:
-        return (*setup(1.0), DEFAULT_LAM)
-    return kx, kv, lam
+    return min(candidates, key=lambda c: c[0])[1:]
 
 
 # relative objective decrease that stops the Karcher means
@@ -440,15 +440,35 @@ class IterativeConfig:
 
 @dataclass
 class IterativeResult:
-    """``converged``: both Karcher means stopped at ``ITER_KARCHER_TOL``
-    (always True without covariate curves).  ``trace`` is always empty, as
-    one fit has no rounds; the benchmark's tracer still reads it."""
+    """``converged``: every Karcher mean it ran (outcomes, and covariate
+    curves if any) stopped at ``ITER_KARCHER_TOL``.  ``trace`` is always
+    empty, as one fit has no rounds; the benchmark's tracer still reads it."""
 
     effect: DynamicEffect
     registered: Dataset
     trace: list
     converged: bool
     model: KrrModel
+
+
+def _register_iterative(ds: Dataset, cfg: IterativeConfig):
+    """The registration half of ``iterative_srvf_estimate``: the registered
+    dataset, and whether every Karcher mean converged."""
+    everyone = [np.arange(len(ds))]
+    has_vcurves = ds.covariate_grid is not None
+    sweeps = cfg.karcher_max_iter + (cfg.r_max - 1 if has_vcurves else 0)
+    window = max(3, len(ds.outcome_grid) // 10) | 1
+    y, _, converged = _register_rows(
+        ds.outcome_matrix, ds.outcome_grid, everyone, sweeps, ITER_KARCHER_TOL,
+        REGISTER_PENALTY, window,
+    )
+    v = ds.covariate_curve_matrix
+    if has_vcurves:
+        v, _, v_converged = _register_rows(
+            v, ds.covariate_grid, everyone, sweeps, ITER_KARCHER_TOL, 0.0, 0
+        )
+        converged = converged and v_converged
+    return replace(ds, outcome_matrix=y, covariate_curve_matrix=v), converged
 
 
 def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = None) -> IterativeResult:
@@ -462,67 +482,45 @@ def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = Non
     ``dose_response`` for a continuous treatment's dose response.
     """
     cfg = config or IterativeConfig()
-    everyone = [np.arange(len(ds))]
-    has_vcurves = ds.covariate_grid is not None
-    sweeps = cfg.karcher_max_iter + (cfg.r_max - 1 if has_vcurves else 0)
-    window = max(3, len(ds.outcome_grid) // 10) | 1
-    y, _, y_converged = _register_rows(
-        ds.outcome_matrix, ds.outcome_grid, everyone, sweeps, ITER_KARCHER_TOL,
-        REGISTER_PENALTY, window,
-    )
-    v = ds.covariate_curve_matrix
-    if has_vcurves:
-        v, _, v_converged = _register_rows(
-            v, ds.covariate_grid, everyone, sweeps, ITER_KARCHER_TOL, 0.0, 0
-        )
-    registered = replace(ds, outcome_matrix=y, covariate_curve_matrix=v)
-    converged = not has_vcurves or (y_converged and v_converged)
-    inputs, setup = _default_kernels(registered)
-    model = _fit(registered, inputs, *setup(1.0), None, cfg.lam)
+    registered, converged = _register_iterative(ds, cfg)
+    model = _kernel_model(registered, None, cfg.lam, False, 0)
     return IterativeResult(
         kernel_dynamic_effect(model), registered, trace=[], converged=converged, model=model
     )
 
 
+def _kernel_model(ds, k_y, lam, search, seed) -> KrrModel:
+    """KRR with the default kernels and ``DEFAULT_LAM``, or the ``search``'s
+    choice of both; a given ``lam`` replaces either."""
+    inputs, setup = _default_kernels(ds)
+    if search:
+        kx, kv, chosen = _search(ds, inputs, setup, k_y, seed)
+    else:
+        (kx, kv), chosen = setup(1.0), DEFAULT_LAM
+    return _fit(ds, inputs, kx, kv, k_y, chosen if lam is None else lam)
+
+
 def run_estimator(
-    ds: Dataset,
-    name: str,
-    lam: Optional[float] = None,
-    search: bool = False,
-    seed: int = 0,
+    ds: Dataset, name: str, lam: Optional[float] = None, search: bool = False, seed: int = 0
 ) -> DynamicEffect:
-    """Run one named estimator and return its dynamic effect."""
+    """Run one named estimator and return its dynamic effect.
+
+    ``lam`` (ridge penalty), ``search`` and its split's ``seed`` tune the
+    kernel estimators; the others reject ``lam`` and ignore the rest.
+    """
     if name not in ESTIMATOR_NAMES:
         raise ValueError(f"unknown estimator: {name}")
-
-    if name == "ipw":
-        return classical.ipw_effect(ds, classical.fit_propensity(ds))
-    if name == "dr":
-        pm = classical.fit_propensity(ds)
-        om = classical.fit_outcome_models(ds)
-        return classical.dr_effect(ds, pm, om)
-    if name in ("frechet-euclid", "frechet-fr"):
-        metric = Metric.EUCLIDEAN if name == "frechet-euclid" else Metric.FISHER_RAO_SRSF
-        f1, f0 = frechet.group_potential_outcomes(ds, metric)
+    if name in _KERNEL:
+        register, operator = _KERNEL[name]
+        work_ds = ds if register is None else register(ds)
+        k_y = output_gram(work_ds.outcome_grid) if operator else None
+        return kernel_dynamic_effect(_kernel_model(work_ds, k_y, lam, search, seed))
+    if lam is not None:
+        raise ValueError(f"{name} takes no ridge penalty")
+    if name in _FRECHET:
+        f1, f0 = frechet.group_potential_outcomes(ds, _FRECHET[name])
         return effect_from_means(f1.mean, f0.mean, Metric.EUCLIDEAN)
-
-    if name == "iterative-srvf":
-        cfg = IterativeConfig(lam=DEFAULT_LAM if lam is None else lam)
-        return iterative_srvf_estimate(ds, cfg).effect
-
-    work_ds = ds
-    if name == "srvf-operator-kernel":
-        work_ds, _ = register_outcomes(ds, per_arm=True, max_iter=5)
-    k_y = None
-    if name in ("operator-kernel", "srvf-operator-kernel"):
-        k_y = output_gram(work_ds.outcome_grid)
-
-    inputs, setup = _default_kernels(work_ds)
-    if search:
-        kx, kv, chosen = _search(work_ds, inputs, setup, k_y, seed)
-        lam = chosen if lam is None else lam
-    else:
-        kx, kv = setup(1.0)
-        if lam is None:
-            lam = DEFAULT_LAM
-    return kernel_dynamic_effect(_fit(work_ds, inputs, kx, kv, k_y, lam))
+    pm = classical.fit_propensity(ds)
+    if name == "ipw":
+        return classical.ipw_effect(ds, pm)
+    return classical.dr_effect(ds, pm, classical.fit_outcome_models(ds))

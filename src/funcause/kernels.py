@@ -207,12 +207,8 @@ def input_gram(ds, kx: KernelSpec, kv: Optional[KernelSpec]) -> GramMatrix:
     return GramMatrix(cross_gram(kx, x, x) * cross_gram(kv, v, v))
 
 
-def output_gram(grid: Grid, lengthscale: Optional[float] = None) -> GramMatrix:
-    """Squared exponential Gram over grid points.
-
-    Defaults the lengthscale to the median heuristic over the grid points.
-    """
+def output_gram(grid: Grid) -> GramMatrix:
+    """Squared exponential Gram over grid points, with the median heuristic
+    over the grid points as its lengthscale."""
     pts = _Input(grid.points)
-    if lengthscale is None:
-        lengthscale = pts.median()
-    return GramMatrix(pts.gram(KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, lengthscale)))
+    return GramMatrix(pts.gram(KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, pts.median())))

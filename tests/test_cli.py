@@ -83,6 +83,14 @@ class TestEstimate:
         assert ci["lower"] <= ci["upper"]
         assert ci["regime"] in ("nonzero_norm", "zero_norm")
 
+    @pytest.mark.parametrize("estimator", ["ipw", "dr", "frechet-euclid", "frechet-fr"])
+    def test_lam_without_ridge_penalty_exits_one(self, dataset_path, tmp_path, capsys, estimator):
+        out = tmp_path / "result.json"
+        argv = ["estimate", str(dataset_path), "--estimator", estimator, "--lam", "5"]
+        assert run(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_missing_dataset_exits_one(self, tmp_path):
         code = run(
             ["estimate", str(tmp_path / "nope.csv"), "--estimator", "ipw"]

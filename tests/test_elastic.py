@@ -67,6 +67,7 @@ class TestSrsfTransform:
             lambda t: t**3 - 1.5 * t**2 + 0.25 * t,
             lambda t: 0.8 * np.sin(3 * np.pi * t),
         ],
+        ids=["sine", "cubic", "scaled-sine"],
     )
     def test_round_trip(self, f):
         grid = Grid.uniform(256)

@@ -260,11 +260,38 @@ class TestIterativeEstimate:
         res = iterative_srvf_estimate(ds, IterativeConfig(lam=1e-3))
         assert np.mean(np.abs(res.effect.delta.values - 1.0)) <= 0.2
 
-    def test_without_covariate_curves_single_pass(self):
+    @staticmethod
+    def record_karcher(monkeypatch):
+        results = []
+        karcher = elastic.karcher_mean
+
+        def recording(*args, **kwargs):
+            results.append(karcher(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(elastic, "karcher_mean", recording)
+        return results
+
+    def test_without_covariate_curves_single_pass(self, monkeypatch):
         ds = make_ds(n=14, t=8, seed=8)
+        means = self.record_karcher(monkeypatch)
         res = iterative_srvf_estimate(ds)
-        assert res.converged
+        # the outcome mean is the only chain, and its flag is reported
+        assert len(means) == 1
+        assert res.converged == means[0].converged
         assert res.trace == []
+
+    @pytest.mark.parametrize("data", ["binary", "curve-covariates"])
+    def test_one_sweep_budget_reports_unconverged(self, monkeypatch, data):
+        if data == "binary":
+            ds, _ = generate(ScenarioConfig(n=40, t=30))
+        else:
+            ds = self.curve_covariate_ds()
+        means = self.record_karcher(monkeypatch)
+        res = iterative_srvf_estimate(ds, IterativeConfig(r_max=1, karcher_max_iter=1))
+        assert len(means) == (1 if data == "binary" else 2)
+        assert not any(m.converged for m in means)
+        assert res.converged is False
 
     def test_deterministic(self):
         ds = self.curve_covariate_ds(seed=2)
@@ -305,6 +332,42 @@ class TestIterativeEstimate:
         # karcher_max_iter + r_max - 1 sweeps of 20 curves
         assert 0 < sum(aligns) <= 2 * 20 * (2 + 3 - 1)
         assert len(fits) == 1
+
+
+class TestDispatch:
+    NON_KERNEL = ("ipw", "dr", "frechet-euclid", "frechet-fr")
+
+    def test_names_in_order(self):
+        assert estimators.ESTIMATOR_NAMES == (
+            "ipw", "dr", "frechet-euclid", "frechet-fr",
+            "kernel", "operator-kernel", "srvf-operator-kernel", "iterative-srvf",
+        )
+
+    @pytest.mark.parametrize(
+        "scenario", [Scenario.BINARY_NONMONOTONIC, Scenario.CONTINUOUS_FUNCTIONAL]
+    )
+    def test_iterative_srvf_runs_the_kernel_path_on_registered_curves(self, scenario):
+        ds, _ = generate(ScenarioConfig(n=30, t=20, scenario=scenario))
+        res = iterative_srvf_estimate(ds)
+        plain = estimators.run_estimator(ds, "iterative-srvf")
+        assert np.array_equal(plain.delta.values, res.effect.delta.values)
+        for seed in (0, 1):
+            searched = estimators.run_estimator(ds, "iterative-srvf", search=True, seed=seed)
+            parity = estimators.run_estimator(res.registered, "kernel", search=True, seed=seed)
+            assert np.array_equal(searched.delta.values, parity.delta.values)
+
+    @pytest.mark.parametrize("name", NON_KERNEL)
+    def test_non_kernel_estimators_reject_lam(self, name):
+        ds, _ = generate(ScenarioConfig(n=30, t=12))
+        with pytest.raises(ValueError, match=f"{name} takes no ridge penalty"):
+            estimators.run_estimator(ds, name, lam=0.1)
+
+    @pytest.mark.parametrize("name", NON_KERNEL)
+    def test_non_kernel_estimators_ignore_search_and_seed(self, name):
+        ds, _ = generate(ScenarioConfig(n=30, t=12))
+        plain = estimators.run_estimator(ds, name)
+        searched = estimators.run_estimator(ds, name, search=True, seed=3)
+        assert np.array_equal(plain.delta.values, searched.delta.values)
 
 
 class TestInputGramSymmetry:

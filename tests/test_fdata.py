@@ -223,7 +223,11 @@ class TestDataset:
             {"covariate_grid": None},
             {"covariate_grid": Grid.uniform(11)},
         ],
-        ids=lambda change: "-".join(change),
+        ids=[
+            "ids-short", "treatments-2d", "treatments-short", "covariate_matrix-1d",
+            "covariate_matrix-short", "outcome_matrix-long", "covariate_curve_matrix-long",
+            "covariate_grid-none", "covariate_grid-mismatch",
+        ],
     )
     def test_wrong_shape_rejected(self, change):
         ds = make_dataset(n=4, t=10, with_vcurves=True)

@@ -234,15 +234,15 @@ class TestCrossGram:
 
 
 class TestOutputGram:
-    def test_default_lengthscale_median_heuristic(self):
-        grid = Grid.uniform(16)
-        g = output_gram(grid)
-        np.testing.assert_array_equal(
-            g.entries, output_gram(grid, median_heuristic(grid.points)).entries
-        )
+    @pytest.mark.parametrize("t", [16, 32, 100])
+    def test_default_lengthscale_median_heuristic(self, t):
+        grid = Grid.uniform(t)
+        spec = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, median_heuristic(grid.points))
+        expected = GramMatrix(cross_gram(spec, grid.points, grid.points))
+        assert np.array_equal(output_gram(grid).entries, expected.entries)
 
     def test_psd_and_unit_diagonal(self):
-        g = output_gram(Grid.uniform(32), lengthscale=0.2)
+        g = output_gram(Grid.uniform(32))
         assert is_psd(g)
         assert np.allclose(np.diag(g.entries), 1.0)
 
