@@ -22,7 +22,7 @@ from . import estimators, plots, simgen
 from .errors import FuncauseError
 from .estimators import ESTIMATOR_NAMES, run_estimator
 from .fdata import load_dataset, save_dataset
-from .inference import effect_ci
+from .inference import check_ci_arms, effect_ci
 
 SCHEMA_VERSION = 1
 
@@ -80,6 +80,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     ds = load_dataset(args.dataset)
+    if args.ci:
+        check_ci_arms(ds)  # reject data the interval cannot serve before fitting
     effect = run_estimator(ds, args.estimator, lam=args.lam, search=args.search, seed=args.seed)
     result = {
         "schema_version": SCHEMA_VERSION,
@@ -115,8 +117,10 @@ def cmd_register(args) -> int:
     if do_cov and ds.covariate_grid is None:
         raise ValueError("dataset has no covariate curves to register")
 
-    # plain elastic registration without the estimator-side smoothing split;
-    # not a fixed point: on noisy curves a second run moves them again
+    # plain elastic registration without the estimator-side smoothing split.
+    # Not a fixed point: a second run moves the curves again, noise-free
+    # ones too, and so does re-aligning registered curves to one fixed
+    # template; the cause is not yet known
     current = ds
     if do_cov:
         current, _ = estimators.register_covariate_curves(current)

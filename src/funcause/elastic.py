@@ -301,7 +301,9 @@ def _align_rows(q1: np.ndarray, Q: np.ndarray, grid: Grid, stack: np.ndarray, pe
     pre_sq = np.array([p**2 for p in pre.tolist()])
     # fall back to the identity whenever the penalized path cost does not
     # beat the identity path (whose cost is exactly pre^2 under the same
-    # quadrature); this keeps repeated registration at a fixed point
+    # quadrature), so a curve that no warp improves keeps the identity.
+    # Repeated registration is still no fixed point: re-aligning warped
+    # curves to the same template moves most of them again
     keep = ((post > pre) | (totals >= pre_sq - 1e-15))[:, None]
     return (
         np.where(keep, grid.points, gamma),

@@ -2,7 +2,11 @@
 
 Fits the Kronecker-structured system (K_XV (x) K_Y + lambda I) alpha =
 vec(Y) through the paired eigendecompositions of the two factors, so the
-nT x nT matrix is never materialized.  Builds potential-outcome curves,
+nT x nT matrix is never materialized.  Under the indicator treatment
+kernel the input Gram is zero across treatment levels, so every fit and
+holdout score solves one such system per level (``_levels``) on that
+level's block, and a binary treatment's fit decomposes two arm-sized
+blocks instead of one n x n Gram.  Builds potential-outcome curves,
 dynamic effects, dose-response curves, outcome pre-registration, the
 registered-curve estimator (covariate and outcome curves registered once
 to their Karcher means, then one fit) and the holdout hyperparameter
@@ -140,15 +144,31 @@ def _default_kernels(ds: Dataset):
     return inputs, setup
 
 
+def _levels(kx: KernelSpec, x: np.ndarray) -> list:
+    """The groups of units that the input Gram couples.
+
+    The indicator kernel is zero between units at different treatment
+    levels, so its Gram is block-diagonal and the ridge system splits into
+    one independent system per level (as index arrays, in level order).
+    Any other treatment kernel couples every unit: one group,
+    ``slice(None)``, which slices every block as a view.
+    """
+    if kx.family is KernelFamily.BINARY_INDICATOR:
+        return [np.flatnonzero(x == level) for level in np.unique(x)]
+    return [slice(None)]
+
+
 def _ridge_path(k_in: np.ndarray, y: np.ndarray, k_y: Optional[GramMatrix]):
-    """Return lam -> alpha solving (K_in (x) K_Y + lam I) vec(alpha) = vec(Y).
+    """Return lam -> alpha solving (K_in (x) K_Y + lam I) vec(alpha) = vec(Y)
+    for one block of the input Gram (one group of ``_levels``).
 
     Eigendecomposes K_in once and rescales in the joint eigenbasis for each
     lambda; K_Y's decomposition is the one its ``GramMatrix`` keeps, so a
     search and the final fit decompose the output Gram once.  With identity
-    K_Y (None) this reduces to a single n x n solve applied to every output
+    K_Y (None) this reduces to a single solve applied to every output
     column.  ``eigh`` reads one triangle of ``k_in``; every input-Gram
-    product is exactly symmetric, as its distances are.
+    product is exactly symmetric, as its distances are.  An empty block
+    gives an empty alpha.
     """
     d1, u1 = np.linalg.eigh(k_in)
     if k_y is None:
@@ -185,16 +205,22 @@ def krr_fit(
     k_y: Optional[GramMatrix] = None,
     lam: float = DEFAULT_LAM,
 ) -> KrrModel:
-    """Solve (K_XV (x) K_Y + lambda I) vec(alpha) = vec(Y)."""
+    """Solve (K_XV (x) K_Y + lambda I) vec(alpha) = vec(Y), one treatment
+    level at a time under the indicator kernel (see ``_levels``)."""
     return _fit(ds, _inputs(ds, kv), kx, kv, k_y, lam)
 
 
 def _fit(ds, inputs, kx, kv, k_y, lam) -> KrrModel:
-    """``krr_fit`` on the kernel inputs ``_inputs(ds, kv)``."""
+    """``krr_fit`` on the kernel inputs ``_inputs(ds, kv)``: one ridge solve
+    per group of ``_levels``, each writing its units' rows of ``alpha``."""
     xin, vin = inputs
     kv_gram = vin.gram(kv)
+    y = ds.outcome_matrix
+    alpha = np.empty_like(y)
+    for g in _levels(kx, ds.treatments):
+        alpha[g] = _ridge_path(xin.gram(kx, g, g) * kv_gram[g][:, g], y[g], k_y)(lam)
     return KrrModel(
-        alpha=_ridge_path(xin.gram(kx) * kv_gram, ds.outcome_matrix, k_y)(lam),
+        alpha=alpha,
         lam=lam,
         kx=kx,
         kv=kv,
@@ -359,21 +385,28 @@ def _holdout_errors(
 ) -> list:
     """Squared prediction error on the holdout ``split`` for every lambda.
 
-    Fits on the training units from one eigendecomposition of their Gram
-    and scores each held-out unit at its own treatment and covariates;
-    both Gram blocks are sliced from the kernel inputs ``inputs``
+    Fits each group of ``_levels`` on its training units from one
+    eigendecomposition of their Gram block, and scores each held-out unit
+    at its own treatment and covariates against its group's training
+    units; a unit whose group has no training unit is predicted as zero.
+    Every Gram block is sliced from the kernel inputs ``inputs``
     (``_inputs(ds, kv)``).
     """
     xin, vin = inputs
     train, test = split
     ky_mat = None if k_y is None else k_y.entries
-    k_train = xin.gram(kx, train, train) * vin.gram(kv, train, train)
-    solve = _ridge_path(k_train, ds.outcome_matrix[train], k_y)
-    rows = xin.gram(kx, test, train) * vin.gram(kv, test, train)
-    y_test = ds.outcome_matrix[test]
-    return [
-        float(np.sum((_outputs(rows, solve(lam), ky_mat) - y_test) ** 2)) for lam in lam_grid
-    ]
+    y = ds.outcome_matrix
+    preds = np.zeros((len(lam_grid), len(test), y.shape[1]))
+    for g in _levels(kx, ds.treatments):
+        member = np.zeros(len(ds), dtype=bool)
+        member[g] = True
+        tr, held = train[member[train]], member[test]
+        te = test[held]
+        solve = _ridge_path(xin.gram(kx, tr, tr) * vin.gram(kv, tr, tr), y[tr], k_y)
+        rows = xin.gram(kx, te, tr) * vin.gram(kv, te, tr)
+        preds[:, held] = [_outputs(rows, solve(lam), ky_mat) for lam in lam_grid]
+    y_test = y[test]
+    return [float(np.sum((p - y_test) ** 2)) for p in preds]
 
 
 def holdout_error(

@@ -28,6 +28,7 @@ __all__ = [
     "Regime",
     "EffectCI",
     "TTestResult",
+    "check_ci_arms",
     "effect_ci",
     "pointwise_ci",
     "welch_t_test",
@@ -66,14 +67,22 @@ class TTestResult:
     dof: float
 
 
-def _covariance_kernel(ds: Dataset) -> np.ndarray:
-    """K-hat = n (S1 / n1 + S0 / n0) from the per-arm sample covariances."""
+def check_ci_arms(ds: Dataset):
+    """Raise unless ``ds`` has the data ``effect_ci`` needs: binary
+    treatments, and at least 2 units in each arm.  Returns the (treated,
+    control) unit indices."""
     if not ds.is_binary():
         raise ValueError("covariance kernel needs binary treatments")
-    y = ds.outcome_matrix
     i1, i0 = ds.arm_indices(1.0), ds.arm_indices(0.0)
     if i1.size < 2 or i0.size < 2:
         raise ArmEmptyError("each arm needs at least 2 samples for a covariance")
+    return i1, i0
+
+
+def _covariance_kernel(ds: Dataset) -> np.ndarray:
+    """K-hat = n (S1 / n1 + S0 / n0) from the per-arm sample covariances."""
+    i1, i0 = check_ci_arms(ds)
+    y = ds.outcome_matrix
     n = len(ds)
     s1 = np.cov(y[i1], rowvar=False)
     s0 = np.cov(y[i0], rowvar=False)

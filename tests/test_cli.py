@@ -6,7 +6,7 @@ import typing
 import numpy as np
 import pytest
 
-from funcause import cli, load_dataset
+from funcause import cli, elastic, load_dataset
 from funcause.cli import ESTIMATOR_NAMES, main, run_estimator
 from funcause import ScenarioConfig, Scenario, effect_error, generate
 
@@ -89,6 +89,22 @@ class TestEstimate:
         argv = ["estimate", str(dataset_path), "--estimator", estimator, "--lam", "5"]
         assert run(argv + ["--output", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_ci_on_continuous_treatments_fails_before_fitting(self, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "cont.csv"
+        argv = ["simulate", "--scenario", "continuous_functional", "--n", "20", "--t", "12"]
+        assert run(argv + ["--output", str(data)]) == 0
+        calls = []
+        align_rows = elastic._align_rows
+        monkeypatch.setattr(
+            elastic, "_align_rows", lambda *a, **k: calls.append(1) or align_rows(*a, **k)
+        )
+        out = tmp_path / "result.json"
+        argv = ["estimate", str(data), "--estimator", "iterative-srvf", "--ci"]
+        assert run(argv + ["--output", str(out)]) == 1
+        assert capsys.readouterr().err == "error: covariance kernel needs binary treatments\n"
+        assert calls == []
         assert not out.exists()
 
     def test_missing_dataset_exits_one(self, tmp_path):

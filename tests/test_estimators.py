@@ -1,6 +1,7 @@
 """Tests for kernel ridge regression estimators and the registration loop."""
 import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,6 +63,20 @@ def dense_solve(ds, kx, kv, k_y, lam):
     return vec.reshape(n, t)
 
 
+# treatments and treatment kernel of each solve the dense oracle checks: two
+# arms, three levels and a one-unit level (one ridge block per level), and a
+# continuous treatment (one block of every unit)
+TREATMENTS = {
+    "two-arms": (alternating, BIN_KX),
+    "three-levels": (lambda n: (np.arange(n) % 3).astype(float), BIN_KX),
+    "one-unit-level": (lambda n: np.where(np.arange(n) == 1, 2.0, alternating(n)), BIN_KX),
+    "continuous": (
+        lambda n: np.linspace(-1.0, 1.0, n) ** 3,
+        KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, 0.5),
+    ),
+}
+
+
 class TestKroneckerSolve:
     @pytest.mark.parametrize("with_ky", [False, True])
     def test_matches_dense_oracle(self, with_ky):
@@ -69,13 +84,15 @@ class TestKroneckerSolve:
         for trial in range(20):
             n = int(rng.integers(4, 9))
             t = int(rng.integers(3, max(4, 64 // n) + 1))
-            ds = make_ds(n=n, t=t, seed=trial, noise=1.0)
-            k_y = output_gram(ds.outcome_grid) if with_ky else None
+            base = make_ds(n=n, t=t, seed=trial, noise=1.0)
+            k_y = output_gram(base.outcome_grid) if with_ky else None
             lam = 10.0 ** rng.uniform(-3, 0)
-            model = krr_fit(ds, BIN_KX, SE_KV, k_y=k_y, lam=lam)
-            dense_alpha = dense_solve(ds, BIN_KX, SE_KV, k_y, lam)
-            scale = max(1.0, np.max(np.abs(dense_alpha)))
-            assert np.max(np.abs(model.alpha - dense_alpha)) / scale <= 1e-8
+            for case, (treatments, kx) in TREATMENTS.items():
+                ds = replace(base, treatments=treatments(n))
+                model = krr_fit(ds, kx, SE_KV, k_y=k_y, lam=lam)
+                dense_alpha = dense_solve(ds, kx, SE_KV, k_y, lam)
+                scale = max(1.0, np.max(np.abs(dense_alpha)))
+                assert np.max(np.abs(model.alpha - dense_alpha)) / scale <= 1e-8, case
 
     def test_interpolates_at_tiny_lambda(self):
         ds = make_ds(n=5, t=4, seed=1, noise=1.0)
@@ -236,6 +253,29 @@ class TestHyperparameterSelection:
         err = holdout_error(ds, BIN_KX, SE_KV, lam=1e-2)
         assert np.isfinite(err)
 
+    @pytest.mark.parametrize("with_ky", [False, True])
+    def test_held_out_level_without_training_units(self, with_ky):
+        base = make_ds(n=15, t=6, seed=3, noise=1.0)
+        train, test = estimators._holdout_split(base, 0)
+        # a third treatment level held by one held-out unit only
+        x = base.treatments.copy()
+        x[test[0]] = 2.0
+        ds = replace(base, treatments=x)
+        k_y = output_gram(ds.outcome_grid) if with_ky else None
+        lam = 0.05
+        # the full-Gram formula: fit on the training units' whole Gram and
+        # predict each held-out unit from its kernel row against them
+        fit = ds.take(train)
+        alpha = dense_solve(fit, BIN_KX, SE_KV, k_y, lam)
+        rows = kernels.cross_gram(BIN_KX, x[test], x[train]) * kernels.cross_gram(
+            SE_KV, ds.covariate_matrix[test], ds.covariate_matrix[train]
+        )
+        pred = rows @ alpha if k_y is None else rows @ alpha @ k_y.entries
+        assert np.all(pred[0] == 0.0)
+        expected = np.sum((pred - ds.outcome_matrix[test]) ** 2)
+        err = holdout_error(ds, BIN_KX, SE_KV, k_y=k_y, lam=lam, seed=0)
+        assert err == pytest.approx(expected, rel=1e-10, abs=0)
+
 
 class TestIterativeEstimate:
     def curve_covariate_ds(self, n=16, t=24, seed=0):
@@ -393,16 +433,36 @@ class TestInputGramSymmetry:
             return ridge_path(k_in, *args)
 
         monkeypatch.setattr(estimators, "_ridge_path", recording)
+        eigh_sizes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda a: eigh_sizes.append(len(a)) or eigh(a)
+        )
         estimators.run_estimator(ds, "operator-kernel", search=True)
-        # one train x train block per bandwidth scale, then the full fit
-        assert [k.shape for k in grams] == [(48, 48)] * 3 + [(60, 60)]
+        train, _ = estimators._holdout_split(ds, 0)
+        if ds.is_binary():
+            # one train x train block per arm per bandwidth scale, then one
+            # block per arm for the final fit; no eigh, the T x T output
+            # Gram's included, is larger than the largest arm
+            x = ds.treatments
+            arms = [int(np.sum(x == arm)) for arm in (0.0, 1.0)]
+            blocks = [int(np.sum(x[train] == arm)) for arm in (0.0, 1.0)] * 3 + arms
+            assert max(eigh_sizes) <= max(arms)
+        else:
+            # one train x train block per bandwidth scale, then the full fit
+            blocks = [len(train)] * 3 + [len(ds)]
+        assert [k.shape for k in grams] == [(m, m) for m in blocks]
         assert all(np.array_equal(k, k.T) for k in grams)
 
 
 class TestHyperparameterSearch:
     def test_one_training_eigh_per_bandwidth_scale(self, monkeypatch):
+        # binary data: one eigh per training arm per scale, and the output
+        # Gram's
         ds, _ = generate(ScenarioConfig(n=24, t=16))
-        n_train = 24 - round(0.2 * 24)
+        assert ds.is_binary()
+        train, _ = estimators._holdout_split(ds, 0)
+        train_arms = [int(np.sum(ds.treatments[train] == arm)) for arm in (0.0, 1.0)]
         shapes = []
         eigh = np.linalg.eigh
 
@@ -412,7 +472,7 @@ class TestHyperparameterSearch:
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         select_hyperparameters(ds, k_y=output_gram(ds.outcome_grid))
-        assert shapes.count((n_train, n_train)) == 3
+        assert sorted(shapes) == sorted([(m, m) for m in train_arms] * 3 + [(16, 16)])
 
     def test_one_output_eigh_per_run(self, monkeypatch):
         # 3 holdout fits and the final fit share the output Gram's eigh
