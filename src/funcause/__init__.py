@@ -66,10 +66,12 @@ from .kernels import (
 from .estimators import (
     ESTIMATOR_NAMES,
     DoseResponseCurve,
+    Estimate,
     IterativeConfig,
     IterativeResult,
     KrrModel,
     dose_response,
+    estimate,
     iterative_srvf_estimate,
     kernel_dynamic_effect,
     kernel_setup,

@@ -1,9 +1,10 @@
 """Command-line front end: simulate, estimate, benchmark, register.
 
-Parses arguments and does the file I/O; every estimator runs through
-``funcause.estimators.run_estimator``.  Exit codes: 0 success, 1 runtime
-error, 2 usage error.  Every command is deterministic given its config and
-seed, except the wall times in ``benchmark``'s ``timings.csv``.
+Parses arguments and does the file I/O; ``estimators.estimate`` (effect
+and interval) or ``run_estimator`` runs every estimator and checks its
+arguments first.  Exit codes: 0 success, 1 runtime error, 2 usage error.
+Every command is deterministic given its config and seed, except the wall
+times in ``benchmark``'s ``timings.csv``.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from . import estimators, plots, simgen
 from .errors import FuncauseError
 from .estimators import ESTIMATOR_NAMES, run_estimator
 from .fdata import load_dataset, save_dataset
-from .inference import check_ci_arms, effect_ci
 
 SCHEMA_VERSION = 1
 
@@ -80,9 +80,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_estimate(args) -> int:
     ds = load_dataset(args.dataset)
-    if args.ci:
-        check_ci_arms(ds)  # reject data the interval cannot serve before fitting
-    effect = run_estimator(ds, args.estimator, lam=args.lam, search=args.search, seed=args.seed)
+    level = args.level if args.ci else None
+    effect, ci = estimators.estimate(ds, args.estimator, args.lam, args.search, args.seed, level)
     result = {
         "schema_version": SCHEMA_VERSION,
         "estimator": args.estimator,
@@ -91,8 +90,7 @@ def cmd_estimate(args) -> int:
         "n": len(ds),
         "t": len(ds.outcome_grid),
     }
-    if args.ci:
-        ci = effect_ci(ds, effect.delta, level=args.level)
+    if ci is not None:
         result["ci"] = {
             "estimate": ci.estimate,
             "lower": ci.lower,

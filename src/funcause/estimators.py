@@ -11,19 +11,21 @@ dynamic effects, dose-response curves, outcome pre-registration, the
 registered-curve estimator (covariate and outcome curves registered once
 to their Karcher means, then one fit) and the holdout hyperparameter
 search.  ``run_estimator`` runs every named estimator: classical, Fréchet
-(``_FRECHET``) or kernel (``_KERNEL``, fitted by ``_kernel_model``).  It
-reads a dataset's arrays and derives new datasets with
-``dataclasses.replace`` (registered curves) and ``Dataset.take`` (the
-holdout's training units).  Each fit or search, and each estimator run
-that searches and then fits, builds the dataset's kernel inputs once
-(``kernels._Input``: the covariate rows and each input's pairwise
-distances) and slices every Gram block and median heuristic from them.
+(``_FRECHET``) or kernel (``_KERNEL``, fitted by ``_kernel_model``);
+``estimate`` also attaches its interval.  Each argument is checked where
+it enters, before any registration or fit (λ by ``_check_lam``).  It reads
+a dataset's arrays and derives new datasets with ``dataclasses.replace``
+(registered curves) and ``Dataset.take`` (the holdout's training units).
+Each fit or search, and each estimator run that searches and then fits,
+builds the dataset's kernel inputs once (``kernels._Input``: the covariate
+rows and each input's pairwise distances) and slices every Gram block and
+median heuristic from them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,6 +33,7 @@ from . import classical, elastic, frechet
 from .errors import NumericalError
 from .fdata import Curve, Dataset, Grid, grid_norm
 from .frechet import DynamicEffect, Metric, effect_from_means
+from .inference import EffectCI, check_ci, effect_ci
 from .kernels import (
     GramMatrix,
     KernelFamily,
@@ -43,6 +46,7 @@ from .kernels import (
 
 __all__ = [
     "ESTIMATOR_NAMES",
+    "Estimate",
     "KrrModel",
     "DoseResponseCurve",
     "IterativeConfig",
@@ -57,6 +61,7 @@ __all__ = [
     "select_hyperparameters",
     "iterative_srvf_estimate",
     "run_estimator",
+    "estimate",
 ]
 
 # Fréchet estimators by the metric of their means; kernel estimators by
@@ -79,6 +84,12 @@ _SCALE_GRID = (0.5, 1.0, 2.0)
 HOLDOUT = 0.2
 
 
+def _check_lam(lam: float) -> None:
+    """The ridge penalty's one rule, checked where a penalty enters."""
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be positive and finite")
+
+
 @dataclass
 class KrrModel:
     """Fitted curve-valued kernel ridge regression."""
@@ -94,8 +105,6 @@ class KrrModel:
     covariate_mean_row: np.ndarray  # column means of the training covariate Gram
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
         if not np.all(np.isfinite(self.alpha)):
             raise NumericalError("non-finite KRR coefficients")
 
@@ -180,8 +189,6 @@ def _ridge_path(k_in: np.ndarray, y: np.ndarray, k_y: Optional[GramMatrix]):
         denom = d1[:, None] * d2[None, :]
 
     def solve(lam: float) -> np.ndarray:
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
         alpha = u1 @ (ytil / (denom + lam))
         if k_y is not None:
             alpha = alpha @ u2.T
@@ -207,6 +214,7 @@ def krr_fit(
 ) -> KrrModel:
     """Solve (K_XV (x) K_Y + lambda I) vec(alpha) = vec(Y), one treatment
     level at a time under the indicator kernel (see ``_levels``)."""
+    _check_lam(lam)
     return _fit(ds, _inputs(ds, kv), kx, kv, k_y, lam)
 
 
@@ -419,6 +427,7 @@ def holdout_error(
 ) -> float:
     """Squared prediction error on a random 20% holdout; inf when the split
     degenerates."""
+    _check_lam(lam)
     split = _holdout_split(ds, seed)
     if split is None:
         return math.inf
@@ -467,6 +476,7 @@ class IterativeConfig:
     karcher_max_iter: int = 5
 
     def __post_init__(self):
+        _check_lam(self.lam)
         if self.r_max < 1 or self.karcher_max_iter < 1:
             raise ValueError("r_max and karcher_max_iter must be at least 1")
 
@@ -539,17 +549,22 @@ def run_estimator(
     """Run one named estimator and return its dynamic effect.
 
     ``lam`` (ridge penalty), ``search`` and its split's ``seed`` tune the
-    kernel estimators; the others reject ``lam`` and ignore the rest.
+    kernel estimators; the others reject ``lam`` and ignore the rest.  The
+    name, ``lam`` and ``seed`` are checked before any work.
     """
     if name not in ESTIMATOR_NAMES:
         raise ValueError(f"unknown estimator: {name}")
+    if lam is not None:
+        if name not in _KERNEL:
+            raise ValueError(f"{name} takes no ridge penalty")
+        _check_lam(lam)
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if name in _KERNEL:
         register, operator = _KERNEL[name]
         work_ds = ds if register is None else register(ds)
         k_y = output_gram(work_ds.outcome_grid) if operator else None
         return kernel_dynamic_effect(_kernel_model(work_ds, k_y, lam, search, seed))
-    if lam is not None:
-        raise ValueError(f"{name} takes no ridge penalty")
     if name in _FRECHET:
         f1, f0 = frechet.group_potential_outcomes(ds, _FRECHET[name])
         return effect_from_means(f1.mean, f0.mean, Metric.EUCLIDEAN)
@@ -557,3 +572,22 @@ def run_estimator(
     if name == "ipw":
         return classical.ipw_effect(ds, pm)
     return classical.dr_effect(ds, pm, classical.fit_outcome_models(ds))
+
+
+class Estimate(NamedTuple):
+    """One run's effect and its confidence interval (None without a level)."""
+
+    effect: DynamicEffect
+    ci: Optional[EffectCI]
+
+
+def estimate(
+    ds: Dataset, name: str, lam: Optional[float] = None, search: bool = False, seed: int = 0,
+    level: Optional[float] = None,
+) -> Estimate:
+    """``run_estimator``, with ``effect_ci``'s interval at a given ``level``;
+    ``check_ci`` runs first, so every argument is checked before any work."""
+    if level is not None:
+        check_ci(ds, level)
+    effect = run_estimator(ds, name, lam=lam, search=search, seed=seed)
+    return Estimate(effect, None if level is None else effect_ci(ds, effect.delta, level=level))

@@ -28,7 +28,7 @@ __all__ = [
     "Regime",
     "EffectCI",
     "TTestResult",
-    "check_ci_arms",
+    "check_ci",
     "effect_ci",
     "pointwise_ci",
     "welch_t_test",
@@ -67,26 +67,18 @@ class TTestResult:
     dof: float
 
 
-def check_ci_arms(ds: Dataset):
-    """Raise unless ``ds`` has the data ``effect_ci`` needs: binary
-    treatments, and at least 2 units in each arm.  Returns the (treated,
-    control) unit indices."""
+def check_ci(ds: Dataset, level: float):
+    """Raise unless ``effect_ci`` can serve ``ds`` at ``level``: binary
+    treatments, at least 2 units in each arm, and 0 < level < 1.  Returns
+    the (treated, control) unit indices."""
+    if not 0 < level < 1:
+        raise ValueError("level must be in (0, 1)")
     if not ds.is_binary():
         raise ValueError("covariance kernel needs binary treatments")
     i1, i0 = ds.arm_indices(1.0), ds.arm_indices(0.0)
     if i1.size < 2 or i0.size < 2:
         raise ArmEmptyError("each arm needs at least 2 samples for a covariance")
     return i1, i0
-
-
-def _covariance_kernel(ds: Dataset) -> np.ndarray:
-    """K-hat = n (S1 / n1 + S0 / n0) from the per-arm sample covariances."""
-    i1, i0 = check_ci_arms(ds)
-    y = ds.outcome_matrix
-    n = len(ds)
-    s1 = np.cov(y[i1], rowvar=False)
-    s0 = np.cov(y[i0], rowvar=False)
-    return n * (s1 / i1.size + s0 / i0.size)
 
 
 def _norm_quantile(p: float) -> float:
@@ -138,12 +130,12 @@ def effect_ci(ds: Dataset, delta_hat: Curve, level: float = 0.95) -> EffectCI:
     (floored at ``EIGENVALUE_FLOOR``).  ``delta_hat`` must lie on the
     dataset's outcome grid.  Deterministic: nothing is drawn at random.
     """
-    if not 0 < level < 1:
-        raise ValueError("level must be in (0, 1)")
+    i1, i0 = check_ci(ds, level)
     if delta_hat.grid != ds.outcome_grid:
         raise ValueError("delta_hat must lie on the dataset's outcome grid")
-    k_hat = _covariance_kernel(ds)
-    n = len(ds)
+    n, y = len(ds), ds.outcome_matrix
+    # K-hat = n (S1 / n1 + S0 / n0) from the per-arm sample covariances
+    k_hat = n * (np.cov(y[i1], rowvar=False) / i1.size + np.cov(y[i0], rowvar=False) / i0.size)
     d = np.asarray(delta_hat.values, dtype=float)
     norm = float(np.linalg.norm(d))
     threshold = 2.0 * math.sqrt(max(np.trace(k_hat), 0.0)) / math.sqrt(n)

@@ -72,6 +72,8 @@ class ScenarioConfig:
             raise ValueError("shift must be in [0, 0.2]")
         if self.n_covariates < 0:
             raise ValueError("n_covariates must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass
@@ -113,6 +115,8 @@ def generate(cfg: ScenarioConfig, replicate: int = 0) -> Tuple[Dataset, GroundTr
     Reruns with the same ``(cfg.seed, replicate)`` reproduce the dataset
     bit for bit.
     """
+    if replicate < 0:
+        raise ValueError("replicate must be nonnegative")
     rng = np.random.default_rng([cfg.seed, replicate])
     grid = Grid.uniform(cfg.t)
     tvals = grid.points

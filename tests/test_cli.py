@@ -1,12 +1,14 @@
 """End-to-end tests for the command-line interface."""
+import ast
 import csv
 import json
+import pathlib
 import typing
 
 import numpy as np
 import pytest
 
-from funcause import cli, elastic, load_dataset
+from funcause import cli, elastic, estimators, load_dataset
 from funcause.cli import ESTIMATOR_NAMES, main, run_estimator
 from funcause import ScenarioConfig, Scenario, effect_error, generate
 
@@ -44,6 +46,13 @@ class TestSimulate:
         for p in (p1, p2):
             assert run(["simulate", "--n", "10", "--t", "8", "--seed", "5", "--output", str(p)]) == 0
         assert p1.read_text() == p2.read_text()
+
+    @pytest.mark.parametrize("flag", ["seed", "replicate"])
+    def test_negative_seed_or_replicate_writes_nothing(self, tmp_path, capsys, flag):
+        data = tmp_path / "data.csv"
+        assert run(["simulate", "--n", "10", f"--{flag}=-1", "--output", str(data)]) == 1
+        assert capsys.readouterr().err == f"error: {flag} must be nonnegative\n"
+        assert not data.exists()
 
 
 class TestEstimate:
@@ -91,19 +100,50 @@ class TestEstimate:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
-    def test_ci_on_continuous_treatments_fails_before_fitting(self, tmp_path, capsys, monkeypatch):
-        data = tmp_path / "cont.csv"
-        argv = ["simulate", "--scenario", "continuous_functional", "--n", "20", "--t", "12"]
+    @pytest.mark.parametrize(
+        "scenario,flags,message",
+        [
+            pytest.param(
+                "continuous_functional", ["--estimator", "iterative-srvf", "--ci"],
+                "covariance kernel needs binary treatments", id="ci-continuous",
+            ),
+            *[
+                pytest.param(
+                    "binary_nonmonotonic", ["--estimator", "srvf-operator-kernel", f"--lam={lam}"],
+                    "lambda must be positive and finite", id=f"lam={lam}",
+                )
+                for lam in ("0", "-1", "nan", "inf")
+            ],
+            *[
+                pytest.param(
+                    "binary_nonmonotonic",
+                    ["--estimator", "srvf-operator-kernel", "--ci", f"--level={level}"],
+                    "level must be in (0, 1)", id=f"level={level}",
+                )
+                for level in ("0", "1.5", "nan")
+            ],
+            pytest.param(
+                "binary_nonmonotonic",
+                ["--estimator", "srvf-operator-kernel", "--search", "--seed=-1"],
+                "seed must be nonnegative", id="seed=-1",
+            ),
+        ],
+    )
+    def test_bad_argument_fails_before_fitting(
+        self, tmp_path, capsys, monkeypatch, scenario, flags, message
+    ):
+        data = tmp_path / "data.csv"
+        argv = ["simulate", "--scenario", scenario, "--n", "20", "--t", "12"]
         assert run(argv + ["--output", str(data)]) == 0
         calls = []
-        align_rows = elastic._align_rows
-        monkeypatch.setattr(
-            elastic, "_align_rows", lambda *a, **k: calls.append(1) or align_rows(*a, **k)
-        )
+        for module, name in ((elastic, "_align_rows"), (estimators, "_fit")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, fn=fn, name=name, **k: calls.append(name) or fn(*a, **k)
+            )
         out = tmp_path / "result.json"
-        argv = ["estimate", str(data), "--estimator", "iterative-srvf", "--ci"]
-        assert run(argv + ["--output", str(out)]) == 1
-        assert capsys.readouterr().err == "error: covariance kernel needs binary treatments\n"
+        assert run(["estimate", str(data), *flags, "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert calls == []
         assert not out.exists()
 
@@ -124,35 +164,30 @@ class TestEstimate:
         assert err.value.code == 2
 
 
+def _register_twice(tmp_path, *simulate_flags):
+    """The outcome matrices after one and after two noise-free ``register``
+    runs on a simulated dataset."""
+    data, once, twice = tmp_path / "data.csv", tmp_path / "reg1.csv", tmp_path / "reg2.csv"
+    argv = ["simulate", "--noise", "0.0", "--confounding", "0.0", *simulate_flags]
+    assert run(argv + ["--output", str(data)]) == 0
+    assert run(["register", str(data), "--target", "outcomes", "--output", str(once)]) == 0
+    assert run(["register", str(once), "--target", "outcomes", "--output", str(twice)]) == 0
+    return load_dataset(once).outcome_matrix, load_dataset(twice).outcome_matrix
+
+
 class TestRegister:
     def test_idempotent_on_second_run(self, tmp_path):
-        data = tmp_path / "data.csv"
-        assert (
-            run(
-                [
-                    "simulate",
-                    "--n",
-                    "12",
-                    "--t",
-                    "24",
-                    "--noise",
-                    "0.0",
-                    "--confounding",
-                    "0.0",
-                    "--amplitude",
-                    "0.0",
-                    "--output",
-                    str(data),
-                ]
-            )
-            == 0
-        )
-        once = tmp_path / "reg1.csv"
-        twice = tmp_path / "reg2.csv"
-        assert run(["register", str(data), "--target", "outcomes", "--output", str(once)]) == 0
-        assert run(["register", str(once), "--target", "outcomes", "--output", str(twice)]) == 0
-        y1 = load_dataset(once).outcome_matrix
-        y2 = load_dataset(twice).outcome_matrix
+        y1, y2 = _register_twice(tmp_path, "--n", "12", "--t", "24", "--amplitude", "0.0")
+        assert np.max(np.abs(y1 - y2)) <= 1e-6
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="register is not a fixed point: a second run moves noise-free curves with "
+        "bumps by an RMS of up to 0.22; the cause is open (ROADMAP item 11)",
+    )
+    @pytest.mark.parametrize("seed", ["0", "1"])
+    def test_idempotent_on_second_run_with_bumps(self, tmp_path, seed):
+        y1, y2 = _register_twice(tmp_path, "--n", "20", "--t", "50", "--seed", seed)
         assert np.max(np.abs(y1 - y2)) <= 1e-6
 
     def test_covariates_requires_covariate_curves(self, tmp_path):
@@ -397,6 +432,7 @@ class TestBenchmark:
             ({"sizes": "3", "t": "8"}, "need at least 4 samples"),
             ({"sizes": "20,24", "t": "8", "shift": "0.5"}, "shift must be in [0, 0.2]"),
             ({"sizes": "20", "t": "7"}, "need at least 8 grid points"),
+            ({"sizes": "20", "t": "8", "seed": "-1"}, "seed must be nonnegative"),
         ],
     )
     @pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
@@ -433,6 +469,27 @@ class TestScenarioFlags:
         for knob in cli._SCENARIO_KNOBS:
             value = getattr(args, knob)
             assert type(value) is hints[knob] and value == 3
+
+
+class TestArchitecture:
+    def test_cli_leaves_the_interval_to_the_library(self):
+        # every module, name and attribute cli.py imports or refers to
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.update((node.module or "").split("."))
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(part for a in node.names for part in a.name.split("."))
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert not names & {"inference", "effect_ci", "check_ci"}
+
+    def test_run_estimator_is_the_library_binding(self):
+        # the benchmark tracer wraps every binding of estimators.run_estimator
+        assert cli.run_estimator is estimators.run_estimator
 
 
 class TestRunEstimator:

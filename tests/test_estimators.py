@@ -17,6 +17,8 @@ from funcause import (
     Scenario,
     ScenarioConfig,
     dose_response,
+    effect_ci,
+    estimate,
     generate,
     input_gram,
     iterative_srvf_estimate,
@@ -408,6 +410,47 @@ class TestDispatch:
         plain = estimators.run_estimator(ds, name)
         searched = estimators.run_estimator(ds, name, search=True, seed=3)
         assert np.array_equal(plain.delta.values, searched.delta.values)
+
+
+class TestEstimate:
+    BINARY = (Scenario.BINARY_NONMONOTONIC, Scenario.BINARY_MONOTONIC)
+
+    @pytest.mark.parametrize("search", [False, True])
+    @pytest.mark.parametrize("scenario", BINARY)
+    def test_equals_run_estimator_then_effect_ci(self, scenario, search):
+        ds, _ = generate(ScenarioConfig(n=24, t=12, scenario=scenario))
+        for name in estimators.ESTIMATOR_NAMES:
+            est = estimate(ds, name, search=search, level=0.95)
+            effect = estimators.run_estimator(ds, name, search=search)
+            ci = effect_ci(ds, effect.delta, level=0.95)
+            assert np.array_equal(est.effect.delta.values, effect.delta.values)
+            assert est.effect.scalar_norm == effect.scalar_norm
+            assert (est.ci.estimate, est.ci.lower, est.ci.upper, est.ci.level, est.ci.regime) == (
+                ci.estimate, ci.lower, ci.upper, ci.level, ci.regime
+            )
+            assert np.array_equal(est.ci.pointwise, ci.pointwise)
+
+    def test_no_interval_without_a_level(self):
+        ds, _ = generate(ScenarioConfig(n=24, t=12))
+        est = estimate(ds, "kernel")
+        assert est.ci is None
+        plain = estimators.run_estimator(ds, "kernel")
+        assert np.array_equal(est.effect.delta.values, plain.delta.values)
+
+
+class TestLambdaRule:
+    CALLS = {
+        "krr_fit": lambda ds, lam: krr_fit(ds, BIN_KX, SE_KV, lam=lam),
+        "holdout_error": lambda ds, lam: holdout_error(ds, BIN_KX, SE_KV, lam=lam),
+        "IterativeConfig": lambda ds, lam: IterativeConfig(lam=lam),
+        "run_estimator": lambda ds, lam: estimators.run_estimator(ds, "kernel", lam=lam),
+    }
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_rejected_where_it_enters(self, call, lam):
+        with pytest.raises(ValueError, match=r"^lambda must be positive and finite$"):
+            self.CALLS[call](make_ds(), lam)
 
 
 class TestInputGramSymmetry:

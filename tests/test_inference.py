@@ -88,10 +88,11 @@ class TestEffectCi:
         assert c1.lower == pytest.approx(c2.lower, abs=1e-10)
         assert c1.upper == pytest.approx(c2.upper, abs=1e-10)
 
-    def test_bad_level_rejected(self):
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+    def test_bad_level_rejected(self, level):
         ds, x = gaussian_ds()
-        with pytest.raises(ValueError):
-            effect_ci(ds, delta_hat(ds, x), level=1.5)
+        with pytest.raises(ValueError, match=r"level must be in \(0, 1\)"):
+            effect_ci(ds, delta_hat(ds, x), level=level)
 
     def test_delta_off_the_outcome_grid_rejected(self):
         ds, x = gaussian_ds()

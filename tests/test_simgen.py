@@ -25,11 +25,16 @@ class TestConfigValidation:
             {"noise": -0.1},
             {"shift": 0.5},
             {"n_covariates": -1},
+            {"seed": -1},
         ],
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ScenarioConfig(**kwargs)
+
+    def test_negative_replicate_rejected(self):
+        with pytest.raises(ValueError, match="replicate must be nonnegative"):
+            generate(ScenarioConfig(n=10, t=8), replicate=-1)
 
 
 class TestDeterminism:
