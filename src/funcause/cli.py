@@ -79,9 +79,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.level is not None and not args.ci:
+        raise ValueError("--level needs --ci")
+    level = (0.95 if args.level is None else args.level) if args.ci else None
     ds = load_dataset(args.dataset)
-    level = args.level if args.ci else None
-    effect, ci = estimators.estimate(ds, args.estimator, args.lam, args.search, args.seed, level)
+    effect, ci = estimators.estimate(ds, args.estimator, args.lam, args.search, level)
     result = {
         "schema_version": SCHEMA_VERSION,
         "estimator": args.estimator,
@@ -163,7 +165,7 @@ def _benchmark_task(args, names: list, n: int, rep: int) -> list:
     results = []
     for est in names:
         t0 = time.perf_counter()
-        effect = run_estimator(ds, est, search=args.search, seed=args.seed + rep)
+        effect = run_estimator(ds, est, search=args.search)
         wall = time.perf_counter() - t0
         mae, per_t = simgen.effect_error(effect, truth)
         results.append((mae, wall, per_t.values))
@@ -298,10 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dataset")
     p.add_argument("--estimator", required=True, choices=ESTIMATOR_NAMES)
     p.add_argument("--lam", type=float, default=None, help="ridge penalty (kernel estimators)")
-    p.add_argument("--search", action="store_true", help="holdout hyperparameter search")
+    p.add_argument("--search", action="store_true",
+                   help="hyperparameter search on a holdout fixed by the data")
     p.add_argument("--ci", action="store_true", help="attach a confidence interval")
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--level", type=float, help="interval level, with --ci (default 0.95)")
     p.add_argument("--output", help="result JSON path (default: stdout)")
     p.set_defaults(func=cmd_estimate)
 

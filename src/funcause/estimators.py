@@ -368,12 +368,12 @@ def register_covariate_curves(ds: Dataset):
     return replace(ds, covariate_curve_matrix=v), warps
 
 
-def _holdout_split(ds: Dataset, seed: int):
-    """Sorted (train, test) unit indices of a random ``HOLDOUT`` split, or
-    None when the training units do not form a valid dataset."""
-    n = len(ds)
-    perm = np.random.default_rng(seed).permutation(n)
-    n_test = max(1, int(round(HOLDOUT * n)))
+def _holdout_split(ds: Dataset):
+    """Sorted (train, test) unit indices of the fixed ``HOLDOUT`` split, from
+    the seed-0 permutation (the units are i.i.d., so it is as good as a
+    fresh one), or None when the training units do not form a valid dataset."""
+    perm = np.random.default_rng(0).permutation(len(ds))
+    n_test = max(1, int(round(HOLDOUT * len(ds))))
     train, test = np.sort(perm[n_test:]), np.sort(perm[:n_test])
     try:
         ds.take(train)
@@ -423,33 +423,33 @@ def holdout_error(
     kv: Optional[KernelSpec],
     k_y: Optional[GramMatrix] = None,
     lam: float = DEFAULT_LAM,
-    seed: int = 0,
 ) -> float:
-    """Squared prediction error on a random 20% holdout; inf when the split
-    degenerates."""
+    """Squared prediction error on the fixed 20% holdout of
+    ``_holdout_split``; inf when the split degenerates."""
     _check_lam(lam)
-    split = _holdout_split(ds, seed)
+    split = _holdout_split(ds)
     if split is None:
         return math.inf
     return _holdout_errors(ds, _inputs(ds, kv), split, kx, kv, k_y, (lam,))[0]
 
 
-def select_hyperparameters(ds: Dataset, k_y: Optional[GramMatrix] = None, seed: int = 0):
-    """Grid search over bandwidth scales and lambdas on a 20% holdout.
+def select_hyperparameters(ds: Dataset, k_y: Optional[GramMatrix] = None):
+    """Grid search over bandwidth scales and lambdas on the fixed 20%
+    holdout of ``_holdout_split``, so the choice depends only on ``ds``.
 
     Returns (kx, kv, lam) with the first minimum error in scale-major
     order, or ``kernel_setup``'s kernels with ``DEFAULT_LAM`` when the
     training units of the split do not form a valid dataset (as when the
     split leaves an arm without training units).
     """
-    return _search(ds, *_default_kernels(ds), k_y, seed)
+    return _search(ds, *_default_kernels(ds), k_y)
 
 
-def _search(ds, inputs, setup, k_y, seed):
+def _search(ds, inputs, setup, k_y):
     """``select_hyperparameters`` on the kernel inputs and ``setup`` of
     ``_default_kernels(ds)``: one split, and every scale's Gram blocks
     sliced from the same distances."""
-    split = _holdout_split(ds, seed)
+    split = _holdout_split(ds)
     if split is None:
         return (*setup(1.0), DEFAULT_LAM)
     candidates = []
@@ -526,31 +526,31 @@ def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = Non
     """
     cfg = config or IterativeConfig()
     registered, converged = _register_iterative(ds, cfg)
-    model = _kernel_model(registered, None, cfg.lam, False, 0)
+    model = _kernel_model(registered, None, cfg.lam, False)
     return IterativeResult(
         kernel_dynamic_effect(model), registered, trace=[], converged=converged, model=model
     )
 
 
-def _kernel_model(ds, k_y, lam, search, seed) -> KrrModel:
+def _kernel_model(ds, k_y, lam, search) -> KrrModel:
     """KRR with the default kernels and ``DEFAULT_LAM``, or the ``search``'s
     choice of both; a given ``lam`` replaces either."""
     inputs, setup = _default_kernels(ds)
     if search:
-        kx, kv, chosen = _search(ds, inputs, setup, k_y, seed)
+        kx, kv, chosen = _search(ds, inputs, setup, k_y)
     else:
         (kx, kv), chosen = setup(1.0), DEFAULT_LAM
     return _fit(ds, inputs, kx, kv, k_y, chosen if lam is None else lam)
 
 
 def run_estimator(
-    ds: Dataset, name: str, lam: Optional[float] = None, search: bool = False, seed: int = 0
+    ds: Dataset, name: str, lam: Optional[float] = None, search: bool = False
 ) -> DynamicEffect:
     """Run one named estimator and return its dynamic effect.
 
-    ``lam`` (ridge penalty), ``search`` and its split's ``seed`` tune the
-    kernel estimators; the others reject ``lam`` and ignore the rest.  The
-    name, ``lam`` and ``seed`` are checked before any work.
+    ``lam`` (ridge penalty) and ``search`` (on a holdout fixed by ``ds``)
+    tune the kernel estimators; the others reject ``lam`` and ignore
+    ``search``.  The name and ``lam`` are checked before any work.
     """
     if name not in ESTIMATOR_NAMES:
         raise ValueError(f"unknown estimator: {name}")
@@ -558,13 +558,11 @@ def run_estimator(
         if name not in _KERNEL:
             raise ValueError(f"{name} takes no ridge penalty")
         _check_lam(lam)
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
     if name in _KERNEL:
         register, operator = _KERNEL[name]
         work_ds = ds if register is None else register(ds)
         k_y = output_gram(work_ds.outcome_grid) if operator else None
-        return kernel_dynamic_effect(_kernel_model(work_ds, k_y, lam, search, seed))
+        return kernel_dynamic_effect(_kernel_model(work_ds, k_y, lam, search))
     if name in _FRECHET:
         f1, f0 = frechet.group_potential_outcomes(ds, _FRECHET[name])
         return effect_from_means(f1.mean, f0.mean, Metric.EUCLIDEAN)
@@ -582,12 +580,12 @@ class Estimate(NamedTuple):
 
 
 def estimate(
-    ds: Dataset, name: str, lam: Optional[float] = None, search: bool = False, seed: int = 0,
+    ds: Dataset, name: str, lam: Optional[float] = None, search: bool = False,
     level: Optional[float] = None,
 ) -> Estimate:
     """``run_estimator``, with ``effect_ci``'s interval at a given ``level``;
     ``check_ci`` runs first, so every argument is checked before any work."""
     if level is not None:
         check_ci(ds, level)
-    effect = run_estimator(ds, name, lam=lam, search=search, seed=seed)
+    effect = run_estimator(ds, name, lam=lam, search=search)
     return Estimate(effect, None if level is None else effect_ci(ds, effect.delta, level=level))

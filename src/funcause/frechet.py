@@ -89,14 +89,12 @@ def frechet_mean(
     curves: Sequence[Curve],
     weights=None,
     metric: Metric = Metric.EUCLIDEAN,
-    **options,
 ) -> FrechetMeanResult:
     """Weighted empirical Fréchet mean of curves under a chosen metric.
 
     The curves must share a grid, and are stacked once for every metric.
-    ``options`` go to the iterative solvers of the two Fisher-Rao metrics,
-    which both take ``max_iter`` and ``tol`` (see ``elastic.karcher_mean``
-    and ``_sphere_mean``).
+    The two Fisher-Rao metrics run their iterative solvers
+    (``elastic.karcher_mean`` and ``_sphere_mean``) at their defaults.
     """
     curves = list(curves)
     if not curves:
@@ -113,13 +111,13 @@ def frechet_mean(
         return FrechetMeanResult(Curve(grid, mean), metric, obj, True)
 
     if metric is Metric.FISHER_RAO_SRSF:
-        result = elastic.karcher_mean(ymat, grid, weights=w, **options)
+        result = elastic.karcher_mean(ymat, grid, weights=w)
         return FrechetMeanResult(
             result.mean, metric, result.objective_trace[-1], result.converged
         )
 
     if metric is Metric.FISHER_RAO_SPHERE:
-        return _sphere_mean(ymat, grid, w, **options)
+        return _sphere_mean(ymat, grid, w)
 
     raise ValueError(f"unknown metric: {metric}")
 

@@ -1,8 +1,11 @@
 """End-to-end tests for the command-line interface."""
 import ast
 import csv
+import inspect
 import json
 import pathlib
+import re
+import shlex
 import typing
 
 import numpy as np
@@ -123,9 +126,8 @@ class TestEstimate:
                 for level in ("0", "1.5", "nan")
             ],
             pytest.param(
-                "binary_nonmonotonic",
-                ["--estimator", "srvf-operator-kernel", "--search", "--seed=-1"],
-                "seed must be nonnegative", id="seed=-1",
+                "binary_nonmonotonic", ["--estimator", "srvf-operator-kernel", "--level=1.5"],
+                "--level needs --ci", id="level-without-ci",
             ),
         ],
     )
@@ -253,7 +255,7 @@ class TestBenchmark:
             for rep in range(reps):
                 ds, truth = generate(ScenarioConfig(n=n, t=t), replicate=rep)
                 for est in names:
-                    mae, per_t = effect_error(run_estimator(ds, est, seed=rep), truth)
+                    mae, per_t = effect_error(run_estimator(ds, est), truth)
                     records[est, n, rep] = (mae, per_t.values)
 
         box, summary, per_t_rows = [], [], []
@@ -279,6 +281,23 @@ class TestBenchmark:
         assert read("boxplot_data.csv") == box
         assert read("summary.csv") == summary
         assert read("per_t_error.csv") == per_t_rows
+
+    def test_searched_report_matches_estimate(self, tmp_path):
+        # a searched benchmark row is the searched estimate of its dataset
+        names, n, t, reps = ["kernel", "operator-kernel"], 30, 12, 2
+        outdir = tmp_path / "report"
+        argv = ["benchmark", "--scenario", "binary_nonmonotonic", "--estimators", ",".join(names)]
+        argv += ["--sizes", str(n), "--t", str(t), "--replicates", str(reps), "--search"]
+        assert run(argv + ["--seed", "2", "--output", str(outdir)]) == 0
+        cfg = ScenarioConfig(n=n, t=t, scenario=Scenario.BINARY_NONMONOTONIC, seed=2)
+        expected = []
+        for est in names:
+            for rep in range(reps):
+                ds, truth = generate(cfg, replicate=rep)
+                mae, _ = effect_error(estimators.estimate(ds, est, search=True).effect, truth)
+                expected.append([est, str(n), str(rep), f"{mae:.6f}"])
+        with open(outdir / "boxplot_data.csv") as fh:
+            assert [list(row.values()) for row in csv.DictReader(fh)] == expected
 
     def test_benchmark_deterministic(self, tmp_path):
         outputs = []
@@ -490,6 +509,31 @@ class TestArchitecture:
     def test_run_estimator_is_the_library_binding(self):
         # the benchmark tracer wraps every binding of estimators.run_estimator
         assert cli.run_estimator is estimators.run_estimator
+
+    @pytest.mark.parametrize(
+        "fn", ["run_estimator", "estimate", "select_hyperparameters", "holdout_error"]
+    )
+    def test_search_takes_no_seed(self, fn):
+        assert "seed" not in inspect.signature(getattr(estimators, fn)).parameters
+
+    def test_estimate_has_no_seed_flag(self):
+        with pytest.raises(SystemExit) as err:
+            run(["estimate", "data.csv", "--estimator", "kernel", "--seed", "0"])
+        assert err.value.code == 2
+
+    def test_readme_commands_parse(self):
+        # every `funcause ...` command in README's sh blocks, continuations joined
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"^```sh\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("funcause ")]
+        assert len(commands) >= 4
+        parser = cli.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: funcause {shlex.join(argv)}")
 
 
 class TestRunEstimator:

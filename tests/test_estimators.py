@@ -258,7 +258,7 @@ class TestHyperparameterSelection:
     @pytest.mark.parametrize("with_ky", [False, True])
     def test_held_out_level_without_training_units(self, with_ky):
         base = make_ds(n=15, t=6, seed=3, noise=1.0)
-        train, test = estimators._holdout_split(base, 0)
+        train, test = estimators._holdout_split(base)
         # a third treatment level held by one held-out unit only
         x = base.treatments.copy()
         x[test[0]] = 2.0
@@ -275,7 +275,7 @@ class TestHyperparameterSelection:
         pred = rows @ alpha if k_y is None else rows @ alpha @ k_y.entries
         assert np.all(pred[0] == 0.0)
         expected = np.sum((pred - ds.outcome_matrix[test]) ** 2)
-        err = holdout_error(ds, BIN_KX, SE_KV, k_y=k_y, lam=lam, seed=0)
+        err = holdout_error(ds, BIN_KX, SE_KV, k_y=k_y, lam=lam)
         assert err == pytest.approx(expected, rel=1e-10, abs=0)
 
 
@@ -393,10 +393,9 @@ class TestDispatch:
         res = iterative_srvf_estimate(ds)
         plain = estimators.run_estimator(ds, "iterative-srvf")
         assert np.array_equal(plain.delta.values, res.effect.delta.values)
-        for seed in (0, 1):
-            searched = estimators.run_estimator(ds, "iterative-srvf", search=True, seed=seed)
-            parity = estimators.run_estimator(res.registered, "kernel", search=True, seed=seed)
-            assert np.array_equal(searched.delta.values, parity.delta.values)
+        searched = estimators.run_estimator(ds, "iterative-srvf", search=True)
+        parity = estimators.run_estimator(res.registered, "kernel", search=True)
+        assert np.array_equal(searched.delta.values, parity.delta.values)
 
     @pytest.mark.parametrize("name", NON_KERNEL)
     def test_non_kernel_estimators_reject_lam(self, name):
@@ -405,10 +404,10 @@ class TestDispatch:
             estimators.run_estimator(ds, name, lam=0.1)
 
     @pytest.mark.parametrize("name", NON_KERNEL)
-    def test_non_kernel_estimators_ignore_search_and_seed(self, name):
+    def test_non_kernel_estimators_ignore_search(self, name):
         ds, _ = generate(ScenarioConfig(n=30, t=12))
         plain = estimators.run_estimator(ds, name)
-        searched = estimators.run_estimator(ds, name, search=True, seed=3)
+        searched = estimators.run_estimator(ds, name, search=True)
         assert np.array_equal(plain.delta.values, searched.delta.values)
 
 
@@ -482,7 +481,7 @@ class TestInputGramSymmetry:
             np.linalg, "eigh", lambda a: eigh_sizes.append(len(a)) or eigh(a)
         )
         estimators.run_estimator(ds, "operator-kernel", search=True)
-        train, _ = estimators._holdout_split(ds, 0)
+        train, _ = estimators._holdout_split(ds)
         if ds.is_binary():
             # one train x train block per arm per bandwidth scale, then one
             # block per arm for the final fit; no eigh, the T x T output
@@ -504,7 +503,7 @@ class TestHyperparameterSearch:
         # Gram's
         ds, _ = generate(ScenarioConfig(n=24, t=16))
         assert ds.is_binary()
-        train, _ = estimators._holdout_split(ds, 0)
+        train, _ = estimators._holdout_split(ds)
         train_arms = [int(np.sum(ds.treatments[train] == arm)) for arm in (0.0, 1.0)]
         shapes = []
         eigh = np.linalg.eigh
@@ -572,7 +571,7 @@ class TestCovariateFeatureBuilds:
     def test_once_per_search(self, monkeypatch):
         ds = self.curve_ds()
         builds = self.count_builds(monkeypatch)
-        select_hyperparameters(ds, seed=0)
+        select_hyperparameters(ds)
         assert builds == [20]
 
     def test_once_per_iterative_estimate(self, monkeypatch):

@@ -155,8 +155,8 @@ class TestSphereMean:
         curves = self.noisy_densities(15, seed=1)
         w = np.linspace(1.0, 4.0, 15)
         w = w / w.sum()
-        tol = 1e-10
-        res = frechet_mean(curves, weights=w, metric=Metric.FISHER_RAO_SPHERE, tol=tol)
+        tol = 1e-10  # _sphere_mean's stopping tolerance
+        res = frechet_mean(curves, weights=w, metric=Metric.FISHER_RAO_SPHERE)
         assert res.converged
         mu = np.sqrt(res.mean.values)
         u = np.sqrt(np.array([c.values for c in curves]))
