@@ -8,9 +8,12 @@ Gaussian process itself.  Its square is the weighted chi-square
 sum_k lambda_k Z_k^2 over the eigenvalues lambda_k of the estimated kernel,
 whose exact quantiles come from numerical inversion of the Laplace
 transform of its CDF (Imhof, Biometrika 1961; Abate & Whitt, ORSA J.
-Computing 1995).  Also provides a Welch two-sample t-test for comparing
-benchmark error samples.  scipy is imported by the functions that need
-its quantiles and root finder, on their first call, not with the module.
+Computing 1995), solved for by Chandrupatla's bracketing root finder
+(Adv. Eng. Software 1997) between a chi-square lower end and Cantelli's
+upper bound.  The intervals need no scipy: the normal quantile is the
+standard library's ``statistics.NormalDist``, imported on first use.
+Also provides a Welch two-sample t-test for comparing benchmark error
+samples, which imports scipy on its first call.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArmEmptyError
+from .errors import ArmEmptyError, NumericalError
 from .fdata import Curve, Dataset
 
 __all__ = [
@@ -43,6 +46,15 @@ EIGENVALUE_FLOOR = 1e-12
 _EULER_A = 18.4
 _EULER_M = 11
 _EULER_WEIGHTS = np.array([math.comb(_EULER_M, k) for k in range(_EULER_M + 1)]) / 2.0**_EULER_M
+# The inverted CDF overshoots by up to about exp(-A) = 1e-8.  Each quantile
+# bracket is widened by half this bound in probability, which keeps the
+# root inside it despite that error, so an interval's tail probability
+# (1 - level) / 2 must be at least this bound.
+_MIN_TAIL = 1e-7
+# quantile root finder: the tolerances and step cap of scipy.optimize.brentq
+_XTOL = 2e-12
+_RTOL = 4.0 * np.finfo(float).eps
+_MAX_ITER = 100
 
 
 class Regime(enum.Enum):
@@ -69,10 +81,13 @@ class TTestResult:
 
 def check_ci(ds: Dataset, level: float):
     """Raise unless ``effect_ci`` can serve ``ds`` at ``level``: binary
-    treatments, at least 2 units in each arm, and 0 < level < 1.  Returns
-    the (treated, control) unit indices."""
+    treatments, at least 2 units in each arm, 0 < level < 1, and a tail
+    (1 - level) / 2 of at least ``_MIN_TAIL``, which the weighted chi-square
+    quantiles need.  Returns the (treated, control) unit indices."""
     if not 0 < level < 1:
         raise ValueError("level must be in (0, 1)")
+    if (1.0 - level) / 2.0 < _MIN_TAIL:
+        raise ValueError(f"level must leave a tail (1 - level) / 2 of at least {_MIN_TAIL:g}")
     if not ds.is_binary():
         raise ValueError("covariance kernel needs binary treatments")
     i1, i0 = ds.arm_indices(1.0), ds.arm_indices(0.0)
@@ -82,9 +97,9 @@ def check_ci(ds: Dataset, level: float):
 
 
 def _norm_quantile(p: float) -> float:
-    from scipy import special
+    from statistics import NormalDist
 
-    return math.sqrt(2.0) * special.erfinv(2.0 * p - 1.0)
+    return NormalDist().inv_cdf(p)
 
 
 def _weighted_chi2_cdf(x: float, evals: np.ndarray) -> float:
@@ -101,23 +116,68 @@ def _weighted_chi2_cdf(x: float, evals: np.ndarray) -> float:
     return math.exp(_EULER_A / 2.0) / x * float(_EULER_WEIGHTS @ partial)
 
 
+def _quantile_bracket(p: float, scaled: np.ndarray):
+    """Ends (lo, hi) of a bracket around the p-quantile of
+    sum_k scaled[k] Z_k^2, where max(scaled) = 1.
+
+    The sum is at least Z_1^2, so the chi-square(1) quantile, the square of
+    a normal quantile, lies below the root; it is attained at r = 1.
+    Cantelli's inequality puts mu + sigma sqrt(p / (1 - p)) above it, with
+    mu = sum_k scaled[k] and sigma^2 = 2 sum_k scaled[k]^2.  Both ends are
+    taken at p moved outward by ``_MIN_TAIL / 2``, more than the inverted
+    CDF's error, so that its values there still straddle p."""
+    widen = _MIN_TAIL / 2.0
+    lo = _norm_quantile(0.5 + (p - widen) / 2.0) ** 2
+    hi_p = p + widen
+    hi = float(scaled.sum()) + math.sqrt(2.0 * float(scaled @ scaled) * hi_p / (1.0 - hi_p))
+    return lo, hi
+
+
+def _find_root(f, a: float, b: float) -> float:
+    """A root of ``f`` in [a, b] by Chandrupatla's method: inverse quadratic
+    interpolation, or bisection where the interpolant is not trusted.  It
+    stops when the bracket is narrower than ``_XTOL min(1, |x|) + _RTOL |x|``:
+    brentq's default tolerance for roots above 1, and the same figure
+    relative below, so that small quantiles keep their digits."""
+    fa, fb = f(a), f(b)
+    if fa * fb > 0.0:
+        raise NumericalError("quantile bracket does not contain the root")
+    c, fc, t = a, fa, 0.5
+    for _ in range(_MAX_ITER):
+        xt = a + t * (b - a)
+        ft = f(xt)
+        if (ft > 0.0) == (fa > 0.0):
+            c, fc = a, fa
+        else:
+            c, fc, b, fb = b, fb, a, fa
+        a, fa = xt, ft
+        xm, fm = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+        tol = _XTOL * min(1.0, abs(xm)) + _RTOL * abs(xm)
+        if abs(b - a) < tol or fm == 0.0:
+            return xm
+        xi, phi = (a - b) / (c - b), (fa - fb) / (fc - fb)
+        if phi**2 < xi and (1.0 - phi) ** 2 < 1.0 - xi:
+            t = fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb)
+        else:
+            t = 0.5
+        tl = 0.5 * tol / abs(b - a)
+        t = min(1.0 - tl, max(tl, t))
+    raise NumericalError(f"quantile root finder did not converge in {_MAX_ITER} steps")
+
+
 def _weighted_chi2_quantile(p: float, evals: np.ndarray) -> float:
-    """The p-quantile of sum_k evals[k] Z_k^2 for positive ``evals``.
+    """The p-quantile of sum_k evals[k] Z_k^2 for positive ``evals`` and
+    ``_MIN_TAIL`` <= p <= 1 - ``_MIN_TAIL``.
 
-    The sum lies between lam_max Z_1^2 and lam_max times a chi-square with
-    r = len(evals) degrees of freedom, so lam_max times their p-quantiles
-    bracket the root; each bracket is widened by 1% because it is attained
-    (r = 1, or equal eigenvalues) and the inverted CDF is exact only to
-    about 1e-8.
+    Works on evals / max(evals), so that the largest weight is 1.  The
+    root of the inverted CDF minus p lies between the chi-square(1)
+    quantile and Cantelli's bound (``_quantile_bracket``), and Chandrupatla's
+    method finds it there (``_find_root``); it is then scaled back.
     """
-    from scipy import optimize, special
-
     lam_max = float(evals.max())
     scaled = evals / lam_max
-    lo = 0.99 * special.chdtri(1, 1.0 - p)
-    hi = 1.01 * special.chdtri(evals.size, 1.0 - p)
-    q = optimize.brentq(lambda x: _weighted_chi2_cdf(x, scaled) - p, lo, hi)
-    return lam_max * q
+    lo, hi = _quantile_bracket(p, scaled)
+    return lam_max * _find_root(lambda x: _weighted_chi2_cdf(x, scaled) - p, lo, hi)
 
 
 def effect_ci(ds: Dataset, delta_hat: Curve, level: float = 0.95) -> EffectCI:

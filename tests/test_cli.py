@@ -125,6 +125,14 @@ class TestEstimate:
                 )
                 for level in ("0", "1.5", "nan")
             ],
+            *[
+                pytest.param(
+                    "binary_nonmonotonic",
+                    ["--estimator", "srvf-operator-kernel", "--ci", f"--level={level}"],
+                    "level must leave a tail (1 - level) / 2 of at least 1e-07", id=f"level={level}",
+                )
+                for level in ("0.99999999", "0.9999999999999999")
+            ],
             pytest.param(
                 "binary_nonmonotonic", ["--estimator", "srvf-operator-kernel", "--level=1.5"],
                 "--level needs --ci", id="level-without-ci",

@@ -4,7 +4,9 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy import stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import optimize, special, stats
 
 from funcause import (
     ArmEmptyError,
@@ -12,13 +14,22 @@ from funcause import (
     Dataset,
     EffectCI,
     Grid,
+    NumericalError,
     Regime,
     effect_ci,
     pointwise_ci,
     welch_t_test,
 )
 from funcause import inference
-from funcause.inference import EIGENVALUE_FLOOR, _weighted_chi2_quantile
+from funcause.inference import (
+    _MIN_TAIL,
+    EIGENVALUE_FLOOR,
+    _norm_quantile,
+    _quantile_bracket,
+    _weighted_chi2_cdf,
+    _weighted_chi2_quantile,
+    check_ci,
+)
 
 
 def gaussian_ds(n=80, t=6, delta=None, seed=0):
@@ -92,6 +103,13 @@ class TestEffectCi:
     def test_bad_level_rejected(self, level):
         ds, x = gaussian_ds()
         with pytest.raises(ValueError, match=r"level must be in \(0, 1\)"):
+            effect_ci(ds, delta_hat(ds, x), level=level)
+
+    @pytest.mark.parametrize("delta", [0.0, 2.0], ids=["zero-norm", "nonzero-norm"])
+    @pytest.mark.parametrize("level", [1.0 - 1.99e-7, 0.99999999, 0.9999999999999999])
+    def test_level_with_too_small_a_tail_rejected(self, level, delta):
+        ds, x = gaussian_ds(delta=np.full(6, delta))
+        with pytest.raises(ValueError, match=r"tail \(1 - level\) / 2 of at least 1e-07"):
             effect_ci(ds, delta_hat(ds, x), level=level)
 
     def test_delta_off_the_outcome_grid_rejected(self):
@@ -178,6 +196,77 @@ class TestWeightedChi2Quantile:
         evals = np.random.default_rng(6).exponential(size=20)
         qs = [_weighted_chi2_quantile(p, evals) for p in self.PROBS]
         assert np.all(np.diff(qs) > 0)
+
+    @staticmethod
+    def brentq_quantile(p, evals):
+        """The quantile as first formulated: brentq between the chi-square
+        quantiles with 1 and r degrees of freedom, widened by 1%."""
+        lam_max = evals.max()
+        scaled = evals / lam_max
+        lo = 0.99 * special.chdtri(1, 1.0 - p)
+        hi = 1.01 * special.chdtri(evals.size, 1.0 - p)
+        return lam_max * optimize.brentq(lambda x: _weighted_chi2_cdf(x, scaled) - p, lo, hi)
+
+    @pytest.mark.parametrize("kind", ["equal", "decaying", "floored"])
+    @pytest.mark.parametrize("r", [1, 2, 10, 100, 400])
+    def test_matches_brentq_formulation(self, r, kind):
+        evals = {
+            "equal": np.full(r, 0.7),
+            "decaying": 3.0 * 0.8 ** np.arange(r),
+            "floored": np.where(np.arange(r) < max(r // 2, 1), 0.5 ** np.arange(r), EIGENVALUE_FLOOR),
+        }[kind]
+        for p in self.PROBS:
+            q = _weighted_chi2_quantile(p, evals)
+            assert q == pytest.approx(self.brentq_quantile(p, evals), rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("r", [1, 2, 10, 100])
+    def test_equal_weights_at_the_smallest_accepted_tail(self, r):
+        # at r = 1 the lower end of the bracket is the exact quantile, so
+        # only its widening keeps the root inside
+        level = 1.0 - 2.0 * _MIN_TAIL
+        ds, _ = gaussian_ds()
+        check_ci(ds, level)
+        tail = (1.0 - level) / 2.0
+        for p in (tail, 1.0 - tail):
+            q = _weighted_chi2_quantile(p, np.full(r, 0.7))
+            assert abs(stats.chi2.cdf(q / 0.7, r) - p) <= 2e-8
+
+    @given(
+        log_tail=st.floats(np.log10(_MIN_TAIL), np.log10(0.5)),
+        r=st.integers(1, 60),
+        decay=st.floats(0.05, 1.0),
+        floored=st.integers(0, 59),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bracket_straddles_p_at_every_accepted_level(self, log_tail, r, decay, floored):
+        level = 1.0 - 2.0 * 10.0**log_tail
+        try:
+            check_ci(gaussian_ds(n=8)[0], level)
+        except ValueError:
+            return
+        evals = decay ** np.arange(r)
+        evals[max(r - floored, 1) :] = EIGENVALUE_FLOOR
+        alpha = 1.0 - level
+        for p in (alpha / 2.0, 1.0 - alpha / 2.0):
+            lo, hi = _quantile_bracket(p, evals)
+            assert 0.0 < lo < hi
+            assert _weighted_chi2_cdf(lo, evals) <= p <= _weighted_chi2_cdf(hi, evals)
+
+    def test_root_finder_says_when_it_fails(self, monkeypatch):
+        with pytest.raises(NumericalError, match="bracket does not contain the root"):
+            inference._find_root(lambda x: x + 1.0, 0.0, 1.0)
+        assert inference._find_root(lambda x: x * x - 2.0, 0.0, 2.0) == pytest.approx(2**0.5, rel=1e-12)
+        monkeypatch.setattr(inference, "_MAX_ITER", 2)
+        with pytest.raises(NumericalError, match="did not converge in 2 steps"):
+            inference._find_root(lambda x: x * x - 2.0, 0.0, 2.0)
+
+
+def test_norm_quantile_matches_ndtri():
+    p = np.concatenate([np.logspace(-10, np.log10(0.4999), 500), np.linspace(1e-10, 1.0 - 1e-10, 1001)])
+    p = np.concatenate([p, 1.0 - p])
+    p = p[p != 0.5]
+    ours = np.array([_norm_quantile(v) for v in p])
+    np.testing.assert_allclose(ours, special.ndtri(p), rtol=1e-15, atol=0.0)
 
 
 class TestPointwiseCi:
