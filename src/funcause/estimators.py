@@ -302,30 +302,32 @@ def _moving_average(v: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(padded, np.ones(window) / window, mode="same")[pad : pad + v.size]
 
 
-def _register_rows(y, grid, groups, max_iter, tol, penalty, window):
-    """Warp each group of rows of ``y`` to the group's elastic Karcher mean.
+def _register_sets(sets, grid, max_iter, tol):
+    """Warp every ``(rows, penalty, window)`` set on ``grid`` to its own
+    elastic Karcher mean; the means run together in one
+    ``elastic._karcher_means`` call.
 
     With ``window`` > 1 each row is split into a moving-average smooth part
     and a rough residual: the warps are estimated from and applied to the
-    smooth part only, and the residual is added back unwarped.  Returns the
-    registered rows, the read-only matrix of their warps and whether every
-    group's Karcher mean converged.
+    smooth part only, and the residual is added back unwarped.  Returns per
+    set the registered rows, the read-only matrix of their warps and whether
+    its Karcher mean converged.
     """
-    if window > 1:
-        smooth = np.array([_moving_average(row, window) for row in y])
-        resid = y - smooth
-    else:
-        smooth = y
-        resid = np.zeros_like(y)
-    warps = np.empty_like(y)
-    registered = y.copy()
-    converged = True
-    for idx in groups:
-        result = elastic.karcher_mean(smooth[idx], grid, max_iter, tol, penalty=penalty)
-        converged = converged and result.converged
-        warps[idx] = result.warps
-        registered[idx] = elastic._interp_rows(result.warps, grid.points, smooth[idx]) + resid[idx]
-    return registered, elastic._read_only(warps), converged
+    splits = []
+    for rows, _, window in sets:
+        if window > 1:
+            smooth = np.array([_moving_average(row, window) for row in rows])
+            splits.append((smooth, rows - smooth))
+        else:
+            splits.append((rows, np.zeros_like(rows)))
+    means = elastic._karcher_means(
+        [(smooth, None, penalty) for (smooth, _), (_, penalty, _) in zip(splits, sets)],
+        grid, max_iter, tol,
+    )
+    return [
+        (elastic._interp_rows(m.warps, grid.points, smooth) + resid, m.warps, m.converged)
+        for (smooth, resid), m in zip(splits, means)
+    ]
 
 
 def register_outcomes(
@@ -338,7 +340,7 @@ def register_outcomes(
     penalty ``REGISTER_PENALTY`` and tolerance ``REGISTER_TOL``.
 
     ``smooth_window`` (default about a fifth of the grid length) is the
-    window of ``_register_rows``' smooth/residual split: warping rough
+    window of ``_register_sets``' smooth/residual split: warping rough
     observation noise makes it locally smooth, which defeats downstream
     output smoothing.  ``per_arm`` registers each treatment arm to its own
     (phase-centered) mean, which preserves the arm contrast.  Returns the
@@ -351,19 +353,23 @@ def register_outcomes(
         groups = [ds.arm_indices(0.0), ds.arm_indices(1.0)]
     else:
         groups = [np.arange(len(ds))]
-    y, warps, _ = _register_rows(
-        ds.outcome_matrix, grid, groups, max_iter, REGISTER_TOL, REGISTER_PENALTY, smooth_window
+    y = ds.outcome_matrix
+    sets = _register_sets(
+        [(y[idx], REGISTER_PENALTY, smooth_window) for idx in groups], grid, max_iter, REGISTER_TOL
     )
-    return replace(ds, outcome_matrix=y), warps
+    registered, warps = np.empty_like(y), np.empty_like(y)
+    for idx, (rows, group_warps, _) in zip(groups, sets):
+        registered[idx], warps[idx] = rows, group_warps
+    return replace(ds, outcome_matrix=registered), elastic._read_only(warps)
 
 
 def register_covariate_curves(ds: Dataset):
     """Register every covariate curve, unsmoothed, to their elastic Karcher
     mean with the ``REGISTER_*`` settings.  Returns the registered dataset
     and the read-only (n, Tc) matrix of its warps."""
-    v, warps, _ = _register_rows(
-        ds.covariate_curve_matrix, ds.covariate_grid, [np.arange(len(ds))],
-        REGISTER_SWEEPS, REGISTER_TOL, REGISTER_PENALTY, 0,
+    ((v, warps, _),) = _register_sets(
+        [(ds.covariate_curve_matrix, REGISTER_PENALTY, 0)], ds.covariate_grid,
+        REGISTER_SWEEPS, REGISTER_TOL,
     )
     return replace(ds, covariate_curve_matrix=v), warps
 
@@ -496,22 +502,27 @@ class IterativeResult:
 
 def _register_iterative(ds: Dataset, cfg: IterativeConfig):
     """The registration half of ``iterative_srvf_estimate``: the registered
-    dataset, and whether every Karcher mean converged."""
-    everyone = [np.arange(len(ds))]
+    dataset, and whether every Karcher mean converged.  Covariate curves on
+    the outcome grid register in the outcomes' call, so both means share
+    each sweep's DP."""
     has_vcurves = ds.covariate_grid is not None
     sweeps = cfg.karcher_max_iter + (cfg.r_max - 1 if has_vcurves else 0)
     window = max(3, len(ds.outcome_grid) // 10) | 1
-    y, _, converged = _register_rows(
-        ds.outcome_matrix, ds.outcome_grid, everyone, sweeps, ITER_KARCHER_TOL,
-        REGISTER_PENALTY, window,
-    )
+    sets = [(ds.outcome_matrix, REGISTER_PENALTY, window)]
     v = ds.covariate_curve_matrix
     if has_vcurves:
-        v, _, v_converged = _register_rows(
-            v, ds.covariate_grid, everyone, sweeps, ITER_KARCHER_TOL, 0.0, 0
-        )
-        converged = converged and v_converged
-    return replace(ds, outcome_matrix=y, covariate_curve_matrix=v), converged
+        sets.append((v, 0.0, 0))
+    if has_vcurves and ds.covariate_grid != ds.outcome_grid:
+        out = [
+            *_register_sets(sets[:1], ds.outcome_grid, sweeps, ITER_KARCHER_TOL),
+            *_register_sets(sets[1:], ds.covariate_grid, sweeps, ITER_KARCHER_TOL),
+        ]
+    else:
+        out = _register_sets(sets, ds.outcome_grid, sweeps, ITER_KARCHER_TOL)
+    if has_vcurves:
+        v = out[1][0]
+    converged = all(c for *_, c in out)
+    return replace(ds, outcome_matrix=out[0][0], covariate_curve_matrix=v), converged
 
 
 def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = None) -> IterativeResult:

@@ -111,15 +111,25 @@ def frechet_mean(
         return FrechetMeanResult(Curve(grid, mean), metric, obj, True)
 
     if metric is Metric.FISHER_RAO_SRSF:
-        result = elastic.karcher_mean(ymat, grid, weights=w)
-        return FrechetMeanResult(
-            result.mean, metric, result.objective_trace[-1], result.converged
-        )
+        return _fisher_rao_means([(ymat, weights)], grid)[0]
 
     if metric is Metric.FISHER_RAO_SPHERE:
         return _sphere_mean(ymat, grid, w)
 
     raise ValueError(f"unknown metric: {metric}")
+
+
+def _fisher_rao_means(sets, grid: Grid) -> list:
+    """The Fisher-Rao SRSF ``frechet_mean`` of each ``(ymat, weights)`` set,
+    at ``elastic.karcher_mean``'s defaults; the Karcher means run together
+    in one ``elastic._karcher_means`` call."""
+    means = elastic._karcher_means(
+        [(ymat, elastic._normalized_weights(len(ymat), w), 0.0) for ymat, w in sets], grid
+    )
+    return [
+        FrechetMeanResult(m.mean, Metric.FISHER_RAO_SRSF, m.objective_trace[-1], m.converged)
+        for m in means
+    ]
 
 
 def group_potential_outcomes(ds: Dataset, metric: Metric = Metric.EUCLIDEAN, propensity=None):
@@ -139,6 +149,9 @@ def group_potential_outcomes(ds: Dataset, metric: Metric = Metric.EUCLIDEAN, pro
         w1, w0 = w1[idx1], w0[idx0]
 
     y, grid = ds.outcome_matrix, ds.outcome_grid
+    if metric is Metric.FISHER_RAO_SRSF:
+        f1, f0 = _fisher_rao_means([(y[idx1], w1), (y[idx0], w0)], grid)
+        return f1, f0
     f1 = frechet_mean([Curve(grid, y[i]) for i in idx1], weights=w1, metric=metric)
     f0 = frechet_mean([Curve(grid, y[i]) for i in idx0], weights=w0, metric=metric)
     return f1, f0

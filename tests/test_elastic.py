@@ -284,6 +284,30 @@ class TestAlignBatch:
             np.testing.assert_allclose(aligned[c], qa, rtol=0, atol=0)
             assert distances[c] == dist
 
+    @given(
+        t=st.integers(2, 16),
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_template_per_curve_equals_oracle(self, t, n, seed):
+        # each curve aligns to its own template with its own penalty, as in
+        # a DP block that holds curves of several sets
+        grid = Grid.uniform(t)
+        rng = np.random.default_rng(seed)
+        templates = rng.standard_normal((n, t))
+        qmat = rng.standard_normal((n, t))
+        qmat[::3] = templates[::3]
+        penalties = rng.choice([0.0, 0.05, 100.0], n)
+        gammas, aligned, distances = elastic._align_rows(
+            templates, qmat, grid, elastic._node_tables(qmat, grid), penalties
+        )
+        for c in range(n):
+            gamma, qa, dist = align_oracle(templates[c], qmat[c], grid, penalties[c])
+            np.testing.assert_allclose(gammas[c], gamma, rtol=0, atol=0)
+            np.testing.assert_allclose(aligned[c], qa, rtol=0, atol=0)
+            assert distances[c] == dist
+
     @pytest.mark.parametrize("case", PINNED_BATCH["batches"], ids=lambda c: c["name"])
     def test_pinned(self, case):
         mu = SrsfCurve(Grid.uniform(len(case["template"])), case["template"])
@@ -497,6 +521,103 @@ class TestKarcherMean:
         assert res.objective_trace == case["objective_trace"]
         assert res.converged == case["converged"]
         assert_valid_warps(res.warps, grid)
+
+    @pytest.fixture
+    def packing(self, monkeypatch):
+        """Blocks of at most ten curves, shared by sets of at most five in
+        all; records every packing of the sets and whether some block held
+        curves of two sets."""
+        monkeypatch.setattr(elastic, "_DP_BLOCK", 10)
+        seen = {"packings": 0, "mixed": False}
+        blocks, align = elastic._blocks, elastic._align_rows
+
+        def counting_blocks(*args):
+            seen["packings"] += 1
+            return blocks(*args)
+
+        def noting_align(template, *args):
+            seen["mixed"] |= np.ndim(template) == 2
+            return align(template, *args)
+
+        monkeypatch.setattr(elastic, "_blocks", counting_blocks)
+        monkeypatch.setattr(elastic, "_align_rows", noting_align)
+        return seen
+
+    def karcher_sets(self, grid):
+        """Three sets of 2, 3 and 11 curves: two copies of one curve with a
+        slope penalty (they stop after one sweep), smooth curves and shifted
+        bumps with weights."""
+        copies = np.tile(smooth_curve(grid, 9).values, (2, 1))
+        smooth = np.array([smooth_curve(grid, s).values for s in range(3)])
+        bumps = self.make_shifted_family(grid, 11, seed=2)
+        weights = np.random.default_rng(5).uniform(0.5, 2.0, 11)
+        return [(copies, None, 0.05), (smooth, None, 0.0), (bumps, weights, 0.0)]
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_sets_together_equal_each_alone(self, packing, count):
+        grid = Grid.uniform(30)
+        sets = self.karcher_sets(grid)[:count]
+        together = elastic._karcher_means(sets, grid, max_iter=4, tol=1e-6)
+        packings, mixed = packing["packings"], packing["mixed"]
+        assert len(together) == count
+        for (fmat, weights, penalty), res in zip(sets, together):
+            alone = karcher_mean(fmat, grid, max_iter=4, tol=1e-6, weights=weights, penalty=penalty)
+            assert np.array_equal(res.warps, alone.warps)
+            assert np.array_equal(res.mean.values, alone.mean.values)
+            assert np.array_equal(res.mean_srsf.values, alone.mean_srsf.values)
+            assert res.mean_srsf.origin == alone.mean_srsf.origin
+            assert res.objective_trace == alone.objective_trace
+            assert res.converged == alone.converged
+            assert_valid_warps(res.warps, grid)
+        if count == 1:
+            assert packings == 1 and not mixed
+        else:
+            # the copies and the smooth curves share a block; the copies
+            # stop after one sweep, so the rest are packed again
+            assert together[0].converged and len(together[0].objective_trace) == 2
+            assert len(together[1].objective_trace) > 2
+            assert packings == 2
+            assert mixed
+
+    def test_blocks_of_sets_that_go_on_are_kept(self, packing, monkeypatch):
+        # the copies have a block of their own and the 11 bumps two; when
+        # the copies stop, the bumps' blocks keep their node stacks
+        grid = Grid.uniform(30)
+        sets = self.karcher_sets(grid)[::2]
+        tables, node_tables = [], elastic._node_tables
+        monkeypatch.setattr(
+            elastic, "_node_tables", lambda Q, g: tables.append(len(Q)) or node_tables(Q, g)
+        )
+        together = elastic._karcher_means(sets, grid, max_iter=4, tol=1e-6)
+        assert tables == [2, 5, 6] and packing["packings"] == 2 and not packing["mixed"]
+        assert together[0].converged and len(together[1].objective_trace) > 2
+        for (fmat, weights, penalty), res in zip(sets, together):
+            alone = karcher_mean(fmat, grid, max_iter=4, tol=1e-6, weights=weights, penalty=penalty)
+            assert np.array_equal(res.warps, alone.warps)
+            assert res.objective_trace == alone.objective_trace
+
+    def test_only_small_sets_share_a_block(self, monkeypatch):
+        monkeypatch.setattr(elastic, "_DP_BLOCK", 10)
+        grid = Grid.uniform(8)
+
+        class Set:
+            def __init__(self, n):
+                self.qmat, self.penalty = np.zeros((n, 8)), 0.0
+
+        blocks = elastic._blocks([Set(n) for n in (3, 2, 11, 4, 4, 1, 21)], grid, {})
+        # sets share a block while they hold five curves in all; a larger
+        # set is split into blocks of about equal size, ten at most
+        assert [len(Q) for _, Q, _, _ in blocks] == [5, 5, 6, 4, 5, 7, 7, 7]
+        assert [len(segs) for segs, *_ in blocks] == [2, 1, 1, 1, 2, 1, 1, 1]
+
+    def test_sets_checked_before_work(self, monkeypatch):
+        self.forbid_work(monkeypatch)
+        grid = Grid.uniform(32)
+        good = (self.make_shifted_family(grid, 3), None, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            elastic._karcher_means([good, (np.full((2, 32), np.nan), None, 0.0)], grid)
+        with pytest.raises(WeightError):
+            elastic._karcher_means([good, (good[0], np.ones(2), 0.0)], grid)
 
     def test_layout_does_not_change_the_mean(self):
         # a Fortran-ordered or strided matrix gives the C-ordered result

@@ -219,13 +219,14 @@ class TestNoPerCurveObjects:
                 post(obj)
 
             monkeypatch.setattr(cls, "__post_init__", counting)
-        karcher = elastic.karcher_mean
+        karcher = elastic._karcher_means
 
         def counting_karcher(*args, **kwargs):
-            counts["karcher_mean"] += 1
-            return karcher(*args, **kwargs)
+            means = karcher(*args, **kwargs)
+            counts["karcher_mean"] += len(means)
+            return means
 
-        monkeypatch.setattr(elastic, "karcher_mean", counting_karcher)
+        monkeypatch.setattr(elastic, "_karcher_means", counting_karcher)
         return counts
 
     def test_register_outcomes_per_arm(self, counts):
@@ -280,15 +281,18 @@ class TestHyperparameterSelection:
 
 
 class TestIterativeEstimate:
-    def curve_covariate_ds(self, n=16, t=24, seed=0):
+    def curve_covariate_ds(self, n=16, t=24, seed=0, tc=None):
+        """Covariate curves on the outcome grid, or on ``Grid.uniform(tc)``."""
         rng = np.random.default_rng(seed)
         grid = Grid.uniform(t)
+        vgrid = grid if tc is None else Grid.uniform(tc)
         # per unit: phase shift, outcome noise
         draws = np.array([[rng.uniform(-0.04, 0.04), *rng.standard_normal(t)] for _ in range(n)])
         x = alternating(n)
-        vc = np.exp(-((grid.points - 0.5 - draws[:, :1]) ** 2) / 0.02)
-        y = x[:, None] + vc + 0.05 * draws[:, 1:]
-        return Dataset(ids(n), x, np.zeros((n, 0)), grid, y, grid, vc)
+        vc = np.exp(-((vgrid.points - 0.5 - draws[:, :1]) ** 2) / 0.02)
+        y = x[:, None] + np.exp(-((grid.points - 0.5 - draws[:, :1]) ** 2) / 0.02)
+        y += 0.05 * draws[:, 1:]
+        return Dataset(ids(n), x, np.zeros((n, 0)), grid, y, vgrid, vc)
 
     def test_terminates_and_reports_trace(self):
         ds = self.curve_covariate_ds()
@@ -305,13 +309,14 @@ class TestIterativeEstimate:
     @staticmethod
     def record_karcher(monkeypatch):
         results = []
-        karcher = elastic.karcher_mean
+        karcher = elastic._karcher_means
 
         def recording(*args, **kwargs):
-            results.append(karcher(*args, **kwargs))
-            return results[-1]
+            means = karcher(*args, **kwargs)
+            results.extend(means)
+            return means
 
-        monkeypatch.setattr(elastic, "karcher_mean", recording)
+        monkeypatch.setattr(elastic, "_karcher_means", recording)
         return results
 
     def test_without_covariate_curves_single_pass(self, monkeypatch):
@@ -334,6 +339,25 @@ class TestIterativeEstimate:
         assert len(means) == (1 if data == "binary" else 2)
         assert not any(m.converged for m in means)
         assert res.converged is False
+
+    @pytest.mark.parametrize("tc", [None, 31])
+    def test_curve_sets_share_one_call_on_one_grid(self, monkeypatch, tc):
+        ds = self.curve_covariate_ds(tc=tc)
+        calls = []
+        karcher = elastic._karcher_means
+
+        def recording(sets, *args):
+            calls.append(len(sets))
+            return karcher(sets, *args)
+
+        monkeypatch.setattr(elastic, "_karcher_means", recording)
+        res = iterative_srvf_estimate(ds, IterativeConfig(r_max=2, karcher_max_iter=2))
+        assert calls == ([2] if tc is None else [1, 1])
+        # the covariate curves get exactly their own Karcher mean's warps
+        vc, vgrid = ds.covariate_curve_matrix, ds.covariate_grid
+        alone = elastic.karcher_mean(vc, vgrid, 3, estimators.ITER_KARCHER_TOL)
+        expected = elastic._interp_rows(alone.warps, vgrid.points, vc)
+        assert np.array_equal(res.registered.covariate_curve_matrix, expected)
 
     def test_deterministic(self):
         ds = self.curve_covariate_ds(seed=2)

@@ -244,6 +244,17 @@ class TestGroupPotentialOutcomes:
                 expected = elastic.karcher_mean(y[idx], grid, weights=w / w.sum()).mean.values
             assert np.array_equal(f.mean.values, expected)
 
+    def test_fisher_rao_arms_equal_their_frechet_means(self):
+        # the two arms' Karcher means run in one call and still give each
+        # arm's frechet_mean bit for bit
+        ds = binary_dataset(n=30, seed=4)
+        y, grid = ds.outcome_matrix, ds.outcome_grid
+        arms = group_potential_outcomes(ds, Metric.FISHER_RAO_SRSF)
+        for f, idx in zip(arms, (ds.arm_indices(1.0), ds.arm_indices(0.0))):
+            alone = frechet_mean([Curve(grid, y[i]) for i in idx], metric=Metric.FISHER_RAO_SRSF)
+            assert np.array_equal(f.mean.values, alone.mean.values)
+            assert (f.objective, f.converged) == (alone.objective, alone.converged)
+
     def test_continuous_treatments_rejected(self):
         ds = binary_dataset()
         x = ds.treatments.copy()
