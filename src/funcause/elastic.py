@@ -15,8 +15,8 @@ objects.  Karcher means that run together on one grid (``_karcher_means``)
 share their sweeps: each sweep aligns the curves of every set that is still
 registering in cache-sized blocks of at most ``_DP_BLOCK`` curves, one DP
 program per block, each curve toward its own set's mean.  Small sets share
-a block, and a large set is split.  A block's side of the DP is built once
-and kept until its sets change.
+a block, and a large set is split.  The blocks and their side of the DP
+are built once and built again only when a set stops.
 """
 from __future__ import annotations
 
@@ -243,11 +243,10 @@ def _align_rows(q1: np.ndarray, Q: np.ndarray, grid: Grid, stack: np.ndarray, pe
     node_m = np.array([m for m, _ in _NODES])
     node_di = _DI[[k for _, k in _NODES]]
     weight = np.where((node_m == 0) | (node_m == node_di), 0.5 * h, h)[:, None, None]
-    # the template at every node of every DP row; templates per curve are
-    # gathered row by row, since all rows at once take as much as the stack
+    # the template's row at every node of every DP row, gathered row by row,
+    # since templates per curve for all rows at once take as much as the stack
     node_rows = np.maximum(np.arange(t)[:, None] + node_m - node_di, 0)
     q1_cols = np.atleast_2d(q1).T
-    q1_all = q1_cols[node_rows][:, :, None, :] if q1_cols.shape[1] == 1 else None
     layers = np.cumsum([0] + [len(_STEPS) - first for first in _FIRST]).tolist()
     # a penalty that is not positive is no penalty
     penalty = np.where(np.atleast_1d(penalty) > 0.0, penalty, 0.0)
@@ -270,7 +269,7 @@ def _align_rows(q1: np.ndarray, Q: np.ndarray, grid: Grid, stack: np.ndarray, pe
     ring[0] = 0.0
     for i in range(1, t):
         a, b = lo[i], hi[i]
-        q1_nodes = q1_all[i] if q1_all is not None else q1_cols[node_rows[i]][:, None, :]
+        q1_nodes = q1_cols.take(node_rows[i], axis=0)[:, None, :]
         for m, (first, l0, l1) in enumerate(zip(_FIRST, layers, layers[1:])):
             diff = q1_nodes[l0:l1] - stack[l0:l1, a:b]
             term = weight[l0:l1] * diff
@@ -463,11 +462,10 @@ def _checked_curves(fmat, grid: Grid) -> np.ndarray:
     return fmat
 
 
-def _blocks(chains: list, grid: Grid, kept: dict) -> list:
+def _blocks(chains: list, grid: Grid) -> list:
     """The DP blocks of one sweep over the rows of ``chains``: per block its
     segments (chain, lo, hi), curves, node stack and penalty (one per curve
-    when the block holds more than one set).  A block that ``kept`` holds
-    under its segments is taken from there.
+    when the block holds more than one set).
 
     Consecutive sets of at most ``_DP_BLOCK // 2`` curves in all share one
     block, with a template per curve, which slows each DP row's template
@@ -493,9 +491,6 @@ def _blocks(chains: list, grid: Grid, kept: dict) -> list:
         segments += [[(group[0], lo, hi)] for lo, hi in zip(bounds, bounds[1:])]
     blocks = []
     for segs in segments:
-        if tuple(segs) in kept:
-            blocks.append(kept[tuple(segs)])
-            continue
         if len(segs) == 1:
             c, lo, hi = segs[0]
             Q, penalty = c.qmat[lo:hi], c.penalty
@@ -515,8 +510,7 @@ def _karcher_means(sets, grid: Grid, max_iter: int = 20, tol: float = 1e-6) -> l
     curve, and each set keeps its own weights, objective trace and
     convergence test, so set s gives exactly what ``karcher_mean`` gives
     for it alone.  Every set is checked before any work starts; the blocks
-    are packed again only when a set stops, and a block whose curves do not
-    change keeps its node stack.
+    are packed again, node stacks and all, only when a set stops.
     """
     t = len(grid)
     checked = []
@@ -533,10 +527,10 @@ def _karcher_means(sets, grid: Grid, max_iter: int = 20, tol: float = 1e-6) -> l
         gmat = np.tile(grid.points, (len(qmat), 1))
         chains.append(_Chain(qmat, w, penalty, origin, mean, gmat, trace))
 
-    live, blocks, kept = chains, None, {}
+    live, blocks = chains, None
     for _ in range(max_iter):
         if blocks is None:
-            blocks = _blocks(live, grid, kept)
+            blocks = _blocks(live, grid)
         pieces = {c: ([], []) for c in live}
         for segs, Q, stack, penalty in blocks:
             if len(segs) == 1:
@@ -565,9 +559,7 @@ def _karcher_means(sets, grid: Grid, max_iter: int = 20, tol: float = 1e-6) -> l
             if prev - obj <= tol * max(prev, 1e-30):
                 c.converged = True
         if any(c.converged for c in live):
-            # pack again, keeping the blocks of the sets that go on
-            live = [c for c in live if not c.converged]
-            kept, blocks = {tuple(b[0]): b for b in blocks}, None
+            live, blocks = [c for c in live if not c.converged], None
             if not live:
                 break
 

@@ -111,7 +111,7 @@ def frechet_mean(
         return FrechetMeanResult(Curve(grid, mean), metric, obj, True)
 
     if metric is Metric.FISHER_RAO_SRSF:
-        return _fisher_rao_means([(ymat, weights)], grid)[0]
+        return _fisher_rao_means([(ymat, w)], grid)[0]
 
     if metric is Metric.FISHER_RAO_SPHERE:
         return _sphere_mean(ymat, grid, w)
@@ -120,12 +120,13 @@ def frechet_mean(
 
 
 def _fisher_rao_means(sets, grid: Grid) -> list:
-    """The Fisher-Rao SRSF ``frechet_mean`` of each ``(ymat, weights)`` set,
-    at ``elastic.karcher_mean``'s defaults; the Karcher means run together
-    in one ``elastic._karcher_means`` call."""
-    means = elastic._karcher_means(
-        [(ymat, elastic._normalized_weights(len(ymat), w), 0.0) for ymat, w in sets], grid
-    )
+    """The Fisher-Rao SRSF ``frechet_mean`` of each ``(ymat, w)`` set, whose
+    weights ``w`` are already normalised, at ``elastic.karcher_mean``'s
+    defaults; the Karcher means run together in one
+    ``elastic._karcher_means`` call.  That call normalises ``w`` once more,
+    as ``karcher_mean`` does, which can move the last bit of a weight, so
+    the means are those that ``karcher_mean(ymat, weights=w)`` gives."""
+    means = elastic._karcher_means([(ymat, w, 0.0) for ymat, w in sets], grid)
     return [
         FrechetMeanResult(m.mean, Metric.FISHER_RAO_SRSF, m.objective_trace[-1], m.converged)
         for m in means
@@ -150,7 +151,13 @@ def group_potential_outcomes(ds: Dataset, metric: Metric = Metric.EUCLIDEAN, pro
 
     y, grid = ds.outcome_matrix, ds.outcome_grid
     if metric is Metric.FISHER_RAO_SRSF:
-        f1, f0 = _fisher_rao_means([(y[idx1], w1), (y[idx0], w0)], grid)
+        f1, f0 = _fisher_rao_means(
+            [
+                (y[idx1], elastic._normalized_weights(len(idx1), w1)),
+                (y[idx0], elastic._normalized_weights(len(idx0), w0)),
+            ],
+            grid,
+        )
         return f1, f0
     f1 = frechet_mean([Curve(grid, y[i]) for i in idx1], weights=w1, metric=metric)
     f0 = frechet_mean([Curve(grid, y[i]) for i in idx0], weights=w0, metric=metric)

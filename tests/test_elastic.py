@@ -579,23 +579,6 @@ class TestKarcherMean:
             assert packings == 2
             assert mixed
 
-    def test_blocks_of_sets_that_go_on_are_kept(self, packing, monkeypatch):
-        # the copies have a block of their own and the 11 bumps two; when
-        # the copies stop, the bumps' blocks keep their node stacks
-        grid = Grid.uniform(30)
-        sets = self.karcher_sets(grid)[::2]
-        tables, node_tables = [], elastic._node_tables
-        monkeypatch.setattr(
-            elastic, "_node_tables", lambda Q, g: tables.append(len(Q)) or node_tables(Q, g)
-        )
-        together = elastic._karcher_means(sets, grid, max_iter=4, tol=1e-6)
-        assert tables == [2, 5, 6] and packing["packings"] == 2 and not packing["mixed"]
-        assert together[0].converged and len(together[1].objective_trace) > 2
-        for (fmat, weights, penalty), res in zip(sets, together):
-            alone = karcher_mean(fmat, grid, max_iter=4, tol=1e-6, weights=weights, penalty=penalty)
-            assert np.array_equal(res.warps, alone.warps)
-            assert res.objective_trace == alone.objective_trace
-
     def test_only_small_sets_share_a_block(self, monkeypatch):
         monkeypatch.setattr(elastic, "_DP_BLOCK", 10)
         grid = Grid.uniform(8)
@@ -604,7 +587,7 @@ class TestKarcherMean:
             def __init__(self, n):
                 self.qmat, self.penalty = np.zeros((n, 8)), 0.0
 
-        blocks = elastic._blocks([Set(n) for n in (3, 2, 11, 4, 4, 1, 21)], grid, {})
+        blocks = elastic._blocks([Set(n) for n in (3, 2, 11, 4, 4, 1, 21)], grid)
         # sets share a block while they hold five curves in all; a larger
         # set is split into blocks of about equal size, ten at most
         assert [len(Q) for _, Q, _, _ in blocks] == [5, 5, 6, 4, 5, 7, 7, 7]
