@@ -12,11 +12,12 @@ the full lattice.  A Karcher mean takes its curves as one (n, T) matrix
 and returns their warps as one, and the whole sweep (DP, backtrack, warp
 read-off, norms, centring) works on (n, T) matrices, with no per-curve
 objects.  Karcher means that run together on one grid (``_karcher_means``)
-share their sweeps: each sweep aligns the curves of every set that is still
-registering in cache-sized blocks of at most ``_DP_BLOCK`` curves, one DP
-program per block, each curve toward its own set's mean.  Small sets share
-a block, and a large set is split.  The blocks and their side of the DP
-are built once and built again only when a set stops.
+align their curves in cache-sized blocks of at most ``_DP_BLOCK`` curves,
+one DP program per block.  Small sets share their sweeps: each sweep aligns
+the curves of every one of them that is still registering in one block,
+each curve toward its own set's mean.  A large set runs alone, split into
+blocks.  A block's side of the DP is built once, and again only when a set
+that shares it stops.
 """
 from __future__ import annotations
 
@@ -422,8 +423,8 @@ def karcher_mean(
     ``_DP_BLOCK`` curves each, as ``align_batch`` does.  ``warps`` is one
     read-only (n, T) matrix.  This is the one-set case of
     ``_karcher_means``, through which the registrations run the means of
-    several curve sets on one grid in shared sweeps, with the same result
-    for each set.
+    several curve sets on one grid, small sets in shared sweeps, with the
+    same result for each set.
     """
     return _karcher_means([(fmat, weights, penalty)], grid, max_iter, tol)[0]
 
@@ -462,17 +463,17 @@ def _checked_curves(fmat, grid: Grid) -> np.ndarray:
     return fmat
 
 
-def _blocks(chains: list, grid: Grid) -> list:
-    """The DP blocks of one sweep over the rows of ``chains``: per block its
-    segments (chain, lo, hi), curves, node stack and penalty (one per curve
-    when the block holds more than one set).
+def _groups(chains: list) -> list:
+    """The sets whose Karcher loops run together: consecutive sets of at
+    most ``_DP_BLOCK // 2`` curves in all, which share one DP block with a
+    template per curve; every other set runs alone.
 
-    Consecutive sets of at most ``_DP_BLOCK // 2`` curves in all share one
-    block, with a template per curve, which slows each DP row's template
-    side; every other set has blocks of its own.  Measured per sweep: two
-    sets of 20 curves took 6.0 ms in one block against 8.0 ms in two at
-    T=50, and 20.9 against 26.6 ms at T=100; two sets of 64 took 54.1 ms in
-    one block against 42.2 ms in two at T=100.
+    A template per curve slows each DP row's template side.  Measured per
+    sweep: two sets of 20 curves took 6.0 ms in one block against 8.0 ms in
+    two at T=50, and 20.9 against 26.6 ms at T=100; two sets of 64 took
+    54.1 ms in one block against 42.2 ms in two at T=100.  A set that runs
+    alone runs all its sweeps before the next set starts, as separate
+    ``karcher_mean`` calls would.
     """
     groups = []
     for c in chains:
@@ -480,37 +481,42 @@ def _blocks(chains: list, grid: Grid) -> list:
             groups[-1].append(c)
         else:
             groups.append([c])
-    segments = []
-    for group in groups:
-        if len(group) > 1:
-            segments.append([(c, 0, len(c.qmat)) for c in group])
-            continue
-        n = len(group[0].qmat)
-        count = -(-n // _DP_BLOCK)
-        bounds = [n * b // count for b in range(count + 1)]
-        segments += [[(group[0], lo, hi)] for lo, hi in zip(bounds, bounds[1:])]
-    blocks = []
-    for segs in segments:
-        if len(segs) == 1:
-            c, lo, hi = segs[0]
-            Q, penalty = c.qmat[lo:hi], c.penalty
-        else:
-            Q = np.concatenate([c.qmat for c, _, _ in segs])
-            penalty = np.concatenate([np.full(len(c.qmat), c.penalty) for c, _, _ in segs])
-        blocks.append((segs, Q, _node_tables(Q, grid), penalty))
-    return blocks
+    return groups
+
+
+def _blocks(group: list, grid: Grid) -> list:
+    """The DP blocks of one sweep over the live sets of a group: per block
+    its segments (chain, lo, hi), curves, node stack and penalty (one per
+    curve when the block holds more than one set).  The sets of a group
+    share one block; a set alone is split into blocks of about equal size,
+    at most ``_DP_BLOCK`` curves each.
+    """
+    if len(group) > 1:
+        Q = np.concatenate([c.qmat for c in group])
+        penalty = np.concatenate([np.full(len(c.qmat), c.penalty) for c in group])
+        return [([(c, 0, len(c.qmat)) for c in group], Q, _node_tables(Q, grid), penalty)]
+    (c,) = group
+    n = len(c.qmat)
+    count = -(-n // _DP_BLOCK)
+    bounds = [n * b // count for b in range(count + 1)]
+    return [
+        ([(c, lo, hi)], c.qmat[lo:hi], _node_tables(c.qmat[lo:hi], grid), c.penalty)
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
 
 
 def _karcher_means(sets, grid: Grid, max_iter: int = 20, tol: float = 1e-6) -> list:
     """``karcher_mean`` of every ``(fmat, weights, penalty)`` set on ``grid``.
 
-    Each sweep aligns the curves of every set that has not yet converged in
-    one pass over ``_blocks``: one banded DP per block, each curve toward
-    its own set's mean with its set's penalty.  Every DP step is taken per
-    curve, and each set keeps its own weights, objective trace and
-    convergence test, so set s gives exactly what ``karcher_mean`` gives
-    for it alone.  Every set is checked before any work starts; the blocks
-    are packed again, node stacks and all, only when a set stops.
+    The sets of each of ``_groups`` run their Karcher loops together: each
+    sweep aligns the curves of every set of the group that has not yet
+    converged in one pass over ``_blocks``, one banded DP per block, each
+    curve toward its own set's mean with its set's penalty.  Every DP step
+    is taken per curve, and each set keeps its own weights, objective trace
+    and convergence test, so set s gives exactly what ``karcher_mean``
+    gives for it alone.  Every set is checked before any work starts; a
+    group's blocks are packed again, node stacks and all, only when one of
+    its sets stops.
     """
     t = len(grid)
     checked = []
@@ -527,41 +533,44 @@ def _karcher_means(sets, grid: Grid, max_iter: int = 20, tol: float = 1e-6) -> l
         gmat = np.tile(grid.points, (len(qmat), 1))
         chains.append(_Chain(qmat, w, penalty, origin, mean, gmat, trace))
 
-    live, blocks = chains, None
-    for _ in range(max_iter):
-        if blocks is None:
-            blocks = _blocks(live, grid)
-        pieces = {c: ([], []) for c in live}
-        for segs, Q, stack, penalty in blocks:
-            if len(segs) == 1:
-                template = segs[0][0].mean
-            else:
-                template = np.concatenate(
-                    [np.broadcast_to(c.mean, (hi - lo, t)) for c, lo, hi in segs]
+    for live in _groups(chains):
+        blocks = None
+        for _ in range(max_iter):
+            if blocks is None:
+                blocks = _blocks(live, grid)
+            pieces = {c: ([], []) for c in live}
+            for segs, Q, stack, penalty in blocks:
+                if len(segs) == 1:
+                    template = segs[0][0].mean
+                else:
+                    template = np.concatenate(
+                        [np.broadcast_to(c.mean, (hi - lo, t)) for c, lo, hi in segs]
+                    )
+                gammas, aligned, _ = _align_rows(template, Q, grid, stack, penalty)
+                r = 0
+                for c, lo, hi in segs:
+                    pieces[c][0].append(gammas[r : r + hi - lo])
+                    pieces[c][1].append(aligned[r : r + hi - lo])
+                    r += hi - lo
+            for c in live:
+                new_gmat, new_aligned = (
+                    p[0] if len(p) == 1 else np.concatenate(p) for p in pieces[c]
                 )
-            gammas, aligned, _ = _align_rows(template, Q, grid, stack, penalty)
-            r = 0
-            for c, lo, hi in segs:
-                pieces[c][0].append(gammas[r : r + hi - lo])
-                pieces[c][1].append(aligned[r : r + hi - lo])
-                r += hi - lo
-        for c in live:
-            new_gmat, new_aligned = (p[0] if len(p) == 1 else np.concatenate(p) for p in pieces[c])
-            new_mean = c.w @ new_aligned
-            obj = _weighted_spread(new_mean, new_aligned, c.w, grid)
-            if obj > c.trace[-1]:
-                # float slip; keep the previous (better) iterate
-                c.converged = True
-                continue
-            c.gmat, c.mean = new_gmat, new_mean
-            prev = c.trace[-1]
-            c.trace.append(obj)
-            if prev - obj <= tol * max(prev, 1e-30):
-                c.converged = True
-        if any(c.converged for c in live):
-            live, blocks = [c for c in live if not c.converged], None
-            if not live:
-                break
+                new_mean = c.w @ new_aligned
+                obj = _weighted_spread(new_mean, new_aligned, c.w, grid)
+                if obj > c.trace[-1]:
+                    # float slip; keep the previous (better) iterate
+                    c.converged = True
+                    continue
+                c.gmat, c.mean = new_gmat, new_mean
+                prev = c.trace[-1]
+                c.trace.append(obj)
+                if prev - obj <= tol * max(prev, 1e-30):
+                    c.converged = True
+            if any(c.converged for c in live):
+                live, blocks = [c for c in live if not c.converged], None
+                if not live:
+                    break
 
     return [_result(c, grid) for c in chains]
 

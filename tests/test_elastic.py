@@ -573,10 +573,11 @@ class TestKarcherMean:
             assert packings == 1 and not mixed
         else:
             # the copies and the smooth curves share a block; the copies
-            # stop after one sweep, so the rest are packed again
+            # stop after one sweep, so the smooth curves are packed again;
+            # the bumps run alone, in two blocks
             assert together[0].converged and len(together[0].objective_trace) == 2
             assert len(together[1].objective_trace) > 2
-            assert packings == 2
+            assert packings == count
             assert mixed
 
     def test_only_small_sets_share_a_block(self, monkeypatch):
@@ -587,9 +588,11 @@ class TestKarcherMean:
             def __init__(self, n):
                 self.qmat, self.penalty = np.zeros((n, 8)), 0.0
 
-        blocks = elastic._blocks([Set(n) for n in (3, 2, 11, 4, 4, 1, 21)], grid)
+        groups = elastic._groups([Set(n) for n in (3, 2, 11, 4, 4, 1, 21)])
+        blocks = [b for group in groups for b in elastic._blocks(group, grid)]
         # sets share a block while they hold five curves in all; a larger
         # set is split into blocks of about equal size, ten at most
+        assert [len(group) for group in groups] == [2, 1, 1, 2, 1]
         assert [len(Q) for _, Q, _, _ in blocks] == [5, 5, 6, 4, 5, 7, 7, 7]
         assert [len(segs) for segs, *_ in blocks] == [2, 1, 1, 1, 2, 1, 1, 1]
 
