@@ -18,7 +18,6 @@ from .fdata import (
     Curve,
     Dataset,
     Grid,
-    derivative,
     grid_norm,
     load_dataset,
     resample,
@@ -36,7 +35,6 @@ from .elastic import (
     srsf_inverse,
     srsf_transform,
     warp_curve,
-    warp_srsf,
 )
 from .frechet import (
     DynamicEffect,
@@ -79,7 +77,6 @@ from .estimators import (
     potential_outcome,
     register_outcomes,
     run_estimator,
-    select_hyperparameters,
 )
 from .inference import EffectCI, Regime, TTestResult, effect_ci, pointwise_ci, welch_t_test
 from .simgen import GroundTruth, Scenario, ScenarioConfig, effect_error, generate

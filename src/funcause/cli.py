@@ -120,7 +120,9 @@ def cmd_register(args) -> int:
     # plain elastic registration without the estimator-side smoothing split.
     # Not a fixed point: a second run moves the curves again, noise-free
     # ones too, and so does re-aligning registered curves to one fixed
-    # template; the cause is not yet known
+    # template.  The DP minimises a node-quadrature residual that steep
+    # steps under-sample, and one lattice pass is far from the best
+    # reachable warp (measured in ROADMAP item 11)
     current = ds
     if do_cov:
         current, _ = estimators.register_covariate_curves(current)

@@ -58,7 +58,6 @@ __all__ = [
     "dose_response",
     "register_outcomes",
     "kernel_setup",
-    "select_hyperparameters",
     "iterative_srvf_estimate",
     "run_estimator",
     "estimate",
@@ -71,7 +70,7 @@ _FRECHET = {"frechet-euclid": Metric.EUCLIDEAN, "frechet-fr": Metric.FISHER_RAO_
 _KERNEL = {
     "kernel": (None, False),
     "operator-kernel": (None, True),
-    "srvf-operator-kernel": (lambda ds: register_outcomes(ds, per_arm=True, max_iter=5)[0], True),
+    "srvf-operator-kernel": (lambda ds: register_outcomes(ds, per_arm=True)[0], True),
     "iterative-srvf": (lambda ds: _register_iterative(ds, IterativeConfig())[0], False),
 }
 ESTIMATOR_NAMES = ("ipw", "dr", *_FRECHET, *_KERNEL)
@@ -288,11 +287,8 @@ def dose_response(model: KrrModel, levels: Sequence[float]) -> DoseResponseCurve
     return DoseResponseCurve(levels=list(levels), effects=effects, curves=curves)
 
 
-# slope penalty of every outcome registration, and of `funcause register`;
-# sweep budget and relative tolerance of the `register_*` Karcher means
+# slope penalty of every outcome registration, and of `funcause register`
 REGISTER_PENALTY = 0.05
-REGISTER_SWEEPS = 10
-REGISTER_TOL = 1e-6
 
 
 def _moving_average(v: np.ndarray, window: int) -> np.ndarray:
@@ -302,10 +298,10 @@ def _moving_average(v: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(padded, np.ones(window) / window, mode="same")[pad : pad + v.size]
 
 
-def _register_sets(sets, grid, max_iter, tol):
+def _register_sets(sets, grid, max_iter=elastic.KARCHER_SWEEPS):
     """Warp every ``(rows, penalty, window)`` set on ``grid`` to its own
-    elastic Karcher mean; the means run together in one
-    ``elastic._karcher_means`` call.
+    elastic Karcher mean of at most ``max_iter`` sweeps; the means run
+    together in one ``elastic._karcher_means`` call.
 
     With ``window`` > 1 each row is split into a moving-average smooth part
     and a rough residual: the warps are estimated from and applied to the
@@ -322,7 +318,7 @@ def _register_sets(sets, grid, max_iter, tol):
             splits.append((rows, np.zeros_like(rows)))
     means = elastic._karcher_means(
         [(smooth, None, penalty) for (smooth, _), (_, penalty, _) in zip(splits, sets)],
-        grid, max_iter, tol,
+        grid, max_iter,
     )
     return [
         (elastic._interp_rows(m.warps, grid.points, smooth) + resid, m.warps, m.converged)
@@ -330,14 +326,9 @@ def _register_sets(sets, grid, max_iter, tol):
     ]
 
 
-def register_outcomes(
-    ds: Dataset,
-    max_iter: int = REGISTER_SWEEPS,
-    smooth_window: Optional[int] = None,
-    per_arm: bool = False,
-):
+def register_outcomes(ds: Dataset, smooth_window: Optional[int] = None, per_arm: bool = False):
     """Register every outcome curve to the elastic Karcher mean, with slope
-    penalty ``REGISTER_PENALTY`` and tolerance ``REGISTER_TOL``.
+    penalty ``REGISTER_PENALTY`` and ``elastic``'s stop rule.
 
     ``smooth_window`` (default about a fifth of the grid length) is the
     window of ``_register_sets``' smooth/residual split: warping rough
@@ -354,9 +345,7 @@ def register_outcomes(
     else:
         groups = [np.arange(len(ds))]
     y = ds.outcome_matrix
-    sets = _register_sets(
-        [(y[idx], REGISTER_PENALTY, smooth_window) for idx in groups], grid, max_iter, REGISTER_TOL
-    )
+    sets = _register_sets([(y[idx], REGISTER_PENALTY, smooth_window) for idx in groups], grid)
     registered, warps = np.empty_like(y), np.empty_like(y)
     for idx, (rows, group_warps, _) in zip(groups, sets):
         registered[idx], warps[idx] = rows, group_warps
@@ -365,11 +354,10 @@ def register_outcomes(
 
 def register_covariate_curves(ds: Dataset):
     """Register every covariate curve, unsmoothed, to their elastic Karcher
-    mean with the ``REGISTER_*`` settings.  Returns the registered dataset
+    mean, as ``register_outcomes`` does.  Returns the registered dataset
     and the read-only (n, Tc) matrix of its warps."""
     ((v, warps, _),) = _register_sets(
-        [(ds.covariate_curve_matrix, REGISTER_PENALTY, 0)], ds.covariate_grid,
-        REGISTER_SWEEPS, REGISTER_TOL,
+        [(ds.covariate_curve_matrix, REGISTER_PENALTY, 0)], ds.covariate_grid
     )
     return replace(ds, covariate_curve_matrix=v), warps
 
@@ -439,22 +427,17 @@ def holdout_error(
     return _holdout_errors(ds, _inputs(ds, kv), split, kx, kv, k_y, (lam,))[0]
 
 
-def select_hyperparameters(ds: Dataset, k_y: Optional[GramMatrix] = None):
+def _search(ds, inputs, setup, k_y):
     """Grid search over bandwidth scales and lambdas on the fixed 20%
-    holdout of ``_holdout_split``, so the choice depends only on ``ds``.
+    holdout of ``_holdout_split``, so the choice depends only on ``ds``;
+    ``inputs`` and ``setup`` are ``_default_kernels(ds)``, so every scale's
+    Gram blocks are sliced from the same distances.
 
     Returns (kx, kv, lam) with the first minimum error in scale-major
     order, or ``kernel_setup``'s kernels with ``DEFAULT_LAM`` when the
     training units of the split do not form a valid dataset (as when the
     split leaves an arm without training units).
     """
-    return _search(ds, *_default_kernels(ds), k_y)
-
-
-def _search(ds, inputs, setup, k_y):
-    """``select_hyperparameters`` on the kernel inputs and ``setup`` of
-    ``_default_kernels(ds)``: one split, and every scale's Gram blocks
-    sliced from the same distances."""
     split = _holdout_split(ds)
     if split is None:
         return (*setup(1.0), DEFAULT_LAM)
@@ -466,20 +449,17 @@ def _search(ds, inputs, setup, k_y):
     return min(candidates, key=lambda c: c[0])[1:]
 
 
-# relative objective decrease that stops the Karcher means
-ITER_KARCHER_TOL = 1e-4
-
-
 @dataclass
 class IterativeConfig:
     """Settings of ``iterative_srvf_estimate``.  Only the sweep budget
     ``karcher_max_iter + r_max - 1`` (``karcher_max_iter`` without covariate
-    curves) matters; ``ITER_KARCHER_TOL``, ``REGISTER_PENALTY`` and the
-    outcome smoothing window ``max(3, T // 10) | 1`` are fixed."""
+    curves) matters, and by default it is ``elastic.KARCHER_SWEEPS``;
+    ``elastic.KARCHER_TOL``, ``REGISTER_PENALTY`` and the outcome smoothing
+    window ``max(3, T // 10) | 1`` are fixed."""
 
     lam: float = DEFAULT_LAM
-    r_max: int = 10
-    karcher_max_iter: int = 5
+    r_max: int = 1
+    karcher_max_iter: int = elastic.KARCHER_SWEEPS
 
     def __post_init__(self):
         _check_lam(self.lam)
@@ -490,7 +470,8 @@ class IterativeConfig:
 @dataclass
 class IterativeResult:
     """``converged``: every Karcher mean it ran (outcomes, and covariate
-    curves if any) stopped at ``ITER_KARCHER_TOL``.  ``trace`` is always
+    curves if any) stopped at ``elastic.KARCHER_TOL``, neither on a rising
+    sweep nor at the budget.  ``trace`` is always
     empty, as one fit has no rounds; the benchmark's tracer still reads it."""
 
     effect: DynamicEffect
@@ -514,11 +495,11 @@ def _register_iterative(ds: Dataset, cfg: IterativeConfig):
         sets.append((v, 0.0, 0))
     if has_vcurves and ds.covariate_grid != ds.outcome_grid:
         out = [
-            *_register_sets(sets[:1], ds.outcome_grid, sweeps, ITER_KARCHER_TOL),
-            *_register_sets(sets[1:], ds.covariate_grid, sweeps, ITER_KARCHER_TOL),
+            *_register_sets(sets[:1], ds.outcome_grid, sweeps),
+            *_register_sets(sets[1:], ds.covariate_grid, sweeps),
         ]
     else:
-        out = _register_sets(sets, ds.outcome_grid, sweeps, ITER_KARCHER_TOL)
+        out = _register_sets(sets, ds.outcome_grid, sweeps)
     if has_vcurves:
         v = out[1][0]
     converged = all(c for *_, c in out)

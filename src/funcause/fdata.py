@@ -20,7 +20,6 @@ __all__ = [
     "Grid",
     "Curve",
     "Dataset",
-    "derivative",
     "resample",
     "grid_norm",
     "load_dataset",
@@ -168,18 +167,14 @@ class Dataset:
         )
 
 
-def derivative(c: Curve) -> Curve:
-    """Second-order finite-difference derivative on the same grid.
+def _derivative_rows(fmat, grid: Grid) -> np.ndarray:
+    """Second-order finite-difference derivative of every row of ``fmat``
+    (or of one curve's values) on the same grid.
 
     Central differences at interior points, one-sided second-order at the
     boundaries.  No pre-smoothing: outcome registration splits off its own
     moving-average smooth part (``estimators.register_outcomes``).
     """
-    return Curve(c.grid, _derivative_rows(c.values, c.grid))
-
-
-def _derivative_rows(fmat, grid: Grid) -> np.ndarray:
-    """``derivative`` of every row of ``fmat`` (or of one curve's values)."""
     if len(grid) < 3:
         raise GridTooSmall("derivative needs at least 3 grid points")
     return np.gradient(fmat, grid.spacing, axis=-1, edge_order=2)

@@ -519,7 +519,7 @@ class TestArchitecture:
         assert cli.run_estimator is estimators.run_estimator
 
     @pytest.mark.parametrize(
-        "fn", ["run_estimator", "estimate", "select_hyperparameters", "holdout_error"]
+        "fn", ["run_estimator", "estimate", "holdout_error"]
     )
     def test_search_takes_no_seed(self, fn):
         assert "seed" not in inspect.signature(getattr(estimators, fn)).parameters

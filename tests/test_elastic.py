@@ -23,7 +23,6 @@ from funcause import (
     srsf_inverse,
     srsf_transform,
     warp_curve,
-    warp_srsf,
 )
 from funcause import elastic
 
@@ -33,7 +32,8 @@ from elastic_oracle import align_oracle
 # (n=20, T=50, seed 0) with 3 sweeps and penalty 0 and 0.05, computed at
 # commit 0a5c2aa, when each sweep still aligned the curves one pair at a
 # time.  Batching the DP kept every arithmetic step, so all outputs must
-# match bit for bit.
+# match bit for bit.  Each mean's stop reason replaced its converged flag
+# when the means began to say why they stopped.
 PINNED_KARCHER = json.loads(
     (pathlib.Path(__file__).parent / "data" / "pinned_karcher.json").read_text()
 )
@@ -131,6 +131,15 @@ class TestWarpingFunction:
         assert not np.shares_memory(g.values, src)
 
 
+def warped_srsf(q: SrsfCurve, gamma: WarpingFunction) -> np.ndarray:
+    """The group action (q o gamma) sqrt(gamma') as a Karcher mean applies it."""
+    grid, g = q.grid, gamma.values[None, :]
+    return (
+        elastic._interp_rows(g, grid.points, q.values[None, :])
+        * np.sqrt(elastic._warp_slopes(g, grid))
+    )[0]
+
+
 class TestWarpAction:
     def test_identity_warp_is_noop(self):
         grid = Grid.uniform(64)
@@ -138,7 +147,7 @@ class TestWarpAction:
         g = WarpingFunction.identity(grid)
         assert np.allclose(warp_curve(c, g).values, c.values)
         q = srsf_transform(c)
-        assert np.allclose(warp_srsf(q, g).values, q.values, atol=1e-10)
+        assert np.allclose(warped_srsf(q, g), q.values, atol=1e-10)
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=25, deadline=None)
@@ -151,7 +160,7 @@ class TestWarpAction:
         gam[0], gam[-1] = 0.0, 1.0
         g = WarpingFunction(grid, gam)
         n0 = grid_norm(q.values, grid)
-        n1 = grid_norm(warp_srsf(q, g).values, grid)
+        n1 = grid_norm(warped_srsf(q, g), grid)
         assert abs(n1 - n0) <= 5e-2
 
 
@@ -432,13 +441,25 @@ class TestKarcherMean:
             )
         ),
         penalty=st.sampled_from([0.0, 0.05]),
+        max_iter=st.integers(0, 4),
     )
     @settings(max_examples=40, deadline=None)
-    def test_warps_valid_on_any_curves(self, rows, penalty):
+    def test_warps_valid_on_any_curves(self, rows, penalty, max_iter):
         fmat = np.array(rows)
         grid = Grid.uniform(fmat.shape[1])
-        res = karcher_mean(fmat, grid, max_iter=3, penalty=penalty)
+        res = karcher_mean(fmat, grid, max_iter=max_iter, penalty=penalty)
         assert_valid_warps(res.warps, grid)
+        # the stop reason agrees with the trace: every kept sweep but a last
+        # one that stopped at the tolerance lowered the objective by more
+        trace = res.objective_trace
+        drops = [a - b > elastic.KARCHER_TOL * max(a, 1e-30) for a, b in zip(trace, trace[1:])]
+        assert res.converged == (res.stop == "tol")
+        assert len(trace) - 1 <= max_iter
+        if res.stop == "tol":
+            assert drops == [True] * (len(drops) - 1) + [False]
+        else:
+            assert res.stop in ("rise", "budget") and all(drops)
+            assert res.stop == "rise" or len(trace) - 1 == max_iter
 
     def test_weights_validated(self):
         grid = Grid.uniform(32)
@@ -519,8 +540,42 @@ class TestKarcherMean:
         assert res.mean_srsf.origin == case["origin"]
         np.testing.assert_allclose(res.warps, case["warps"], rtol=0, atol=0)
         assert res.objective_trace == case["objective_trace"]
-        assert res.converged == case["converged"]
+        assert res.stop == case["stop"]
         assert_valid_warps(res.warps, grid)
+
+    def test_rising_sweep_keeps_the_earlier_iterate(self, monkeypatch):
+        grid = Grid.uniform(40)
+        fmat = self.make_shifted_family(grid, 6, seed=1)
+        one_sweep = karcher_mean(fmat, grid, max_iter=1)
+        assert one_sweep.stop == "budget" and not one_sweep.converged
+        spread, calls = elastic._weighted_spread, []
+
+        def rising(mu, rows, w, grid):
+            calls.append(1)
+            value = spread(mu, rows, w, grid)
+            # the start, sweep 1, then a sweep 2 that raises the objective
+            return 2.0 * one_sweep.objective_trace[-1] if len(calls) == 3 else value
+
+        monkeypatch.setattr(elastic, "_weighted_spread", rising)
+        res = karcher_mean(fmat, grid, max_iter=3)
+        assert len(calls) == 3
+        assert res.stop == "rise" and not res.converged
+        assert res.objective_trace == one_sweep.objective_trace
+        assert np.array_equal(res.warps, one_sweep.warps)
+        assert np.array_equal(res.mean.values, one_sweep.mean.values)
+
+    def test_only_the_tolerance_converges(self, monkeypatch):
+        grid = Grid.uniform(40)
+        # copies of one curve: sweep 1 leaves the objective at 0
+        copies = np.tile(smooth_curve(grid, 3).values, (3, 1))
+        tol = karcher_mean(copies, grid)
+        budget = karcher_mean(self.make_shifted_family(grid, 6), grid, max_iter=1)
+        spreads = iter([1.0, 2.0])
+        monkeypatch.setattr(elastic, "_weighted_spread", lambda *args: next(spreads))
+        rise = karcher_mean(copies, grid)
+        assert [tol.stop, budget.stop, rise.stop] == ["tol", "budget", "rise"]
+        assert [r.converged for r in (tol, budget, rise)] == [True, False, False]
+        assert rise.objective_trace == [1.0]
 
     @pytest.fixture
     def packing(self, monkeypatch):
@@ -557,17 +612,17 @@ class TestKarcherMean:
     def test_sets_together_equal_each_alone(self, packing, count):
         grid = Grid.uniform(30)
         sets = self.karcher_sets(grid)[:count]
-        together = elastic._karcher_means(sets, grid, max_iter=4, tol=1e-6)
+        together = elastic._karcher_means(sets, grid, max_iter=4)
         packings, mixed = packing["packings"], packing["mixed"]
         assert len(together) == count
         for (fmat, weights, penalty), res in zip(sets, together):
-            alone = karcher_mean(fmat, grid, max_iter=4, tol=1e-6, weights=weights, penalty=penalty)
+            alone = karcher_mean(fmat, grid, max_iter=4, weights=weights, penalty=penalty)
             assert np.array_equal(res.warps, alone.warps)
             assert np.array_equal(res.mean.values, alone.mean.values)
             assert np.array_equal(res.mean_srsf.values, alone.mean_srsf.values)
             assert res.mean_srsf.origin == alone.mean_srsf.origin
             assert res.objective_trace == alone.objective_trace
-            assert res.converged == alone.converged
+            assert res.stop == alone.stop
             assert_valid_warps(res.warps, grid)
         if count == 1:
             assert packings == 1 and not mixed

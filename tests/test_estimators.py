@@ -1,5 +1,6 @@
 """Tests for kernel ridge regression estimators and the registration loop."""
 import collections
+import inspect
 import math
 from dataclasses import replace
 
@@ -28,12 +29,17 @@ from funcause import (
     output_gram,
     potential_outcome,
     register_outcomes,
-    select_hyperparameters,
 )
 from funcause import elastic, estimators, kernels
 from funcause.estimators import holdout_error, predict_curve
 
 from test_elastic import assert_valid_warps
+
+
+def search(ds, k_y=None):
+    """The library's hyperparameter search, as a searched run calls it."""
+    return estimators._search(ds, *estimators._default_kernels(ds), k_y)
+
 
 BIN_KX = KernelSpec(KernelFamily.BINARY_INDICATOR)
 SE_KV = KernelSpec(KernelFamily.SQUARED_EXPONENTIAL, 1.0)
@@ -355,7 +361,7 @@ class TestIterativeEstimate:
         assert calls == ([2] if tc is None else [1, 1])
         # the covariate curves get exactly their own Karcher mean's warps
         vc, vgrid = ds.covariate_curve_matrix, ds.covariate_grid
-        alone = elastic.karcher_mean(vc, vgrid, 3, estimators.ITER_KARCHER_TOL)
+        alone = elastic.karcher_mean(vc, vgrid, 3)
         expected = elastic._interp_rows(alone.warps, vgrid.points, vc)
         assert np.array_equal(res.registered.covariate_curve_matrix, expected)
 
@@ -398,6 +404,43 @@ class TestIterativeEstimate:
         # karcher_max_iter + r_max - 1 sweeps of 20 curves
         assert 0 < sum(aligns) <= 2 * 20 * (2 + 3 - 1)
         assert len(fits) == 1
+
+
+class TestSharedStopRule:
+    """Every registration runs its Karcher means under ``elastic``'s one
+    stop rule and its one sweep budget."""
+
+    @pytest.fixture
+    def budgets(self, monkeypatch):
+        seen = []
+        karcher = elastic._karcher_means
+        signature = inspect.signature(karcher)
+
+        def recording(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append(bound.arguments["max_iter"])
+            return karcher(*args, **kwargs)
+
+        monkeypatch.setattr(elastic, "_karcher_means", recording)
+        return seen
+
+    PATHS = {
+        "frechet-fr": lambda ds: estimators.run_estimator(ds, "frechet-fr"),
+        "srvf-operator-kernel": lambda ds: estimators.run_estimator(ds, "srvf-operator-kernel"),
+        "register_outcomes": register_outcomes,
+        "register_covariate_curves": estimators.register_covariate_curves,
+        "iterative-srvf": lambda ds: estimators.run_estimator(ds, "iterative-srvf"),
+        "iterative_srvf_estimate": iterative_srvf_estimate,
+    }
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_every_registration_passes_the_shared_budget(self, budgets, path):
+        binary = path in ("frechet-fr", "srvf-operator-kernel")
+        scenario = Scenario.BINARY_NONMONOTONIC if binary else Scenario.CONTINUOUS_FUNCTIONAL
+        ds, _ = generate(ScenarioConfig(n=20, t=20, scenario=scenario))
+        self.PATHS[path](ds)
+        assert budgets and all(b == elastic.KARCHER_SWEEPS for b in budgets)
 
 
 class TestDispatch:
@@ -537,7 +580,7 @@ class TestHyperparameterSearch:
             return eigh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        select_hyperparameters(ds, k_y=output_gram(ds.outcome_grid))
+        search(ds, k_y=output_gram(ds.outcome_grid))
         assert sorted(shapes) == sorted([(m, m) for m in train_arms] * 3 + [(16, 16)])
 
     def test_one_output_eigh_per_run(self, monkeypatch):
@@ -558,7 +601,7 @@ class TestHyperparameterSearch:
         # two units leave a one-unit training set, so every holdout error is inf
         ds = make_ds(n=2, t=5, seed=8)
         assert holdout_error(ds, BIN_KX, SE_KV) == math.inf
-        kx, kv, lam = select_hyperparameters(ds)
+        kx, kv, lam = search(ds)
         assert (kx, kv) == kernel_setup(ds)
         assert lam == 1e-2
 
@@ -595,7 +638,7 @@ class TestCovariateFeatureBuilds:
     def test_once_per_search(self, monkeypatch):
         ds = self.curve_ds()
         builds = self.count_builds(monkeypatch)
-        select_hyperparameters(ds)
+        search(ds)
         assert builds == [20]
 
     def test_once_per_iterative_estimate(self, monkeypatch):
@@ -648,6 +691,6 @@ class TestDistancesOncePerRun:
             estimators, "_holdout_split", lambda *a: splits.append(1) or split(*a)
         )
         monkeypatch.setattr(Dataset, "take", lambda self, idx: takes.append(1) or take(self, idx))
-        select_hyperparameters(ds, k_y=output_gram(ds.outcome_grid))
+        search(ds, k_y=output_gram(ds.outcome_grid))
         assert splits == [1]
         assert takes == [1]

@@ -16,7 +16,6 @@ from funcause import (
     GridTooSmall,
     SchemaError,
     SrsfCurve,
-    derivative,
     grid_norm,
     load_dataset,
     resample,
@@ -79,15 +78,13 @@ class TestCurve:
 class TestDerivative:
     def test_linear_curve_exact(self):
         grid = Grid.uniform(64)
-        c = Curve(grid, 3.0 * grid.points + 1.0)
-        d = derivative(c)
-        assert np.allclose(d.values, 3.0, atol=1e-10)
+        d = _derivative_rows(3.0 * grid.points + 1.0, grid)
+        assert np.allclose(d, 3.0, atol=1e-10)
 
     def test_quadratic_exact_second_order(self):
         grid = Grid.uniform(64)
-        c = Curve(grid, grid.points**2)
-        d = derivative(c)
-        assert np.allclose(d.values, 2.0 * grid.points, atol=1e-10)
+        d = _derivative_rows(grid.points**2, grid)
+        assert np.allclose(d, 2.0 * grid.points, atol=1e-10)
 
     @given(
         a=st.floats(-5, 5),
@@ -99,8 +96,8 @@ class TestDerivative:
         grid = Grid.uniform(32)
         rng = np.random.default_rng(seed)
         y1, y2 = rng.standard_normal(32), rng.standard_normal(32)
-        lhs = derivative(Curve(grid, a * y1 + b * y2)).values
-        rhs = a * derivative(Curve(grid, y1)).values + b * derivative(Curve(grid, y2)).values
+        lhs = _derivative_rows(a * y1 + b * y2, grid)
+        rhs = a * _derivative_rows(y1, grid) + b * _derivative_rows(y2, grid)
         assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -138,8 +135,8 @@ class TestGridNorm:
 
 
 class TestRowHelpers:
-    """The row-wise derivative and norm give, row by row, exactly what the
-    one-curve ``derivative`` and ``grid_norm`` give."""
+    """The row-wise derivative and norm give, row by row, exactly what they
+    and ``grid_norm`` give for one curve's values."""
 
     @pytest.mark.parametrize("n,t", [(1, 3), (7, 8), (40, 100)])
     def test_rows_match_one_curve(self, n, t):
@@ -148,7 +145,7 @@ class TestRowHelpers:
         d, norms = _derivative_rows(rows, grid), _row_norms(rows, grid)
         assert d.shape == (n, t) and norms.shape == (n,)
         for row, d_row, norm in zip(rows, d, norms):
-            assert np.array_equal(d_row, derivative(Curve(grid, row)).values)
+            assert np.array_equal(d_row, _derivative_rows(row, grid))
             assert norm == grid_norm(row, grid)
 
     def test_derivative_needs_three_points(self):
