@@ -20,7 +20,6 @@ from .fdata import (
     Grid,
     grid_norm,
     load_dataset,
-    resample,
     save_dataset,
 )
 from .elastic import (
@@ -78,7 +77,7 @@ from .estimators import (
     register_outcomes,
     run_estimator,
 )
-from .inference import EffectCI, Regime, TTestResult, effect_ci, pointwise_ci, welch_t_test
+from .inference import EffectCI, Regime, TTestResult, effect_ci, welch_t_test
 from .simgen import GroundTruth, Scenario, ScenarioConfig, effect_error, generate
 
 __version__ = "0.1.0"

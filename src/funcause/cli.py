@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -27,7 +28,9 @@ from .fdata import load_dataset, save_dataset
 SCHEMA_VERSION = 1
 
 
+@functools.cache
 def _git_hash() -> str:
+    """The checkout's commit, or "unknown"; one ``git`` run per process."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -6,16 +6,20 @@ nT x nT matrix is never materialized.  Under the indicator treatment
 kernel the input Gram is zero across treatment levels, so every fit and
 holdout score solves one such system per level (``_levels``) on that
 level's block, and a binary treatment's fit decomposes two arm-sized
-blocks instead of one n x n Gram.  Builds potential-outcome curves,
-dynamic effects, dose-response curves, outcome pre-registration, the
-registered-curve estimator (covariate and outcome curves registered once
-to their Karcher means, then one fit) and the holdout hyperparameter
-search.  ``run_estimator`` runs every named estimator: classical, Fréchet
-(``_FRECHET``) or kernel (``_KERNEL``, fitted by ``_kernel_model``);
-``estimate`` also attaches its interval.  Each argument is checked where
-it enters, before any registration or fit (λ by ``_check_lam``).  It reads
-a dataset's arrays and derives new datasets with ``dataclasses.replace``
-(registered curves) and ``Dataset.take`` (the holdout's training units).
+blocks instead of one n x n Gram.  Each block is decomposed once
+(``_ridge_path``): the fit solves at its lambda there, and a holdout
+scores the search's whole lambda grid in that eigenbasis in one batched
+product, without forming any lambda's coefficients.  Builds
+potential-outcome curves, dynamic effects, dose-response curves, outcome
+pre-registration, the registered-curve estimator (covariate and outcome
+curves registered once to their Karcher means, then one fit) and the
+holdout hyperparameter search.  ``run_estimator`` runs every named
+estimator: classical, Fréchet (``_FRECHET``) or kernel (``_KERNEL``,
+fitted by ``_kernel_model``); ``estimate`` also attaches its interval.
+Each argument is checked where it enters, before any registration or fit
+(λ by ``_check_lam``).  It reads a dataset's arrays and derives new
+datasets with ``dataclasses.replace`` (registered curves) and
+``Dataset.take`` (the holdout's training units).
 Each fit or search, and each estimator run that searches and then fits,
 builds the dataset's kernel inputs once (``kernels._Input``: the covariate
 rows and each input's pairwise distances) and slices every Gram block and
@@ -166,36 +170,64 @@ def _levels(kx: KernelSpec, x: np.ndarray) -> list:
     return [slice(None)]
 
 
-def _ridge_path(k_in: np.ndarray, y: np.ndarray, k_y: Optional[GramMatrix]):
-    """Return lam -> alpha solving (K_in (x) K_Y + lam I) vec(alpha) = vec(Y)
-    for one block of the input Gram (one group of ``_levels``).
+class _RidgePath(NamedTuple):
+    """One block's ridge system in the joint eigenbasis of K_in = U1 D1 U1'
+    and K_Y = U2 D2 U2': ``ytil`` is U1' Y U2 and ``denom`` is D1 (x) D2
+    (U1' Y and D1, with no ``d2`` and ``u2``, for identity K_Y)."""
 
-    Eigendecomposes K_in once and rescales in the joint eigenbasis for each
-    lambda; K_Y's decomposition is the one its ``GramMatrix`` keeps, so a
-    search and the final fit decompose the output Gram once.  With identity
-    K_Y (None) this reduces to a single solve applied to every output
-    column.  ``eigh`` reads one triangle of ``k_in``; every input-Gram
-    product is exactly symmetric, as its distances are.  An empty block
-    gives an empty alpha.
-    """
-    d1, u1 = np.linalg.eigh(k_in)
-    if k_y is None:
-        ytil = u1.T @ y
-        denom = d1[:, None]
-    else:
-        d2, u2 = k_y.eigh
-        ytil = u1.T @ y @ u2
-        denom = d1[:, None] * d2[None, :]
+    u1: np.ndarray
+    ytil: np.ndarray
+    denom: np.ndarray
+    d2: Optional[np.ndarray] = None
+    u2: Optional[np.ndarray] = None
 
-    def solve(lam: float) -> np.ndarray:
-        alpha = u1 @ (ytil / (denom + lam))
-        if k_y is not None:
-            alpha = alpha @ u2.T
+    def __call__(self, lam: float) -> np.ndarray:
+        """The coefficients alpha at penalty ``lam``."""
+        alpha = self.u1 @ (self.ytil / (self.denom + lam))
+        if self.u2 is not None:
+            alpha = alpha @ self.u2.T
         if not np.all(np.isfinite(alpha)):
             raise NumericalError("KRR solve produced non-finite coefficients")
         return alpha
 
-    return solve
+    def holdout_errors(self, rows: np.ndarray, y_te: np.ndarray, lams) -> np.ndarray:
+        """Squared error against ``y_te`` of the predictions
+        ``_outputs(rows, self(lam), K_Y)`` for every lambda of ``lams``,
+        without forming any alpha.
+
+        With R = rows U1, one batched product gives every lambda's
+        predictions P = R (ytil / (denom + lam)) in the output eigenbasis,
+        and as U2 is orthogonal the error is ||P D2 - Y_te U2||^2
+        (||P - Y_te||^2 for identity K_Y).  A block with no training units
+        predicts zero.
+        """
+        lams = np.asarray(lams, dtype=float)[:, None, None]
+        pred = (rows @ self.u1) @ (self.ytil / (self.denom + lams))
+        if self.u2 is None:
+            resid = pred - y_te
+        else:
+            resid = pred * self.d2 - y_te @ self.u2
+        return np.einsum("lij,lij->l", resid, resid)
+
+
+def _ridge_path(k_in: np.ndarray, y: np.ndarray, k_y: Optional[GramMatrix]) -> _RidgePath:
+    """The system (K_in (x) K_Y + lam I) vec(alpha) = vec(Y) of one block of
+    the input Gram (one group of ``_levels``), in its joint eigenbasis.
+
+    Eigendecomposes K_in once: the fit calls the result with its lambda for
+    alpha, and a holdout scores the whole lambda grid on it
+    (``_RidgePath.holdout_errors``).  K_Y's decomposition is the one its
+    ``GramMatrix`` keeps, so a search and the final fit decompose the output
+    Gram once.  With identity K_Y (None) this reduces to a single solve
+    applied to every output column.  ``eigh`` reads one triangle of
+    ``k_in``; every input-Gram product is exactly symmetric, as its
+    distances are.  An empty block gives an empty alpha.
+    """
+    d1, u1 = np.linalg.eigh(k_in)
+    if k_y is None:
+        return _RidgePath(u1, u1.T @ y, d1[:, None])
+    d2, u2 = k_y.eigh
+    return _RidgePath(u1, u1.T @ y @ u2, d1[:, None] * d2[None, :], d2, u2)
 
 
 def _outputs(rows: np.ndarray, alpha: np.ndarray, k_y: Optional[np.ndarray]) -> np.ndarray:
@@ -387,28 +419,28 @@ def _holdout_errors(
 ) -> list:
     """Squared prediction error on the holdout ``split`` for every lambda.
 
-    Fits each group of ``_levels`` on its training units from one
-    eigendecomposition of their Gram block, and scores each held-out unit
-    at its own treatment and covariates against its group's training
-    units; a unit whose group has no training unit is predicted as zero.
-    Every Gram block is sliced from the kernel inputs ``inputs``
-    (``_inputs(ds, kv)``).
+    Decomposes each group of ``_levels``' training block once and scores
+    the whole lambda grid in its eigenbasis (``_RidgePath.holdout_errors``):
+    each held-out unit is predicted at its own treatment and covariates from
+    its group's training units, and a unit whose group has no training unit
+    is predicted as zero.  Every Gram block is sliced from the kernel inputs
+    ``inputs`` (``_inputs(ds, kv)``).  A non-finite error raises
+    ``NumericalError``.
     """
     xin, vin = inputs
     train, test = split
-    ky_mat = None if k_y is None else k_y.entries
     y = ds.outcome_matrix
-    preds = np.zeros((len(lam_grid), len(test), y.shape[1]))
+    errs = np.zeros(len(lam_grid))
     for g in _levels(kx, ds.treatments):
         member = np.zeros(len(ds), dtype=bool)
         member[g] = True
-        tr, held = train[member[train]], member[test]
-        te = test[held]
-        solve = _ridge_path(xin.gram(kx, tr, tr) * vin.gram(kv, tr, tr), y[tr], k_y)
+        tr, te = train[member[train]], test[member[test]]
+        path = _ridge_path(xin.gram(kx, tr, tr) * vin.gram(kv, tr, tr), y[tr], k_y)
         rows = xin.gram(kx, te, tr) * vin.gram(kv, te, tr)
-        preds[:, held] = [_outputs(rows, solve(lam), ky_mat) for lam in lam_grid]
-    y_test = y[test]
-    return [float(np.sum((p - y_test) ** 2)) for p in preds]
+        errs += path.holdout_errors(rows, y[te], lam_grid)
+    if not np.all(np.isfinite(errs)):
+        raise NumericalError("holdout scoring produced non-finite errors")
+    return errs.tolist()
 
 
 def holdout_error(
@@ -431,7 +463,9 @@ def _search(ds, inputs, setup, k_y):
     """Grid search over bandwidth scales and lambdas on the fixed 20%
     holdout of ``_holdout_split``, so the choice depends only on ``ds``;
     ``inputs`` and ``setup`` are ``_default_kernels(ds)``, so every scale's
-    Gram blocks are sliced from the same distances.
+    Gram blocks are sliced from the same distances.  Each scale decomposes
+    every training block once and scores all of ``_LAM_GRID`` in its
+    eigenbasis (``_holdout_errors``).
 
     Returns (kx, kv, lam) with the first minimum error in scale-major
     order, or ``kernel_setup``'s kernels with ``DEFAULT_LAM`` when the

@@ -20,7 +20,6 @@ __all__ = [
     "Grid",
     "Curve",
     "Dataset",
-    "resample",
     "grid_norm",
     "load_dataset",
     "save_dataset",
@@ -178,21 +177,6 @@ def _derivative_rows(fmat, grid: Grid) -> np.ndarray:
     if len(grid) < 3:
         raise GridTooSmall("derivative needs at least 3 grid points")
     return np.gradient(fmat, grid.spacing, axis=-1, edge_order=2)
-
-
-def resample(c: Curve, g: Grid) -> Curve:
-    """Cubic-spline interpolation of a curve onto another grid.
-
-    Exact on the identity grid; fourth-order accurate for smooth curves,
-    which keeps an upsample-downsample round trip well below grid-level
-    noise.
-    """
-    if g == c.grid:
-        return Curve(g, c.values)
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(c.grid.points, c.values)
-    return Curve(g, spline(g.points))
 
 
 def _trapezoid_terms(y, x: np.ndarray) -> np.ndarray:

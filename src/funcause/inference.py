@@ -33,7 +33,6 @@ __all__ = [
     "TTestResult",
     "check_ci",
     "effect_ci",
-    "pointwise_ci",
     "welch_t_test",
 ]
 
@@ -215,7 +214,7 @@ def effect_ci(ds: Dataset, delta_hat: Curve, level: float = 0.95) -> EffectCI:
         upper = math.sqrt(_weighted_chi2_quantile(1.0 - alpha / 2.0, evals) / n)
         regime = Regime.ZERO_NORM
 
-    bands = pointwise_ci(delta_hat, np.diag(k_hat), level, n)
+    bands = _pointwise_ci(delta_hat, np.diag(k_hat), level, n)
     return EffectCI(
         estimate=norm,
         lower=max(lower, 0.0),
@@ -226,7 +225,7 @@ def effect_ci(ds: Dataset, delta_hat: Curve, level: float = 0.95) -> EffectCI:
     )
 
 
-def pointwise_ci(delta_hat: Curve, k_diag: np.ndarray, level: float, n: int) -> np.ndarray:
+def _pointwise_ci(delta_hat: Curve, k_diag: np.ndarray, level: float, n: int) -> np.ndarray:
     """Per-grid-point normal bands delta(t) +- z sqrt(K(t, t) / n)."""
     z = _norm_quantile(0.5 + level / 2.0)
     half = z * np.sqrt(np.clip(np.asarray(k_diag, dtype=float), 0.0, None) / n)

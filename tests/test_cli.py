@@ -251,6 +251,26 @@ class TestBenchmark:
         assert meta["schema_version"] == 1
         assert "git_hash" in meta
 
+    def test_git_runs_once_per_process(self, tmp_path, monkeypatch):
+        # two benchmark commands record the same commit from one git run
+        runs = []
+        subprocess_run = cli.subprocess.run
+
+        def counting_run(argv, *args, **kwargs):
+            runs.append(argv)
+            return subprocess_run(argv, *args, **kwargs)
+
+        monkeypatch.setattr(cli.subprocess, "run", counting_run)
+        cli._git_hash.cache_clear()
+        hashes = []
+        for k in range(2):
+            outdir = tmp_path / f"report{k}"
+            argv = ["benchmark", "--estimators", "ipw", "--sizes", "20", "--t", "8"]
+            assert run(argv + ["--replicates", "1", "--output", str(outdir)]) == 0
+            hashes.append(json.loads((outdir / "metadata.json").read_text())["git_hash"])
+        assert [cmd[0] for cmd in runs] == ["git"]
+        assert hashes == [cli._git_hash.__wrapped__()] * 2
+
     def test_report_matches_per_record_reference(self, tmp_path):
         # every aggregate recomputed from one (estimator, n, replicate)
         # record at a time; the names and sizes are not in sorted order

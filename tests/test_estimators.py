@@ -15,6 +15,7 @@ from funcause import (
     IterativeConfig,
     KernelFamily,
     KernelSpec,
+    NumericalError,
     Scenario,
     ScenarioConfig,
     dose_response,
@@ -604,6 +605,89 @@ class TestHyperparameterSearch:
         kx, kv, lam = search(ds)
         assert (kx, kv) == kernel_setup(ds)
         assert lam == 1e-2
+
+
+def per_lambda_errors(ds, inputs, split, kx, kv, k_y, lams):
+    """Holdout errors solved one lambda at a time: each group's alpha from
+    ``_ridge_path`` and its held-out predictions from ``_outputs``, summed
+    over every held-out unit."""
+    xin, vin = inputs
+    train, test = split
+    y = ds.outcome_matrix
+    ky_mat = None if k_y is None else k_y.entries
+    preds = np.zeros((len(lams), len(test), y.shape[1]))
+    for g in estimators._levels(kx, ds.treatments):
+        member = np.zeros(len(ds), dtype=bool)
+        member[g] = True
+        tr, held = train[member[train]], member[test]
+        te = test[held]
+        solve = estimators._ridge_path(xin.gram(kx, tr, tr) * vin.gram(kv, tr, tr), y[tr], k_y)
+        rows = xin.gram(kx, te, tr) * vin.gram(kv, te, tr)
+        preds[:, held] = [estimators._outputs(rows, solve(lam), ky_mat) for lam in lams]
+    return np.array([np.sum((p - y[test]) ** 2) for p in preds])
+
+
+class TestGridScoring:
+    """A holdout scores the whole lambda grid in each training block's
+    eigenbasis, as solving and predicting one lambda at a time would."""
+
+    @staticmethod
+    def scored(ds, split, k_y):
+        inputs, setup = estimators._default_kernels(ds)
+        for scale in estimators._SCALE_GRID:
+            kx, kv = setup(scale)
+            args = (ds, inputs, split, kx, kv, k_y, estimators._LAM_GRID)
+            yield estimators._holdout_errors(*args), per_lambda_errors(*args)
+
+    @pytest.mark.parametrize("operator", [False, True])
+    @pytest.mark.parametrize(
+        "scenario", [Scenario.BINARY_NONMONOTONIC, Scenario.CONTINUOUS_FUNCTIONAL]
+    )
+    def test_matches_per_lambda_solves(self, scenario, operator):
+        # binary data: two groups; continuous: one
+        ds, _ = generate(ScenarioConfig(n=60, t=20, scenario=scenario))
+        k_y = output_gram(ds.outcome_grid) if operator else None
+        groups = estimators._levels(kernel_setup(ds)[0], ds.treatments)
+        assert len(groups) == (2 if ds.is_binary() else 1)
+        for grid, reference in self.scored(ds, estimators._holdout_split(ds), k_y):
+            assert len(grid) == len(estimators._LAM_GRID)
+            np.testing.assert_allclose(grid, reference, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("operator", [False, True])
+    def test_level_without_training_units_predicts_zero(self, operator):
+        # every treated unit is held out, with a few controls
+        ds, _ = generate(ScenarioConfig(n=40, t=12))
+        treated, controls = ds.arm_indices(1.0), ds.arm_indices(0.0)
+        test = np.sort(np.concatenate([treated, controls[:5]]))
+        split = (controls[5:], test)
+        control_split = (controls[5:], controls[:5])
+        k_y = output_gram(ds.outcome_grid) if operator else None
+        y_treated = float(np.sum(ds.outcome_matrix[treated] ** 2))
+        scored = zip(self.scored(ds, split, k_y), self.scored(ds, control_split, k_y))
+        for (grid, reference), (controls_only, _) in scored:
+            np.testing.assert_allclose(grid, reference, rtol=1e-9, atol=0.0)
+            np.testing.assert_allclose(
+                grid, np.add(controls_only, y_treated), rtol=1e-12, atol=0.0
+            )
+
+    CALLS = {
+        "search": lambda ds, k_y: search(ds, k_y),
+        "fit": lambda ds, k_y: krr_fit(ds, *kernel_setup(ds), k_y),
+    }
+
+    @pytest.mark.parametrize("operator", [False, True])
+    @pytest.mark.parametrize("call", CALLS)
+    def test_non_finite_decomposition_raises(self, monkeypatch, call, operator):
+        ds, _ = generate(ScenarioConfig(n=24, t=16))
+        k_y = output_gram(ds.outcome_grid) if operator else None
+
+        def nan_eigh(a, *args, **kwargs):
+            m = len(a)
+            return np.full(m, np.nan), np.full((m, m), np.nan)
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+        with pytest.raises(NumericalError):
+            self.CALLS[call](ds, k_y)
 
 
 class TestCovariateFeatureBuilds:

@@ -18,7 +18,6 @@ from funcause import (
     SrsfCurve,
     grid_norm,
     load_dataset,
-    resample,
     save_dataset,
     srsf_inverse,
 )
@@ -99,27 +98,6 @@ class TestDerivative:
         lhs = _derivative_rows(a * y1 + b * y2, grid)
         rhs = a * _derivative_rows(y1, grid) + b * _derivative_rows(y2, grid)
         assert np.allclose(lhs, rhs, atol=1e-10)
-
-
-class TestResample:
-    def test_identity_grid_exact(self):
-        grid = Grid.uniform(20)
-        c = Curve(grid, np.sin(grid.points))
-        r = resample(c, grid)
-        assert np.array_equal(r.values, c.values)
-
-    def test_sine_upsample_downsample(self):
-        g64, g256 = Grid.uniform(64), Grid.uniform(256)
-        c = Curve(g64, np.sin(2 * np.pi * g64.points))
-        back = resample(resample(c, g256), g64)
-        assert np.max(np.abs(back.values - c.values)) <= 1e-6
-
-    def test_affine_exact_on_any_grid(self):
-        src = Grid.uniform(17)
-        dst = Grid.uniform(53)
-        c = Curve(src, 2.5 * src.points - 0.75)
-        r = resample(c, dst)
-        assert np.allclose(r.values, 2.5 * dst.points - 0.75, atol=1e-12)
 
 
 class TestGridNorm:

@@ -1,7 +1,7 @@
 """Importing funcause, fitting its estimators and computing their confidence
 intervals load numpy, not scipy.
 
-scipy is imported on first use, by ``welch_t_test`` and ``resample`` only.
+scipy is imported on first use, by ``welch_t_test`` only.
 The check runs in a fresh interpreter, since the test process has imported
 scipy already.
 """

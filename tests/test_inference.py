@@ -17,7 +17,6 @@ from funcause import (
     NumericalError,
     Regime,
     effect_ci,
-    pointwise_ci,
     welch_t_test,
 )
 from funcause import inference
@@ -25,6 +24,7 @@ from funcause.inference import (
     _MIN_TAIL,
     EIGENVALUE_FLOOR,
     _norm_quantile,
+    _pointwise_ci,
     _quantile_bracket,
     _weighted_chi2_cdf,
     _weighted_chi2_quantile,
@@ -274,14 +274,14 @@ class TestPointwiseCi:
         grid = Grid.uniform(5)
         d = Curve(grid, np.ones(5))
         k_diag = np.full(5, 2.0)
-        narrow = pointwise_ci(d, k_diag, 0.8, 100)
-        wide = pointwise_ci(d, k_diag, 0.99, 100)
+        narrow = _pointwise_ci(d, k_diag, 0.8, 100)
+        wide = _pointwise_ci(d, k_diag, 0.99, 100)
         assert np.all(wide[:, 1] - wide[:, 0] > narrow[:, 1] - narrow[:, 0])
 
     def test_symmetric_around_estimate(self):
         grid = Grid.uniform(5)
         d = Curve(grid, np.arange(5.0))
-        bands = pointwise_ci(d, np.ones(5), 0.95, 50)
+        bands = _pointwise_ci(d, np.ones(5), 0.95, 50)
         mid = bands.mean(axis=1)
         np.testing.assert_allclose(mid, d.values, atol=1e-12)
 
