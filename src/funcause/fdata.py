@@ -8,6 +8,7 @@ curves, each curve set on its own shared grid.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -208,6 +209,15 @@ def grid_norm(values: np.ndarray, grid: Grid) -> float:
 #   id,treatment,v_1..v_d,y_0001..y_T[,vc_0001..vc_Tc]
 # grids are implicit-uniform on [0, 1].  The JSON format mirrors the same
 # fields with explicit grid arrays.
+#
+# A CSV file is read as the csv module and float() read it: every row
+# holds exactly the header's cells, a blank line is a short row, a cell
+# longer than csv.field_size_limit() is malformed, "#" is data, and a
+# number is anything float() accepts (so "1_0" and non-ASCII digits load).
+# The body is parsed in one pass of numpy's C tokenizer; the csv reader
+# runs instead where that pass fails or might answer otherwise, and it
+# names the row of the first row that breaks the schema.  save_dataset
+# writes every float as its repr, which both parsers read back bit for bit.
 # ---------------------------------------------------------------------------
 
 def _csv_header(d: int, t: int, tc: Optional[int]) -> list:
@@ -249,11 +259,12 @@ def save_dataset(ds: Dataset, path) -> None:
     header = _csv_header(
         ds.covariate_matrix.shape[1], len(ds.outcome_grid), None if vc is None else vc.shape[1]
     )
+    rows = np.hstack(blocks if vc is None else blocks + [vc]).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for uid, row in zip(ds.ids, np.hstack(blocks if vc is None else blocks + [vc])):
-            writer.writerow([uid] + [repr(x) for x in row.tolist()])
+        # csv writes a float as its repr
+        writer.writerows([uid] + row for uid, row in zip(ds.ids, rows))
 
 
 def _parse_csv_header(header: list):
@@ -289,6 +300,59 @@ def _dataset_from_json(payload) -> Dataset:
     )
 
 
+def _csv_rows(body: str, width: int):
+    """The ids and the (n, width - 1) values of the CSV rows in ``body``,
+    read by the csv module and one ``float`` per cell; the first row that
+    is not ``width`` cells of an id and numbers raises ``SchemaError``
+    naming it."""
+    ids, rows = [], []
+    for i, row in enumerate(csv.reader(io.StringIO(body, newline=""))):
+        if len(row) != width:
+            raise SchemaError(f"expected {width} columns, got {len(row)}", row=i)
+        try:
+            rows.append([float(x) for x in row[1:]])
+        except ValueError as exc:
+            raise SchemaError(str(exc), row=i) from exc
+        ids.append(row[0])
+    return ids, np.array(rows).reshape(len(rows), width - 1)
+
+
+def _tokenized_rows(body: str, width: int):
+    r"""``_csv_rows(body, width)`` from one pass of numpy's C tokenizer, or
+    None where that pass fails or might answer otherwise.
+
+    The structured dtype makes the tokenizer check every row's cell count,
+    and it unquotes ids as the csv module does.  It splits lines at
+    ``\n`` and raises on an unquoted ``\r`` anywhere but at a line's end.
+    Three more differences from the csv reader are checked here: it skips
+    blank lines, so every ``\n`` must end a row or sit inside an id; it has
+    no field size limit, so no id and no line may be longer than csv's; and
+    its number parser also strips U+001C-U+001F, which ``float`` rejects.
+    """
+    try:
+        rec = np.loadtxt(
+            io.StringIO(body),
+            dtype=[("id", object), ("vals", float, (width - 1,))],
+            delimiter=",",
+            quotechar='"',
+            comments=None,
+            ndmin=1,
+        )
+    except ValueError:
+        return None
+    ids = rec["id"].tolist()
+    lines = body.split("\n")
+    limit = csv.field_size_limit()
+    if (
+        len(lines) - (lines[-1] == "") != len(ids) + sum(i.count("\n") for i in ids)
+        or max(map(len, lines)) > limit
+        or max(map(len, ids)) > limit
+        or any(c in body for c in "\x1c\x1d\x1e\x1f")
+    ):
+        return None
+    return ids, rec["vals"]
+
+
 def _dataset_from_csv(fh) -> Dataset:
     reader = csv.reader(fh)
     try:
@@ -296,16 +360,11 @@ def _dataset_from_csv(fh) -> Dataset:
     except StopIteration:
         raise SchemaError("empty file") from None
     d, t, tc = _parse_csv_header(header)
-    ids, rows = [], []
-    for i, row in enumerate(reader):
-        if len(row) != len(header):
-            raise SchemaError(f"expected {len(header)} columns, got {len(row)}", row=i)
-        try:
-            rows.append([float(x) for x in row[1:]])
-        except ValueError as exc:
-            raise SchemaError(str(exc), row=i) from exc
-        ids.append(row[0])
-    vals = np.array(rows).reshape(len(rows), len(header) - 1)
+    body = fh.read()
+    # a body of blank lines goes straight to the csv reader: numpy warns
+    # on input without data
+    rows = _tokenized_rows(body, len(header)) if body.strip("\r\n") else None
+    ids, vals = rows if rows is not None else _csv_rows(body, len(header))
     bad = np.flatnonzero(~np.isfinite(vals).all(axis=1))
     if bad.size:
         raise SchemaError("non-finite value", row=int(bad[0]))

@@ -103,20 +103,29 @@ def frechet_mean(
     if any(c.grid != grid for c in curves):
         raise ValueError("curves must share a grid")
     w = elastic._normalized_weights(len(curves), weights)
-    ymat = np.array([c.values for c in curves])
+    return _frechet_means([(np.array([c.values for c in curves]), w)], grid, metric)[0]
 
+
+def _frechet_means(sets, grid: Grid, metric: Metric) -> list:
+    """The ``frechet_mean`` under ``metric`` of each ``(ymat, w)`` set: the
+    rows of ``ymat`` on ``grid`` with weights ``w``, already normalised.
+    Euclidean means are closed-form, Fisher-Rao SRSF means run together in
+    ``_fisher_rao_means``, and sphere means run one by one."""
     if metric is Metric.EUCLIDEAN:
-        mean = w @ ymat
-        obj = elastic._weighted_spread(mean, ymat, w, grid)
-        return FrechetMeanResult(Curve(grid, mean), metric, obj, True)
-
+        return [_euclidean_mean(ymat, w, grid) for ymat, w in sets]
     if metric is Metric.FISHER_RAO_SRSF:
-        return _fisher_rao_means([(ymat, w)], grid)[0]
-
+        return _fisher_rao_means(sets, grid)
     if metric is Metric.FISHER_RAO_SPHERE:
-        return _sphere_mean(ymat, grid, w)
-
+        return [_sphere_mean(ymat, grid, w) for ymat, w in sets]
     raise ValueError(f"unknown metric: {metric}")
+
+
+def _euclidean_mean(ymat: np.ndarray, w: np.ndarray, grid: Grid) -> FrechetMeanResult:
+    """The weighted average ``w @ ymat``, with its weighted spread as the
+    objective."""
+    mean = w @ ymat
+    obj = elastic._weighted_spread(mean, ymat, w, grid)
+    return FrechetMeanResult(Curve(grid, mean), Metric.EUCLIDEAN, obj, True)
 
 
 def _fisher_rao_means(sets, grid: Grid) -> list:
@@ -139,7 +148,9 @@ def group_potential_outcomes(ds: Dataset, metric: Metric = Metric.EUCLIDEAN, pro
     The weights are uniform without a ``propensity`` model.  With a fitted
     ``classical.PropensityModel``, each arm takes its units' rows of
     ``propensity.inverse_weights(ds)``: 1/pi(V) for the treated and
-    1/(1 - pi(V)) for the controls.
+    1/(1 - pi(V)) for the controls.  Each arm's mean is taken straight
+    from its rows of the outcome matrix, by the code that ``frechet_mean``
+    runs after stacking its curves.
     """
     if not ds.is_binary():
         raise ValueError("group potential outcomes need binary treatments")
@@ -150,17 +161,10 @@ def group_potential_outcomes(ds: Dataset, metric: Metric = Metric.EUCLIDEAN, pro
         w1, w0 = w1[idx1], w0[idx0]
 
     y, grid = ds.outcome_matrix, ds.outcome_grid
-    if metric is Metric.FISHER_RAO_SRSF:
-        f1, f0 = _fisher_rao_means(
-            [
-                (y[idx1], elastic._normalized_weights(len(idx1), w1)),
-                (y[idx0], elastic._normalized_weights(len(idx0), w0)),
-            ],
-            grid,
-        )
-        return f1, f0
-    f1 = frechet_mean([Curve(grid, y[i]) for i in idx1], weights=w1, metric=metric)
-    f0 = frechet_mean([Curve(grid, y[i]) for i in idx0], weights=w0, metric=metric)
+    sets = [
+        (y[idx], elastic._normalized_weights(len(idx), w)) for idx, w in ((idx1, w1), (idx0, w0))
+    ]
+    f1, f0 = _frechet_means(sets, grid, metric)
     return f1, f0
 
 

@@ -2,6 +2,7 @@
 import csv
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,14 @@ from funcause import (
     save_dataset,
     srsf_inverse,
 )
-from funcause.fdata import _derivative_rows, _row_norms, _trapezoid, _trapezoid_terms
+from funcause.fdata import (
+    _csv_rows,
+    _derivative_rows,
+    _row_norms,
+    _tokenized_rows,
+    _trapezoid,
+    _trapezoid_terms,
+)
 
 
 def make_dataset(n=3, t=12, d=2, with_vcurves=False, seed=0):
@@ -427,3 +435,194 @@ class TestCsvSchemaErrors:
             load_dataset(path)
         except SchemaError:
             pass
+
+
+# ids that the csv writer quotes, or that a looser reader would mangle
+AWKWARD_IDS = ["a,b", 'say "hi"', "two\nlines", "cr\r\nlf", " lead", "#hash", "", "ünï"]
+
+
+def awkward_dataset(with_vcurves=False):
+    ds = make_dataset(n=len(AWKWARD_IDS), t=6, d=2, with_vcurves=with_vcurves, seed=5)
+    y = ds.outcome_matrix.copy()
+    y[0, :5] = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e300]
+    return replace(ds, ids=AWKWARD_IDS, outcome_matrix=y)
+
+
+def write_rows_one_by_one(ds, path):
+    """The CSV writer as it was: one ``repr`` list per row."""
+    vc = ds.covariate_curve_matrix
+    blocks = [ds.treatments[:, None], ds.covariate_matrix, ds.outcome_matrix]
+    header = ["id", "treatment"] + [f"v_{j + 1}" for j in range(ds.covariate_matrix.shape[1])]
+    header += [f"y_{j + 1:04d}" for j in range(len(ds.outcome_grid))]
+    if vc is not None:
+        header += [f"vc_{j + 1:04d}" for j in range(vc.shape[1])]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for uid, row in zip(ds.ids, np.hstack(blocks if vc is None else blocks + [vc])):
+            writer.writerow([uid] + [repr(x) for x in row.tolist()])
+
+
+def csv_lines(tmp_path, n=4):
+    """A saved dataset's CSV file and its lines; ``save_dataset`` ends
+    every line with CRLF."""
+    path = tmp_path / "data.csv"
+    save_dataset(make_dataset(n=n, t=3, d=1), path)
+    return path, path.read_bytes().decode("utf-8").split("\r\n")[:-1]
+
+
+def write_lines(path, lines, end="\r\n"):
+    path.write_text("".join(line + end for line in lines), newline="")
+
+
+class TestCsvLoaderContract:
+    """The CSV loader keeps the csv module's and ``float``'s answer for
+    every file, whichever of its two parsers reads the body."""
+
+    @pytest.mark.parametrize("end", ["\r\n", "\n"])
+    @pytest.mark.parametrize("where, row", [("mid", 2), ("end", 4)])
+    def test_blank_line_names_its_row(self, tmp_path, end, where, row):
+        path, lines = csv_lines(tmp_path)
+        lines.insert(3 if where == "mid" else len(lines), "")
+        write_lines(path, lines, end)
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert err.value.row == row
+
+    @pytest.mark.parametrize("where", ["id", "number", "multi-line id"])
+    def test_cell_over_the_field_size_limit_rejected(self, tmp_path, where):
+        limit = csv.field_size_limit()
+        path, lines = csv_lines(tmp_path)
+        cells = lines[1].split(",")
+        if where == "id":
+            cells[0] = "a" * (limit + 1)
+        elif where == "number":
+            cells[2] = "0" * limit + "1"
+        else:
+            cells[0] = '"' + "\n".join(["a" * (limit // 2)] * 3) + '"'
+        write_lines(path, [lines[0], ",".join(cells)] + lines[2:])
+        with pytest.raises(SchemaError):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("where", ["id", "number"])
+    def test_cell_at_the_field_size_limit_loads(self, tmp_path, where):
+        limit = csv.field_size_limit()
+        path, lines = csv_lines(tmp_path)
+        cells = lines[1].split(",")
+        if where == "id":
+            cells[0] = "a" * limit
+        else:
+            cells[2] = "0" * (limit - 1) + "1"
+        write_lines(path, [lines[0], ",".join(cells)] + lines[2:])
+        back = load_dataset(path)
+        assert back.ids[0] == cells[0] and back.covariate_matrix[0, 0] == float(cells[2])
+
+    @pytest.mark.parametrize("body", ["", "\r\n", "\n\n"])
+    def test_header_only_raises_without_warning(self, tmp_path, body):
+        path = tmp_path / "data.csv"
+        path.write_text(CSV_HEADER + "\r\n" + body, newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError):
+                load_dataset(path)
+
+    @pytest.mark.parametrize("change", [-1, 1])
+    def test_short_or_long_row_names_its_row(self, tmp_path, change):
+        path, lines = csv_lines(tmp_path)
+        cells = lines[3].split(",")
+        lines[3] = ",".join(cells[:-1] if change < 0 else cells + ["1.0"])
+        write_lines(path, lines)
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert err.value.row == 2
+
+    def test_hash_led_id_is_data(self, tmp_path):
+        path, lines = csv_lines(tmp_path)
+        lines[1] = "#first" + lines[1][lines[1].index(",") :]
+        write_lines(path, lines)
+        back = load_dataset(path)
+        assert back.ids[0] == "#first" and len(back) == 4
+
+    @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("\u0661", 1.0), ("\uff12.5", 2.5)])
+    def test_numbers_that_float_accepts_load(self, tmp_path, cell, value):
+        # numpy's parser rejects these; the csv reader still reads them
+        path, lines = csv_lines(tmp_path)
+        cells = lines[2].split(",")
+        cells[2] = cell
+        write_lines(path, [lines[0], lines[1], ",".join(cells)] + lines[3:])
+        assert load_dataset(path).covariate_matrix[1, 0] == value
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_number_with_a_separator_char_names_its_row(self, tmp_path, sep):
+        # numpy strips U+001C-U+001F around a number; float() does not
+        path, lines = csv_lines(tmp_path)
+        cells = lines[2].split(",")
+        cells[3] += sep
+        write_lines(path, [lines[0], lines[1], ",".join(cells)] + lines[3:])
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert err.value.row == 1
+
+    @pytest.mark.parametrize("with_vcurves", [False, True])
+    def test_tokenizer_reads_saved_files(self, tmp_path, with_vcurves):
+        # the fast pass takes files that save_dataset writes, awkward ids
+        # included, and gives the csv reader's answer
+        path = tmp_path / "data.csv"
+        save_dataset(awkward_dataset(with_vcurves), path)
+        header, body = path.read_bytes().decode("utf-8").split("\r\n", 1)
+        width = header.count(",") + 1
+        fast, ref = _tokenized_rows(body, width), _csv_rows(body, width)
+        assert fast is not None
+        assert fast[0] == ref[0] == AWKWARD_IDS
+        assert fast[1].tobytes() == ref[1].tobytes()
+
+    @pytest.mark.parametrize("with_vcurves", [False, True])
+    def test_writer_bytes_unchanged(self, tmp_path, with_vcurves):
+        ds = awkward_dataset(with_vcurves)
+        save_dataset(ds, tmp_path / "new.csv")
+        write_rows_one_by_one(ds, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+# any text that the csv module writes and reads back; ids are kept short
+ID_TEXT = st.text(
+    st.sampled_from([",", '"', "\r", "\n", " ", "#", "a", "Z", "0", "é", "\u20ac"]), max_size=6
+)
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    + [-1.7976931348623157e308, 0.1, 1 / 3]
+)
+
+
+@st.composite
+def datasets_to_save(draw):
+    n, t, d = draw(st.integers(2, 5)), draw(st.integers(2, 4)), draw(st.integers(0, 2))
+    tc = draw(st.sampled_from([None, 2, 3]))
+    values = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+
+    def matrix(cols):
+        return np.array(draw(st.lists(values, min_size=n * cols, max_size=n * cols))).reshape(n, cols)
+
+    arms = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n - 2, max_size=n - 2))
+    return Dataset(
+        draw(st.lists(ID_TEXT, min_size=n, max_size=n)),
+        np.array([0.0, 1.0] + arms),
+        matrix(d),
+        Grid.uniform(t),
+        matrix(t),
+        None if tc is None else Grid.uniform(tc),
+        None if tc is None else matrix(tc),
+    )
+
+
+class TestCsvRoundTrip:
+    @given(ds=datasets_to_save())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_exact(self, tmp_path_factory, ds):
+        path = tmp_path_factory.getbasetemp() / "round_trip.csv"
+        save_dataset(ds, path)
+        back = load_dataset(path)
+        assert list(back.ids) == list(ds.ids)
+        for name in ("treatments", "covariate_matrix", "outcome_matrix", "covariate_curve_matrix"):
+            a, b = getattr(back, name), getattr(ds, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name

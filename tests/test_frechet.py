@@ -245,6 +245,23 @@ class TestGroupPotentialOutcomes:
                 expected = elastic.karcher_mean(y[idx], grid, weights=w / w.sum()).mean.values
             assert np.array_equal(f.mean.values, expected)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_euclidean_arms_equal_the_curve_path(self, weighted):
+        # the arm means taken from the outcome matrix equal, bit for bit,
+        # the closed form over each arm's stacked Curve values
+        ds = binary_dataset(n=40, seed=5)
+        y, grid = ds.outcome_matrix, ds.outcome_grid
+        pm = fit_propensity(ds) if weighted else None
+        w1, w0 = pm.inverse_weights(ds) if weighted else (None, None)
+        arms = group_potential_outcomes(ds, Metric.EUCLIDEAN, propensity=pm)
+        for f, idx, w in zip(arms, (ds.arm_indices(1.0), ds.arm_indices(0.0)), (w1, w0)):
+            ymat = np.array([Curve(grid, y[i]).values for i in idx])
+            wn = elastic._normalized_weights(len(idx), None if w is None else w[idx])
+            mean = wn @ ymat
+            assert f.mean.values.tobytes() == mean.tobytes()
+            assert f.objective == elastic._weighted_spread(mean, ymat, wn, grid)
+            assert f.converged and f.metric is Metric.EUCLIDEAN
+
     def test_fisher_rao_arms_equal_their_frechet_means(self):
         # the two arms' Karcher means run in one call and still give each
         # arm's frechet_mean bit for bit
