@@ -76,6 +76,7 @@ from .estimators import (
     potential_outcome,
     register_outcomes,
     run_estimator,
+    run_estimators,
 )
 from .inference import EffectCI, Regime, TTestResult, effect_ci, welch_t_test
 from .simgen import GroundTruth, Scenario, ScenarioConfig, effect_error, generate

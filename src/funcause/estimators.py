@@ -13,17 +13,21 @@ product, without forming any lambda's coefficients.  Builds
 potential-outcome curves, dynamic effects, dose-response curves, outcome
 pre-registration, the registered-curve estimator (covariate and outcome
 curves registered once to their Karcher means, then one fit) and the
-holdout hyperparameter search.  ``run_estimator`` runs every named
-estimator: classical, Fréchet (``_FRECHET``) or kernel (``_KERNEL``,
-fitted by ``_kernel_model``); ``estimate`` also attaches its interval.
-Each argument is checked where it enters, before any registration or fit
-(λ by ``_check_lam``).  It reads a dataset's arrays and derives new
-datasets with ``dataclasses.replace`` (registered curves) and
-``Dataset.take`` (the holdout's training units).
-Each fit or search, and each estimator run that searches and then fits,
-builds the dataset's kernel inputs once (``kernels._Input``: the covariate
-rows and each input's pairwise distances) and slices every Gram block and
-median heuristic from them.
+holdout hyperparameter search.  ``run_estimators`` runs named
+estimators on one dataset: classical, Fréchet (``_FRECHET``) or kernel
+(``_KERNEL``, fitted by ``_kernel_models``), and ``run_estimator`` is its
+one-name case; ``estimate`` also attaches its interval.  Kernel names that
+share a registration run as one group (``estimator_groups``), and the
+ridge layer takes the group's list of output Grams: each search block is
+decomposed once for all of them, and each fit block once per chosen
+(kx, kv).  Each argument is checked where it enters, before any
+registration or fit (λ by ``_check_lam``).  It reads a dataset's arrays
+and derives new datasets with ``dataclasses.replace`` (registered curves)
+and ``Dataset.take`` (the holdout's training units).  Each fit or search,
+and each estimator group that searches and then fits, builds the
+dataset's kernel inputs once (``kernels._Input``: the covariate rows and
+each input's pairwise distances) and slices every Gram block and median
+heuristic from them.
 """
 from __future__ import annotations
 
@@ -64,6 +68,8 @@ __all__ = [
     "kernel_setup",
     "iterative_srvf_estimate",
     "run_estimator",
+    "run_estimators",
+    "estimator_groups",
     "estimate",
 ]
 
@@ -210,24 +216,31 @@ class _RidgePath(NamedTuple):
         return np.einsum("lij,lij->l", resid, resid)
 
 
-def _ridge_path(k_in: np.ndarray, y: np.ndarray, k_y: Optional[GramMatrix]) -> _RidgePath:
-    """The system (K_in (x) K_Y + lam I) vec(alpha) = vec(Y) of one block of
-    the input Gram (one group of ``_levels``), in its joint eigenbasis.
+def _ridge_path(k_in: np.ndarray, y: np.ndarray, k_ys: Sequence[Optional[GramMatrix]]):
+    """The systems (K_in (x) K_Y + lam I) vec(alpha) = vec(Y) of one block
+    of the input Gram (one group of ``_levels``), one per output Gram K_Y of
+    ``k_ys``, each in its joint eigenbasis.
 
-    Eigendecomposes K_in once: the fit calls the result with its lambda for
-    alpha, and a holdout scores the whole lambda grid on it
-    (``_RidgePath.holdout_errors``).  K_Y's decomposition is the one its
-    ``GramMatrix`` keeps, so a search and the final fit decompose the output
-    Gram once.  With identity K_Y (None) this reduces to a single solve
-    applied to every output column.  ``eigh`` reads one triangle of
-    ``k_in``; every input-Gram product is exactly symmetric, as its
-    distances are.  An empty block gives an empty alpha.
+    Eigendecomposes K_in once, when called, and returns an iterator of one
+    ``_RidgePath`` per output Gram, each built when it is reached, so a
+    caller uses one before the next is built and K_in is not kept: the fit
+    calls it with its lambda for alpha, and a holdout scores the whole
+    lambda grid on it (``_RidgePath.holdout_errors``).
+    K_Y's decomposition is the one its ``GramMatrix`` keeps, so a search and
+    the final fit decompose the output Gram once.  With identity K_Y (None)
+    this reduces to a single solve applied to every output column.  ``eigh``
+    reads one triangle of ``k_in``; every input-Gram product is exactly
+    symmetric, as its distances are.  An empty block gives an empty alpha.
     """
     d1, u1 = np.linalg.eigh(k_in)
-    if k_y is None:
-        return _RidgePath(u1, u1.T @ y, d1[:, None])
-    d2, u2 = k_y.eigh
-    return _RidgePath(u1, u1.T @ y @ u2, d1[:, None] * d2[None, :], d2, u2)
+
+    def path(k_y):
+        if k_y is None:
+            return _RidgePath(u1, u1.T @ y, d1[:, None])
+        d2, u2 = k_y.eigh
+        return _RidgePath(u1, u1.T @ y @ u2, d1[:, None] * d2[None, :], d2, u2)
+
+    return map(path, k_ys)
 
 
 def _outputs(rows: np.ndarray, alpha: np.ndarray, k_y: Optional[np.ndarray]) -> np.ndarray:
@@ -246,29 +259,43 @@ def krr_fit(
     """Solve (K_XV (x) K_Y + lambda I) vec(alpha) = vec(Y), one treatment
     level at a time under the indicator kernel (see ``_levels``)."""
     _check_lam(lam)
-    return _fit(ds, _inputs(ds, kv), kx, kv, k_y, lam)
+    return _fit(ds, _inputs(ds, kv), kx, kv, [k_y], [lam])[0]
 
 
-def _fit(ds, inputs, kx, kv, k_y, lam) -> KrrModel:
-    """``krr_fit`` on the kernel inputs ``_inputs(ds, kv)``: one ridge solve
-    per group of ``_levels``, each writing its units' rows of ``alpha``."""
+def _fit(ds, inputs, kx, kv, k_ys, lams) -> list:
+    """``krr_fit`` on the kernel inputs ``_inputs(ds, kv)``, one model per
+    output Gram of ``k_ys`` at its penalty in ``lams``: each group of
+    ``_levels`` is decomposed once, and every model's solve there writes
+    that group's rows of its ``alpha``."""
     xin, vin = inputs
     kv_gram = vin.gram(kv)
+    mean_row = kv_gram.mean(axis=0)
+    # every eigh runs without the n x n covariate Gram or the last
+    # group's eigenbasis held, so the alphas of all output Grams fit
+    # beside it in the memory one fit took
+    blocks = [(g, kv_gram[g][:, g]) for g in _levels(kx, ds.treatments)]
+    del kv_gram
     y = ds.outcome_matrix
-    alpha = np.empty_like(y)
-    for g in _levels(kx, ds.treatments):
-        alpha[g] = _ridge_path(xin.gram(kx, g, g) * kv_gram[g][:, g], y[g], k_y)(lam)
-    return KrrModel(
-        alpha=alpha,
-        lam=lam,
-        kx=kx,
-        kv=kv,
-        treatments=ds.treatments,
-        covariate_points=vin.rows,
-        k_y=None if k_y is None else k_y.entries,
-        grid=ds.outcome_grid,
-        covariate_mean_row=kv_gram.mean(axis=0),
-    )
+    alphas = [np.empty_like(y) for _ in k_ys]
+    for g, kv_block in blocks:
+        paths = _ridge_path(xin.gram(kx, g, g) * kv_block, y[g], k_ys)
+        for alpha, path, lam in zip(alphas, paths, lams):
+            alpha[g] = path(lam)
+        del paths, path
+    return [
+        KrrModel(
+            alpha=alpha,
+            lam=lam,
+            kx=kx,
+            kv=kv,
+            treatments=ds.treatments,
+            covariate_points=vin.rows,
+            k_y=None if k_y is None else k_y.entries,
+            grid=ds.outcome_grid,
+            covariate_mean_row=mean_row,
+        )
+        for alpha, k_y, lam in zip(alphas, k_ys, lams)
+    ]
 
 
 def _kernel_rows(model: KrrModel, x, points) -> np.ndarray:
@@ -414,30 +441,32 @@ def _holdout_errors(
     split,
     kx: KernelSpec,
     kv: Optional[KernelSpec],
-    k_y: Optional[GramMatrix],
+    k_ys: Sequence[Optional[GramMatrix]],
     lam_grid: Sequence[float],
 ) -> list:
-    """Squared prediction error on the holdout ``split`` for every lambda.
+    """Squared prediction error on the holdout ``split`` for every lambda,
+    as one row of errors per output Gram of ``k_ys``.
 
-    Decomposes each group of ``_levels``' training block once and scores
-    the whole lambda grid in its eigenbasis (``_RidgePath.holdout_errors``):
-    each held-out unit is predicted at its own treatment and covariates from
-    its group's training units, and a unit whose group has no training unit
-    is predicted as zero.  Every Gram block is sliced from the kernel inputs
-    ``inputs`` (``_inputs(ds, kv)``).  A non-finite error raises
-    ``NumericalError``.
+    Decomposes each group of ``_levels``' training block once, and scores
+    the whole lambda grid of each output Gram in turn in that eigenbasis
+    (``_RidgePath.holdout_errors``): each held-out unit is predicted at its
+    own treatment and covariates from its group's training units, and a
+    unit whose group has no training unit is predicted as zero.  Every Gram
+    block is sliced from the kernel inputs ``inputs`` (``_inputs(ds, kv)``).
+    A non-finite error raises ``NumericalError``.
     """
     xin, vin = inputs
     train, test = split
     y = ds.outcome_matrix
-    errs = np.zeros(len(lam_grid))
+    errs = np.zeros((len(k_ys), len(lam_grid)))
     for g in _levels(kx, ds.treatments):
         member = np.zeros(len(ds), dtype=bool)
         member[g] = True
         tr, te = train[member[train]], test[member[test]]
-        path = _ridge_path(xin.gram(kx, tr, tr) * vin.gram(kv, tr, tr), y[tr], k_y)
+        paths = _ridge_path(xin.gram(kx, tr, tr) * vin.gram(kv, tr, tr), y[tr], k_ys)
         rows = xin.gram(kx, te, tr) * vin.gram(kv, te, tr)
-        errs += path.holdout_errors(rows, y[te], lam_grid)
+        for row, path in zip(errs, paths):
+            row += path.holdout_errors(rows, y[te], lam_grid)
     if not np.all(np.isfinite(errs)):
         raise NumericalError("holdout scoring produced non-finite errors")
     return errs.tolist()
@@ -456,31 +485,32 @@ def holdout_error(
     split = _holdout_split(ds)
     if split is None:
         return math.inf
-    return _holdout_errors(ds, _inputs(ds, kv), split, kx, kv, k_y, (lam,))[0]
+    return _holdout_errors(ds, _inputs(ds, kv), split, kx, kv, [k_y], (lam,))[0][0]
 
 
-def _search(ds, inputs, setup, k_y):
+def _search(ds, inputs, setup, k_ys):
     """Grid search over bandwidth scales and lambdas on the fixed 20%
     holdout of ``_holdout_split``, so the choice depends only on ``ds``;
     ``inputs`` and ``setup`` are ``_default_kernels(ds)``, so every scale's
     Gram blocks are sliced from the same distances.  Each scale decomposes
     every training block once and scores all of ``_LAM_GRID`` in its
-    eigenbasis (``_holdout_errors``).
+    eigenbasis for every output Gram of ``k_ys`` (``_holdout_errors``).
 
-    Returns (kx, kv, lam) with the first minimum error in scale-major
-    order, or ``kernel_setup``'s kernels with ``DEFAULT_LAM`` when the
-    training units of the split do not form a valid dataset (as when the
-    split leaves an arm without training units).
+    Returns one (kx, kv, lam) per output Gram: the first minimum of its
+    errors in scale-major order, or ``kernel_setup``'s kernels with
+    ``DEFAULT_LAM`` when the training units of the split do not form a
+    valid dataset (as when the split leaves an arm without training units).
     """
     split = _holdout_split(ds)
     if split is None:
-        return (*setup(1.0), DEFAULT_LAM)
-    candidates = []
+        return [(*setup(1.0), DEFAULT_LAM)] * len(k_ys)
+    candidates = [[] for _ in k_ys]
     for scale in _SCALE_GRID:
         kx, kv = setup(scale)
-        errs = _holdout_errors(ds, inputs, split, kx, kv, k_y, _LAM_GRID)
-        candidates += [(err, kx, kv, lam) for lam, err in zip(_LAM_GRID, errs)]
-    return min(candidates, key=lambda c: c[0])[1:]
+        rows = _holdout_errors(ds, inputs, split, kx, kv, k_ys, _LAM_GRID)
+        for cands, errs in zip(candidates, rows):
+            cands += [(err, kx, kv, lam) for lam, err in zip(_LAM_GRID, errs)]
+    return [min(cands, key=lambda c: c[0])[1:] for cands in candidates]
 
 
 @dataclass
@@ -552,50 +582,104 @@ def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = Non
     """
     cfg = config or IterativeConfig()
     registered, converged = _register_iterative(ds, cfg)
-    model = _kernel_model(registered, None, cfg.lam, False)
+    (model,) = _kernel_models(registered, [None], cfg.lam, False)
     return IterativeResult(
         kernel_dynamic_effect(model), registered, trace=[], converged=converged, model=model
     )
 
 
-def _kernel_model(ds, k_y, lam, search) -> KrrModel:
-    """KRR with the default kernels and ``DEFAULT_LAM``, or the ``search``'s
-    choice of both; a given ``lam`` replaces either."""
+def _kernel_models(ds, k_ys, lam, search) -> list:
+    """One KRR model per output Gram of ``k_ys``, with the default kernels
+    and ``DEFAULT_LAM``, or the ``search``'s choice of both; a given ``lam``
+    replaces either.  The output Grams that chose the same (kx, kv) share
+    one fit, so each of its blocks is decomposed once."""
     inputs, setup = _default_kernels(ds)
     if search:
-        kx, kv, chosen = _search(ds, inputs, setup, k_y)
+        choices = _search(ds, inputs, setup, k_ys)
     else:
-        (kx, kv), chosen = setup(1.0), DEFAULT_LAM
-    return _fit(ds, inputs, kx, kv, k_y, chosen if lam is None else lam)
+        choices = [(*setup(1.0), DEFAULT_LAM)] * len(k_ys)
+    by_kernels = {}
+    for i, (kx, kv, _) in enumerate(choices):
+        by_kernels.setdefault((kx, kv), []).append(i)
+    models = [None] * len(k_ys)
+    for (kx, kv), idx in by_kernels.items():
+        lams = [choices[i][2] if lam is None else lam for i in idx]
+        for i, model in zip(idx, _fit(ds, inputs, kx, kv, [k_ys[i] for i in idx], lams)):
+            models[i] = model
+    return models
+
+
+def estimator_groups(names: Sequence[str]) -> list:
+    """The lists of ``names`` that ``run_estimators`` runs together, in
+    order of their first name: the kernel names that share a ``_KERNEL``
+    registration (``kernel`` and ``operator-kernel``, which register
+    nothing) form one group, and every other name runs alone."""
+    groups = {}
+    for name in names:
+        # a registration entry is None or a function, never a name
+        groups.setdefault(_KERNEL[name][0] if name in _KERNEL else name, []).append(name)
+    return list(groups.values())
+
+
+def _run_group(ds, group, lam, search) -> list:
+    """The effects of one group of ``estimator_groups``.  A kernel group
+    registers once and builds its kernel inputs, holdout split and output
+    Gram once; its names differ only in their output Gram (``_KERNEL``)."""
+    if group[0] in _KERNEL:
+        register = _KERNEL[group[0]][0]
+        work_ds = ds if register is None else register(ds)
+        operators = [_KERNEL[name][1] for name in group]
+        k_y = output_gram(work_ds.outcome_grid) if any(operators) else None
+        models = _kernel_models(work_ds, [k_y if op else None for op in operators], lam, search)
+        return [kernel_dynamic_effect(model) for model in models]
+    (name,) = group
+    if name in _FRECHET:
+        f1, f0 = frechet.group_potential_outcomes(ds, _FRECHET[name])
+        return [effect_from_means(f1.mean, f0.mean, Metric.EUCLIDEAN)]
+    pm = classical.fit_propensity(ds)
+    if name == "ipw":
+        return [classical.ipw_effect(ds, pm)]
+    return [classical.dr_effect(ds, pm, classical.fit_outcome_models(ds))]
+
+
+def run_estimators(
+    ds: Dataset, names: Sequence[str], lam: Optional[float] = None, search: bool = False
+) -> list:
+    """Run named estimators on one dataset and return their dynamic effects
+    in the order of ``names``; each effect equals its own ``run_estimator``.
+
+    The names of one group of ``estimator_groups`` run together, so the
+    work that does not depend on the output Gram is done once for all of
+    them: the default kernels' distances and medians, the holdout split,
+    every training block's ``eigh`` in the search, and the final fit's
+    block ``eigh`` for the names that chose the same kernels.  ``lam``
+    (ridge penalty) and ``search`` (on a holdout fixed by ``ds``) tune the
+    kernel estimators; the others reject ``lam`` and ignore ``search``.
+    Every name and ``lam`` are checked before any work: an unknown or
+    repeated name, or ``lam`` with a name that takes none, is rejected.
+    """
+    for name in names:
+        if name not in ESTIMATOR_NAMES:
+            raise ValueError(f"unknown estimator: {name}")
+    if len(set(names)) < len(names):
+        raise ValueError(f"repeated estimators: {', '.join(names)}")
+    if lam is not None:
+        for name in names:
+            if name not in _KERNEL:
+                raise ValueError(f"{name} takes no ridge penalty")
+        _check_lam(lam)
+    effects = {}
+    for group in estimator_groups(names):
+        effects.update(zip(group, _run_group(ds, group, lam, search)))
+    return [effects[name] for name in names]
 
 
 def run_estimator(
     ds: Dataset, name: str, lam: Optional[float] = None, search: bool = False
 ) -> DynamicEffect:
-    """Run one named estimator and return its dynamic effect.
-
-    ``lam`` (ridge penalty) and ``search`` (on a holdout fixed by ``ds``)
-    tune the kernel estimators; the others reject ``lam`` and ignore
-    ``search``.  The name and ``lam`` are checked before any work.
-    """
-    if name not in ESTIMATOR_NAMES:
-        raise ValueError(f"unknown estimator: {name}")
-    if lam is not None:
-        if name not in _KERNEL:
-            raise ValueError(f"{name} takes no ridge penalty")
-        _check_lam(lam)
-    if name in _KERNEL:
-        register, operator = _KERNEL[name]
-        work_ds = ds if register is None else register(ds)
-        k_y = output_gram(work_ds.outcome_grid) if operator else None
-        return kernel_dynamic_effect(_kernel_model(work_ds, k_y, lam, search))
-    if name in _FRECHET:
-        f1, f0 = frechet.group_potential_outcomes(ds, _FRECHET[name])
-        return effect_from_means(f1.mean, f0.mean, Metric.EUCLIDEAN)
-    pm = classical.fit_propensity(ds)
-    if name == "ipw":
-        return classical.ipw_effect(ds, pm)
-    return classical.dr_effect(ds, pm, classical.fit_outcome_models(ds))
+    """Run one named estimator and return its dynamic effect: the one-name
+    case of ``run_estimators``, whose checks and tuning it shares."""
+    return run_estimators(ds, [name], lam, search)[0]
 
 
 class Estimate(NamedTuple):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -304,9 +305,16 @@ def _csv_rows(body: str, width: int):
     """The ids and the (n, width - 1) values of the CSV rows in ``body``,
     read by the csv module and one ``float`` per cell; the first row that
     is not ``width`` cells of an id and numbers raises ``SchemaError``
-    naming it."""
+    naming it, a cell over ``csv.field_size_limit()`` included."""
     ids, rows = [], []
-    for i, row in enumerate(csv.reader(io.StringIO(body, newline=""))):
+    reader = csv.reader(io.StringIO(body, newline=""))
+    for i in itertools.count():
+        try:
+            row = next(reader)
+        except StopIteration:
+            break
+        except csv.Error as exc:
+            raise SchemaError(str(exc), row=i) from exc
         if len(row) != width:
             raise SchemaError(f"expected {width} columns, got {len(row)}", row=i)
         try:

@@ -6,6 +6,7 @@ import json
 import pathlib
 import re
 import shlex
+import types
 import typing
 
 import numpy as np
@@ -309,6 +310,19 @@ class TestBenchmark:
         assert read("boxplot_data.csv") == box
         assert read("summary.csv") == summary
         assert read("per_t_error.csv") == per_t_rows
+
+    def test_timings_split_a_shared_group_evenly(self, tmp_path, monkeypatch):
+        # a clock that ticks once per reading: ipw runs alone, in one tick
+        # per replicate, and kernel and operator-kernel share one
+        ticks = iter(range(100))
+        monkeypatch.setattr(cli, "time", types.SimpleNamespace(perf_counter=lambda: next(ticks)))
+        outdir = tmp_path / "report"
+        argv = ["benchmark", "--estimators", "ipw,operator-kernel,kernel", "--sizes", "20"]
+        assert run(argv + ["--t", "8", "--replicates", "2", "--output", str(outdir)]) == 0
+        with open(outdir / "timings.csv") as fh:
+            rows = [list(row.values()) for row in csv.DictReader(fh)]
+        assert rows == [["ipw", "20", "2.000"], ["operator-kernel", "20", "1.000"],
+                        ["kernel", "20", "1.000"]]
 
     def test_searched_report_matches_estimate(self, tmp_path):
         # a searched benchmark row is the searched estimate of its dataset

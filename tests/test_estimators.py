@@ -31,7 +31,7 @@ from funcause import (
     potential_outcome,
     register_outcomes,
 )
-from funcause import elastic, estimators, kernels
+from funcause import classical, elastic, estimators, frechet, kernels
 from funcause.estimators import holdout_error, predict_curve
 
 from test_elastic import assert_valid_warps
@@ -39,7 +39,8 @@ from test_elastic import assert_valid_warps
 
 def search(ds, k_y=None):
     """The library's hyperparameter search, as a searched run calls it."""
-    return estimators._search(ds, *estimators._default_kernels(ds), k_y)
+    (choice,) = estimators._search(ds, *estimators._default_kernels(ds), [k_y])
+    return choice
 
 
 BIN_KX = KernelSpec(KernelFamily.BINARY_INDICATOR)
@@ -621,7 +622,8 @@ def per_lambda_errors(ds, inputs, split, kx, kv, k_y, lams):
         member[g] = True
         tr, held = train[member[train]], member[test]
         te = test[held]
-        solve = estimators._ridge_path(xin.gram(kx, tr, tr) * vin.gram(kv, tr, tr), y[tr], k_y)
+        k_in = xin.gram(kx, tr, tr) * vin.gram(kv, tr, tr)
+        (solve,) = estimators._ridge_path(k_in, y[tr], [k_y])
         rows = xin.gram(kx, te, tr) * vin.gram(kv, te, tr)
         preds[:, held] = [estimators._outputs(rows, solve(lam), ky_mat) for lam in lams]
     return np.array([np.sum((p - y[test]) ** 2) for p in preds])
@@ -636,8 +638,9 @@ class TestGridScoring:
         inputs, setup = estimators._default_kernels(ds)
         for scale in estimators._SCALE_GRID:
             kx, kv = setup(scale)
-            args = (ds, inputs, split, kx, kv, k_y, estimators._LAM_GRID)
-            yield estimators._holdout_errors(*args), per_lambda_errors(*args)
+            lams = estimators._LAM_GRID
+            (errs,) = estimators._holdout_errors(ds, inputs, split, kx, kv, [k_y], lams)
+            yield errs, per_lambda_errors(ds, inputs, split, kx, kv, k_y, lams)
 
     @pytest.mark.parametrize("operator", [False, True])
     @pytest.mark.parametrize(
@@ -778,3 +781,125 @@ class TestDistancesOncePerRun:
         search(ds, k_y=output_gram(ds.outcome_grid))
         assert splits == [1]
         assert takes == [1]
+
+
+def recorder(monkeypatch, module, name):
+    """Patch ``module.name`` to record each call's arguments in the
+    returned list before calling through."""
+    calls = []
+    real = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+class TestRunEstimators:
+    """Names run together give each name's own ``run_estimator`` effect,
+    and a kernel group does its input-side work once."""
+
+    KERNEL_NAMES = ("kernel", "operator-kernel", "srvf-operator-kernel", "iterative-srvf")
+
+    @staticmethod
+    def assert_separate(ds, names, lam, search):
+        joint = estimators.run_estimators(ds, names, lam, search)
+        assert len(joint) == len(names)
+        for name, effect in zip(names, joint):
+            alone = estimators.run_estimator(ds, name, lam, search)
+            assert np.array_equal(effect.delta.values, alone.delta.values), name
+            assert effect.scalar_norm == alone.scalar_norm
+
+    # reversed, operator-kernel comes before kernel
+    @pytest.mark.parametrize("order", [tuple, lambda names: tuple(reversed(names))])
+    @pytest.mark.parametrize("lam, search", [(None, False), (None, True), (0.1, False), (0.1, True)])
+    @pytest.mark.parametrize("scenario", list(Scenario))
+    def test_equals_separate_runs(self, scenario, lam, search, order):
+        # the non-kernel names take no lam and need binary treatments
+        ds, _ = generate(ScenarioConfig(n=24, t=16, scenario=scenario))
+        names = estimators.ESTIMATOR_NAMES
+        if lam is not None or not ds.is_binary():
+            names = self.KERNEL_NAMES
+        self.assert_separate(ds, order(names), lam, search)
+
+    @pytest.mark.parametrize("lam", [None, 0.1])
+    def test_names_choosing_different_kernels_equal_separate_runs(self, monkeypatch, lam):
+        ds, _ = generate(ScenarioConfig(n=24, t=16, scenario=Scenario.BINARY_MONOTONIC))
+        k_ys = [None, output_gram(ds.outcome_grid)]
+        choices = estimators._search(ds, *estimators._default_kernels(ds), k_ys)
+        assert choices[0][:2] != choices[1][:2]
+        fits = recorder(monkeypatch, estimators, "_fit")
+        self.assert_separate(ds, ["operator-kernel", "kernel"], lam, True)
+        # one joint fit per chosen (kx, kv), then one per separate run
+        assert len(fits) == 4
+
+    def test_shared_work_is_done_once(self, monkeypatch):
+        # both names choose the same kernels here, so the pair decomposes
+        # what one operator-kernel run does: 3 x 2 training arms, 2 full
+        # arms and the T x T output Gram
+        ds, _ = generate(ScenarioConfig(n=24, t=16))
+        k_ys = [None, output_gram(ds.outcome_grid)]
+        choices = estimators._search(ds, *estimators._default_kernels(ds), k_ys)
+        assert choices[0][:2] == choices[1][:2]
+        train, _ = estimators._holdout_split(ds)
+        counted = {
+            "eigh": recorder(monkeypatch, np.linalg, "eigh"),
+            "_sq_dists": recorder(monkeypatch, kernels, "_sq_dists"),
+            "_holdout_split": recorder(monkeypatch, estimators, "_holdout_split"),
+            "output_gram": recorder(monkeypatch, estimators, "output_gram"),
+        }
+
+        def shapes(what):
+            return sorted(np.shape(args[0]) for args in counted[what])
+
+        estimators.run_estimator(ds, "operator-kernel", search=True)
+        alone = shapes("eigh")
+        for calls in counted.values():
+            calls.clear()
+        estimators.run_estimators(ds, ["kernel", "operator-kernel"], search=True)
+        assert shapes("eigh") == alone
+        x = ds.treatments
+        blocks = [int(np.sum(x[train] == arm)) for arm in (0.0, 1.0)] * 3
+        blocks += [int(np.sum(x == arm)) for arm in (0.0, 1.0)] + [16]
+        assert alone == sorted((m, m) for m in blocks)
+        # the output grid's and the covariates' distances
+        assert shapes("_sq_dists") == [(16, 1), ds.covariate_matrix.shape]
+        assert len(counted["_holdout_split"]) == 1
+        assert len(counted["output_gram"]) == 1
+
+    def test_groups(self):
+        names = ["ipw", "operator-kernel", "srvf-operator-kernel", "kernel", "iterative-srvf",
+                 "frechet-fr"]
+        assert estimators.estimator_groups(names) == [
+            ["ipw"], ["operator-kernel", "kernel"], ["srvf-operator-kernel"],
+            ["iterative-srvf"], ["frechet-fr"],
+        ]
+
+    @pytest.mark.parametrize(
+        "names, lam, message",
+        [
+            (["srvf-operator-kernel", "kernel", "bogus"], None, "unknown estimator: bogus"),
+            (["srvf-operator-kernel", "kernel", "kernel"], None, "repeated estimators"),
+            (["srvf-operator-kernel", "kernel", "ipw"], 0.1, "ipw takes no ridge penalty"),
+            (["srvf-operator-kernel", "kernel"], -1.0, "lambda must be positive and finite"),
+        ],
+    )
+    def test_every_name_checked_before_any_work(self, monkeypatch, names, lam, message):
+        ds, _ = generate(ScenarioConfig(n=24, t=16))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before every argument was checked")
+
+        for module, name in [
+            (estimators, "_default_kernels"),
+            (estimators, "register_outcomes"),
+            (estimators, "_register_iterative"),
+            (estimators, "output_gram"),
+            (frechet, "group_potential_outcomes"),
+            (classical, "fit_propensity"),
+        ]:
+            monkeypatch.setattr(module, name, no_work)
+        with pytest.raises(ValueError, match=message):
+            estimators.run_estimators(ds, names, lam)

@@ -501,8 +501,9 @@ class TestCsvLoaderContract:
         else:
             cells[0] = '"' + "\n".join(["a" * (limit // 2)] * 3) + '"'
         write_lines(path, [lines[0], ",".join(cells)] + lines[2:])
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             load_dataset(path)
+        assert err.value.row == 0
 
     @pytest.mark.parametrize("where", ["id", "number"])
     def test_cell_at_the_field_size_limit_loads(self, tmp_path, where):

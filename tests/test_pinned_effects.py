@@ -85,7 +85,7 @@ def test_search_pinned(scenario, name):
     ds = _dataset(scenario)
     pinned = PINNED["searches"][scenario][name]
     k_y = output_gram(ds.outcome_grid) if name == "operator-kernel" else None
-    kx, kv, lam = estimators._search(ds, *estimators._default_kernels(ds), k_y)
+    ((kx, kv, lam),) = estimators._search(ds, *estimators._default_kernels(ds), [k_y])
     assert lam == pinned["lam"]
     assert [kx.family.value, kx.lengthscale] == pinned["kx"]
     assert [kv.family.value, kv.lengthscale] == pinned["kv"]
