@@ -8,18 +8,18 @@ arccos form for density-like vectors).
 
 The DP visits only the band of lattice cells that a path of slopes in
 [1/3, 3] from corner to corner can cross, which gives the same result as
-the full lattice.  A Karcher mean takes its curves as one (n, T) matrix
-and returns their warps as one, and the whole sweep (DP, backtrack, warp
-read-off, norms, centring) works on (n, T) matrices, with no per-curve
-objects.  Karcher means that run together on one grid (``_karcher_means``)
-align their curves in cache-sized blocks of at most ``_DP_BLOCK`` curves,
-one DP program per block.  Small sets share their sweeps: each sweep aligns
-the curves of every one of them that is still registering in one block,
-each curve toward its own set's mean.  A large set runs alone, split into
-blocks.  A block's side of the DP is built once, and again only when a set
-that shares it stops.  Every registration stops its Karcher means by the
-one rule of ``KARCHER_SWEEPS`` and ``KARCHER_TOL``, and each result says
-why it stopped.
+the full lattice.  A step's cost is the expanded square of its node
+residuals, so each DP row costs one matrix product of the template's
+coefficients with the curves' side of the DP (``_node_tables``), which
+does not depend on the template.  A Karcher mean takes its curves as one
+(n, T) matrix and returns their warps as one, and the whole sweep (DP,
+backtrack, warp read-off, norms, centring) works on (n, T) matrices, with
+no per-curve objects.  It aligns its curves in cache-sized blocks of at
+most ``_DP_BLOCK`` curves, one DP program and one template per block, and
+builds each block's side of the DP once.  Several means on one grid
+(``_karcher_means``) run one after another.  Every registration stops its
+Karcher means by the one rule of ``KARCHER_SWEEPS`` and ``KARCHER_TOL``,
+and each result says why it stopped.
 """
 from __future__ import annotations
 
@@ -52,15 +52,31 @@ __all__ = [
 # DP lattice moves (rows, cols); slopes cover [1/3, 3].  The diagonal move
 # comes first so that ties resolve toward the identity warp.
 _STEPS = ((1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3), (3, 2))
-# The DP keeps the steps in order of rise, so that the steps with a
-# quadrature node m (those of rise >= m) form the suffix _BY_RISE[_FIRST[m]:].
-# Its node terms are kept as one stack, node by node: _NODES lists the
-# (node, step) pair of each layer.
-_BY_RISE = sorted(range(len(_STEPS)), key=lambda k: _STEPS[k][0])
-_FIRST = [next(p for p, k in enumerate(_BY_RISE) if _STEPS[k][0] >= m) for m in range(4)]
-_NODES = [(m, k) for m, first in enumerate(_FIRST) for k in _BY_RISE[first:]]
 _DI = np.array([di for di, _ in _STEPS])
 _DJ = np.array([dj for _, dj in _STEPS])
+# The quadrature nodes m = 0..di of every step k, as (m, k) pairs.  Step k
+# into column j reads each curve at column j - dj + s m, s = dj / di, so
+# nodes share a position where (dj, s m) agrees; every step's last node sits
+# at column j.  _POSITIONS lists the distinct positions, and node l reads
+# position _NODE_POS[l], scaled by sqrt(s).
+_NODES = [(m, k) for k, (di, _) in enumerate(_STEPS) for m in range(di + 1)]
+_NODE_M = np.array([m for m, _ in _NODES])
+_NODE_DI = _DI[[k for _, k in _NODES]]
+_NODE_KEYS = [
+    (0, 0.0) if m == _STEPS[k][0] else (_STEPS[k][1], _STEPS[k][1] / _STEPS[k][0] * m)
+    for m, k in _NODES
+]
+_POSITIONS = list(dict.fromkeys(_NODE_KEYS))
+_NODE_POS = np.array([_POSITIONS.index(key) for key in _NODE_KEYS])
+_NODE_SCALE = np.array([math.sqrt(_STEPS[k][1] / _STEPS[k][0]) for _, k in _NODES])
+# _NODE_AT[m, k] is the index in _NODES of node m of step k, -1 where the
+# step has none
+_NODE_AT = np.full((4, len(_STEPS)), -1)
+for _l, (_m, _k) in enumerate(_NODES):
+    _NODE_AT[_m, _k] = _l
+# layers of the DP stack: the curves at each position, one sum per step,
+# and ones
+_STACK = len(_POSITIONS) + len(_STEPS) + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,76 +217,120 @@ def _band(t: int):
 
 @functools.lru_cache(maxsize=4)
 def _start_cells(t: int) -> np.ndarray:
-    """Where DP cell (i, j) finds the distance of step p's start cell.
+    """Where DP cell (i, j) finds the distance of step k's start cell.
 
-    Entry [i, p, j] indexes the rows of a (3t + 1, n) ring that holds the
+    Entry [i, k, j] indexes the rows of a (3t + 1, n) ring that holds the
     distances of DP rows i - 1 to i - 3, DP row r at rows (r % 3) t to
-    (r % 3 + 1) t; step p is ``_STEPS[_BY_RISE[p]]``.  A start cell off the
-    lattice or outside its row's band maps to row 3t, which stays inf.
+    (r % 3 + 1) t.  A start cell off the lattice or outside its row's band
+    maps to row 3t, which stays inf.
     """
     lo, hi = _band(t)
-    order = np.array(_BY_RISE)
-    r = np.arange(t)[:, None, None] - _DI[order][None, :, None]
-    c = np.arange(t)[None, None, :] - _DJ[order][None, :, None]
+    r = np.arange(t)[:, None, None] - _DI[None, :, None]
+    c = np.arange(t)[None, None, :] - _DJ[None, :, None]
     rr = np.maximum(r, 0)
     inside = (r >= 0) & (c >= lo[rr]) & (c < hi[rr])
     return _read_only(np.where(inside, r % 3 * t + c, 3 * t))
 
 
-def _node_tables(Q: np.ndarray, grid: Grid) -> np.ndarray:
-    """The curves' side of every step's quadrature nodes, for the DP.
+def _node_weights(h: float) -> np.ndarray:
+    """The trapezoid weight of every node: half at a step's ends."""
+    return np.where((_NODE_M == 0) | (_NODE_M == _NODE_DI), 0.5 * h, h)
 
-    Step k's segment into column j has nodes m = 0..di, where the template
-    takes its value at DP row i - di + m and each curve the value
-    sqrt(s) (q2 o pos).  Layer l of the (len(_NODES), T, n) stack holds the
-    node and step ``_NODES[l]``, so that a column range is a slice.  The
-    stack depends on the curves only, not on the template.
+
+def _node_tables(Q: np.ndarray, grid: Grid, penalty: float = 0.0) -> np.ndarray:
+    """The curves' side of the DP: a (_STACK, T, n) stack.
+
+    Layer u < len(_POSITIONS) holds every curve at position u of each
+    column: (q2 o pos) at pos = (j - dj + s m) h.  Node l of a step takes
+    sqrt(s) times its position's layer.  Then come the steps' sums of
+    w_m v_m^2 over their nodes v_m, in node order, with the step penalty
+    added, and last a layer of ones.  The stack depends on the curves and
+    the penalty only, so a Karcher mean builds it once.
     """
     t, n = len(grid), Q.shape[0]
     h = grid.spacing
     cols = np.arange(t, dtype=float)
-    # a layer's curves sit at node positions (dj, s m); each distinct one is
-    # a run of t columns of a single interpolation of every curve
-    layers = [(_STEPS[k][1], _STEPS[k][1] / _STEPS[k][0], m) for m, k in _NODES]
-    keys = list(dict.fromkeys((dj, s * m) for dj, s, m in layers))
-    pos = np.concatenate([np.clip((cols - dj + sm) * h, 0.0, 1.0) for dj, sm in keys])
-    values = _interp_rows(pos, grid.points, Q)
-    stack = np.empty((len(_NODES), t, n))
-    for layer, (dj, s, m) in enumerate(layers):
-        r = keys.index((dj, s * m))
-        stack[layer] = (math.sqrt(s) * values[:, r * t : (r + 1) * t]).T
+    pos = np.concatenate([np.clip((cols - dj + sm) * h, 0.0, 1.0) for dj, sm in _POSITIONS])
+    stack = np.empty((_STACK, t, n))
+    values = _interp_rows(pos, grid.points, Q).reshape(n, len(_POSITIONS), t)
+    stack[: len(_POSITIONS)] = values.transpose(1, 2, 0)
+    weight, penalties = _node_weights(h), _step_penalties(penalty, h)
+    for k, di in enumerate(_DI):
+        total = stack[len(_POSITIONS) + k]
+        for m, l in enumerate(_NODE_AT[: di + 1, k]):
+            v = _NODE_SCALE[l] * stack[_NODE_POS[l]]
+            term = weight[l] * v
+            term *= v
+            if m == 0:
+                total[:] = term
+            else:
+                total += term
+        total += penalties[k]
+    stack[-1] = 1.0
     return stack
 
 
-def _align_rows(q1: np.ndarray, Q: np.ndarray, grid: Grid, stack: np.ndarray, penalty):
-    """``align_batch`` toward the SRSF values ``q1``, on ``Q``'s node stack.
+def _step_penalties(penalty: float, h: float) -> np.ndarray:
+    """Every step's slope penalty; a penalty that is not positive is none."""
+    if penalty <= 0.0:
+        return np.zeros(len(_STEPS))
+    return np.array([penalty * (dj / di - 1.0) ** 2 * (di * h) for di, dj in _STEPS])
 
-    ``q1`` is one template of shape (T,) with a scalar ``penalty``, or one
-    template per curve, (n, T), with an (n,) array of penalties.  Every
-    step of the DP is taken for each curve on its own, so row c is the same
-    either way.
+
+def _path_costs(q1, stack, step_end, col_end, h, penalty) -> np.ndarray:
+    """The direct cost of every curve's backtracked path: each step's node
+    terms w (q1 - v)^2 summed in node order, plus its penalty, and the
+    steps summed in row order, as the DP once summed them."""
+    n, t = step_end.shape
+    curve = np.arange(n)[:, None]
+    rows = np.arange(t)
+    k = step_end
+    di = np.append(_DI, 0)[k]
+    # node -1 (no such node, or no step) weighs 0
+    weight = np.append(_node_weights(h), 0.0)
+    node_pos, scale = np.append(_NODE_POS, 0), np.append(_NODE_SCALE, 1.0)
+    cost = None
+    for m in range(4):
+        l = np.append(_NODE_AT[m], -1)[k]
+        v = scale[l] * stack[node_pos[l], col_end, curve]
+        diff = q1[np.clip(rows - di + m, 0, t - 1)] - v
+        term = weight[l] * diff
+        term *= diff
+        cost = term if m == 0 else cost + term
+    cost += np.append(_step_penalties(penalty, h), 0.0)[k]
+    return np.cumsum(cost, axis=1)[:, -1]
+
+
+def _align_rows(q1: np.ndarray, Q: np.ndarray, grid: Grid, stack: np.ndarray, penalty: float):
+    """``align_batch`` toward the SRSF values ``q1``, on the node stack that
+    ``_node_tables(Q, grid, penalty)`` built.
+
+    Every step's cost into a cell is the expanded square
+    sum_m w_m q1_m^2 - 2 sum_m w_m q1_m v_m + sum_m w_m v_m^2, so a DP row's
+    costs are one product of its (7, _STACK) template coefficients with the
+    row's band of the stack.
     """
     n, t = Q.shape
     h = grid.spacing
-    node_m = np.array([m for m, _ in _NODES])
-    node_di = _DI[[k for _, k in _NODES]]
-    weight = np.where((node_m == 0) | (node_m == node_di), 0.5 * h, h)[:, None, None]
-    # the template's row at every node of every DP row, gathered row by row,
-    # since templates per curve for all rows at once take as much as the stack
-    node_rows = np.maximum(np.arange(t)[:, None] + node_m - node_di, 0)
-    q1_cols = np.atleast_2d(q1).T
-    layers = np.cumsum([0] + [len(_STEPS) - first for first in _FIRST]).tolist()
-    # a penalty that is not positive is no penalty
-    penalty = np.where(np.atleast_1d(penalty) > 0.0, penalty, 0.0)
-    step_penalty = np.array(
-        [penalty * (dj / di - 1.0) ** 2 * (di * h) for di, dj in (_STEPS[k] for k in _BY_RISE)]
-    )[:, None, :]
+    # node l of DP row i meets the template at row i - di + m
+    q1n = q1[np.maximum(np.arange(t)[:, None] + _NODE_M - _NODE_DI, 0)]
+    wq = _node_weights(h) * q1n
+    # row i's coefficients: -2 w sqrt(s) q1 on each node's position, the
+    # identity on the step sums and sum_m w q1^2, in node order, on the ones
+    coef = np.zeros((t, len(_STEPS), _STACK))
+    for k, di in enumerate(_DI):
+        nodes = _NODE_AT[: di + 1, k]
+        coef[:, k, _NODE_POS[nodes]] = -2.0 * _NODE_SCALE[nodes] * wq[:, nodes]
+        for m, l in enumerate(nodes):
+            sq = wq[:, l] * q1n[:, l]
+            coef[:, k, -1] = sq if m == 0 else coef[:, k, -1] + sq
+        coef[:, k, len(_POSITIONS) + k] = 1.0
+    flat = stack.reshape(_STACK, t * n)
     # a tie goes to the step that comes first in _STEPS, as argmin picks it
-    rank = (len(_STEPS) - np.array(_BY_RISE, dtype=np.int8))[:, None, None]
+    rank = (len(_STEPS) - np.arange(len(_STEPS), dtype=np.int8))[:, None, None]
 
     # Row i of the DP covers the band's columns [a, b) only.  Each step's
-    # cost sums its node terms in node order (every step has nodes 0 and 1),
-    # then gains the distance of its start cell; the choice is the first step
+    # cost gains the distance of its start cell; the choice is the first step
     # attaining the minimum, found by rank because argmin over the leading
     # axis is several times slower.  Steps reach back three rows at most, so
     # three distance rows are kept, in a ring.
@@ -281,23 +341,11 @@ def _align_rows(q1: np.ndarray, Q: np.ndarray, grid: Grid, stack: np.ndarray, pe
     ring[0] = 0.0
     for i in range(1, t):
         a, b = lo[i], hi[i]
-        q1_nodes = q1_cols.take(node_rows[i], axis=0)[:, None, :]
-        for m, (first, l0, l1) in enumerate(zip(_FIRST, layers, layers[1:])):
-            diff = q1_nodes[l0:l1] - stack[l0:l1, a:b]
-            term = weight[l0:l1] * diff
-            term *= diff
-            if m == 0:
-                cost = term
-            else:
-                cost[first:] += term
-        # a zero penalty leaves a curve's costs (all >= +0) as they are
-        if penalty.any():
-            cost += step_penalty
+        cost = (coef[i] @ flat[:, a * n : b * n]).reshape(len(_STEPS), b - a, n)
         cost += ring.take(starts[i, :, a:b], axis=0)
         best = cost.min(axis=0)
         choice[i, a:b] = len(_STEPS) - ((cost == best) * rank).max(axis=0)
         ring[i % 3 * t + a : i % 3 * t + b] = best
-    totals = ring[(t - 1) % 3 * t + t - 1]
 
     # backtrack every curve's node path from (t-1, t-1) in lockstep, noting
     # at each node's row the step that ends there and the node's column; a
@@ -337,9 +385,11 @@ def _align_rows(q1: np.ndarray, Q: np.ndarray, grid: Grid, stack: np.ndarray, pe
     pre_sq = np.array([p**2 for p in pre.tolist()])
     # fall back to the identity whenever the penalized path cost does not
     # beat the identity path (whose cost is exactly pre^2 under the same
-    # quadrature), so a curve that no warp improves keeps the identity.
+    # quadrature), so a curve that no warp improves keeps the identity.  The
+    # expanded totals round otherwise, so the path is costed again directly.
     # Repeated registration is still no fixed point: re-aligning warped
     # curves to the same template moves most of them again
+    totals = _path_costs(q1, stack, step_end, col_end, h, penalty)
     keep = ((post > pre) | (totals >= pre_sq - 1e-15))[:, None]
     return (
         np.where(keep, grid.points, gamma),
@@ -362,17 +412,20 @@ def align_batch(template: SrsfCurve, Q, penalty: float = 0.0):
     Returns ``(gammas, aligned, distances)`` of shapes (n, T), (n, T) and
     (n,): the warps, the warped SRSFs and the post-alignment trapezoidal L2
     norms of the residuals.  Each curve falls back to the identity warp
-    whenever alignment would not improve on it, so row c is exactly what
-    ``align_pair`` gives for ``Q[c]`` alone.  All n curves run as one
-    program; a Karcher sweep instead splits its curves into blocks of at
-    most ``_DP_BLOCK``, which may mix sets with different templates.
+    whenever the direct cost of its path does not beat the identity's, so
+    row c is exactly what ``align_pair`` gives for ``Q[c]`` alone.  All n
+    curves run as one program; a Karcher sweep instead splits its curves
+    into blocks of at most ``_DP_BLOCK``.  The step costs are expanded
+    squares summed by one BLAS product per DP row, so where several paths
+    tie to rounding the choice among them can differ from a direct sum's.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != len(template.grid):
         raise ValueError("Q must hold one row of grid values per curve")
     if not np.all(np.isfinite(Q)):
         raise ValueError("srsf values must be finite")
-    return _align_rows(template.values, Q, template.grid, _node_tables(Q, template.grid), penalty)
+    stack = _node_tables(Q, template.grid, penalty)
+    return _align_rows(template.values, Q, template.grid, stack, penalty)
 
 
 def align_pair(q1: SrsfCurve, q2: SrsfCurve, penalty: float = 0.0):
@@ -429,38 +482,25 @@ def karcher_mean(
     curve to the current mean, for at most ``max_iter`` sweeps, until a
     sweep lowers the objective by at most ``KARCHER_TOL`` relative or
     raises it; ``stop`` says which.  A sweep that raises the objective is
-    dropped, so the objective trace is non-increasing.  The
-    curves' side of the DP (``_node_tables``) is built once; each sweep then
-    aligns all curves to the mean in banded dynamic programs of at most
-    ``_DP_BLOCK`` curves each, as ``align_batch`` does.  ``warps`` is one
-    read-only (n, T) matrix.  This is the one-set case of
+    dropped, so the objective trace is non-increasing.  The curves are
+    split into blocks of at most ``_DP_BLOCK``; each block's side of the DP
+    (``_node_tables``) is built once, and each sweep aligns every block to
+    the mean in one banded dynamic program, as ``align_batch`` does.
+    ``warps`` is one read-only (n, T) matrix.  This is the one-set case of
     ``_karcher_means``, through which the registrations run the means of
-    several curve sets on one grid, small sets in shared sweeps, with the
-    same result for each set.
+    several curve sets on one grid.
     """
     return _karcher_means([(fmat, weights, penalty)], grid, max_iter)[0]
 
 
 # Curves per DP program.  A set of more curves is split into blocks of
 # about equal size, each with its own contiguous node stack.  Measured with
-# one BLAS thread at T=100 (2-vCPU Xeon VM), a sweep took 0.27 ms per curve
-# in programs of 96-128 curves, 0.28 ms at 64 and at 160-192, 0.30 ms at 256
-# and 0.34 ms at 384.
-_DP_BLOCK = 128
-
-
-@dataclass(eq=False)
-class _Chain:
-    """The Karcher iterate of one curve set."""
-
-    qmat: np.ndarray
-    w: np.ndarray
-    penalty: float
-    origin: float  # the weighted mean of the curves' values at 0
-    mean: np.ndarray
-    gmat: np.ndarray
-    trace: list
-    stop: Optional[str] = None  # KarcherMeanResult.stop, once the sweeps end
+# one BLAS thread at T=100 (2-vCPU Xeon VM, min of 7), one Karcher mean of
+# 250 curves took 0.119 s in 3 blocks of 83-84 (96-112), 0.130 s in 4 of
+# 62-63 (64-80), 0.136 s in 2 of 125 (128), 0.150 s in one (256) and 0.168 s
+# in 8 of 31-32 (32); one of 100 curves took 0.051 s in one block (112)
+# against 0.057 s in 2 of 50 (96).
+_DP_BLOCK = 112
 
 
 def _checked_curves(fmat, grid: Grid) -> np.ndarray:
@@ -475,124 +515,57 @@ def _checked_curves(fmat, grid: Grid) -> np.ndarray:
     return fmat
 
 
-def _groups(chains: list) -> list:
-    """The sets whose Karcher loops run together: consecutive sets of at
-    most ``_DP_BLOCK // 2`` curves in all, which share one DP block with a
-    template per curve; every other set runs alone.
-
-    A template per curve slows each DP row's template side.  Measured per
-    sweep: two sets of 20 curves took 6.0 ms in one block against 8.0 ms in
-    two at T=50, and 20.9 against 26.6 ms at T=100; two sets of 64 took
-    54.1 ms in one block against 42.2 ms in two at T=100.  A set that runs
-    alone runs all its sweeps before the next set starts, as separate
-    ``karcher_mean`` calls would.
-    """
-    groups = []
-    for c in chains:
-        if groups and sum(len(g.qmat) for g in groups[-1]) + len(c.qmat) <= _DP_BLOCK // 2:
-            groups[-1].append(c)
-        else:
-            groups.append([c])
-    return groups
-
-
-def _blocks(group: list, grid: Grid) -> list:
-    """The DP blocks of one sweep over the live sets of a group: per block
-    its segments (chain, lo, hi), curves, node stack and penalty (one per
-    curve when the block holds more than one set).  The sets of a group
-    share one block; a set alone is split into blocks of about equal size,
-    at most ``_DP_BLOCK`` curves each.
-    """
-    if len(group) > 1:
-        Q = np.concatenate([c.qmat for c in group])
-        penalty = np.concatenate([np.full(len(c.qmat), c.penalty) for c in group])
-        return [([(c, 0, len(c.qmat)) for c in group], Q, _node_tables(Q, grid), penalty)]
-    (c,) = group
-    n = len(c.qmat)
+def _blocks(qmat: np.ndarray, grid: Grid, penalty: float) -> list:
+    """The DP blocks of one curve set, each its curves and node stack: the
+    set split into blocks of about equal size, at most ``_DP_BLOCK`` curves
+    each."""
+    n = len(qmat)
     count = -(-n // _DP_BLOCK)
     bounds = [n * b // count for b in range(count + 1)]
     return [
-        ([(c, lo, hi)], c.qmat[lo:hi], _node_tables(c.qmat[lo:hi], grid), c.penalty)
+        (qmat[lo:hi], _node_tables(qmat[lo:hi], grid, penalty))
         for lo, hi in zip(bounds, bounds[1:])
     ]
 
 
 def _karcher_means(sets, grid: Grid, max_iter: int = KARCHER_SWEEPS) -> list:
-    """``karcher_mean`` of every ``(fmat, weights, penalty)`` set on ``grid``.
-
-    The sets of each of ``_groups`` run their Karcher loops together: each
-    sweep aligns the curves of every set of the group that has not yet
-    stopped in one pass over ``_blocks``, one banded DP per block, each
-    curve toward its own set's mean with its set's penalty.  Every DP step
-    is taken per curve, and each set keeps its own weights, objective trace
-    and stop rule, so set s gives exactly what ``karcher_mean``
-    gives for it alone.  Every set is checked before any work starts; a
-    group's blocks are packed again, node stacks and all, only when one of
-    its sets stops.
-    """
-    t = len(grid)
+    """``karcher_mean`` of every ``(fmat, weights, penalty)`` set on ``grid``,
+    one set after another.  Every set is checked before any work starts."""
     checked = []
     for fmat, weights, penalty in sets:
         fmat = _checked_curves(fmat, grid)
         checked.append((fmat, _normalized_weights(len(fmat), weights), penalty))
-
-    chains = []
-    for fmat, w, penalty in checked:
-        qmat = _srsf_rows(fmat, grid)
-        origin = float(w @ fmat[:, 0].copy())  # contiguous: a strided w @ moves the last bit
-        mean = w @ qmat
-        trace = [_weighted_spread(mean, qmat, w, grid)]
-        gmat = np.tile(grid.points, (len(qmat), 1))
-        chains.append(_Chain(qmat, w, penalty, origin, mean, gmat, trace))
-
-    for live in _groups(chains):
-        blocks = None
-        for _ in range(max_iter):
-            if blocks is None:
-                blocks = _blocks(live, grid)
-            pieces = {c: ([], []) for c in live}
-            for segs, Q, stack, penalty in blocks:
-                if len(segs) == 1:
-                    template = segs[0][0].mean
-                else:
-                    template = np.concatenate(
-                        [np.broadcast_to(c.mean, (hi - lo, t)) for c, lo, hi in segs]
-                    )
-                gammas, aligned, _ = _align_rows(template, Q, grid, stack, penalty)
-                r = 0
-                for c, lo, hi in segs:
-                    pieces[c][0].append(gammas[r : r + hi - lo])
-                    pieces[c][1].append(aligned[r : r + hi - lo])
-                    r += hi - lo
-            for c in live:
-                new_gmat, new_aligned = (
-                    p[0] if len(p) == 1 else np.concatenate(p) for p in pieces[c]
-                )
-                new_mean = c.w @ new_aligned
-                obj = _weighted_spread(new_mean, new_aligned, c.w, grid)
-                prev = c.trace[-1]
-                if obj > prev:
-                    c.stop = "rise"
-                    continue
-                c.gmat, c.mean = new_gmat, new_mean
-                c.trace.append(obj)
-                if prev - obj <= KARCHER_TOL * max(prev, 1e-30):
-                    c.stop = "tol"
-            if any(c.stop for c in live):
-                live, blocks = [c for c in live if not c.stop], None
-                if not live:
-                    break
-        for c in live:
-            c.stop = "budget"
-
-    return [_result(c, grid) for c in chains]
+    return [_karcher_loop(fmat, w, penalty, grid, max_iter) for fmat, w, penalty in checked]
 
 
-def _result(c: _Chain, grid: Grid) -> KarcherMeanResult:
-    """The chain's mean and its centred warps: composed with the inverse of
-    their average, so the mean warp is the identity and the mean keeps the
-    population phase."""
-    gmat, mean_vals, w = c.gmat, c.mean, c.w
+def _karcher_loop(fmat, w, penalty, grid: Grid, max_iter: int) -> KarcherMeanResult:
+    """The Karcher sweeps of one checked set with normalised weights ``w``.
+    Its blocks' node stacks are built once; each sweep aligns every block
+    to the current mean."""
+    qmat = _srsf_rows(fmat, grid)
+    origin = float(w @ fmat[:, 0].copy())  # contiguous: a strided w @ moves the last bit
+    mean = w @ qmat
+    trace = [_weighted_spread(mean, qmat, w, grid)]
+    gmat = np.tile(grid.points, (len(qmat), 1))
+    blocks = _blocks(qmat, grid, penalty)
+    stop = "budget"
+    for _ in range(max_iter):
+        pieces = [_align_rows(mean, Q, grid, stack, penalty)[:2] for Q, stack in blocks]
+        new_gmat, new_aligned = (np.concatenate(p) for p in zip(*pieces))
+        new_mean = w @ new_aligned
+        obj = _weighted_spread(new_mean, new_aligned, w, grid)
+        prev = trace[-1]
+        if obj > prev:
+            stop = "rise"
+            break
+        gmat, mean = new_gmat, new_mean
+        trace.append(obj)
+        if prev - obj <= KARCHER_TOL * max(prev, 1e-30):
+            stop = "tol"
+            break
+
+    # centre the warps: compose them with the inverse of their average, so
+    # the mean warp is the identity and the mean keeps the population phase
     gbar = w @ gmat
     if np.all(np.diff(gbar) > 0):
         gbar_inv = np.interp(grid.points, gbar, grid.points)
@@ -601,16 +574,16 @@ def _result(c: _Chain, grid: Grid) -> KarcherMeanResult:
         centered[:, 0], centered[:, -1] = 0.0, 1.0
         if np.all(np.diff(centered, axis=1) > 0):
             gmat = centered
-            aligned = _interp_rows(gmat, grid.points, c.qmat) * np.sqrt(_warp_slopes(gmat, grid))
-            mean_vals = w @ aligned
+            aligned = _interp_rows(gmat, grid.points, qmat) * np.sqrt(_warp_slopes(gmat, grid))
+            mean = w @ aligned
 
-    mean_srsf = SrsfCurve(grid, mean_vals, origin=c.origin)
+    mean_srsf = SrsfCurve(grid, mean, origin=origin)
     return KarcherMeanResult(
         mean=srsf_inverse(mean_srsf),
         warps=_read_only(gmat),
-        objective_trace=c.trace,
+        objective_trace=trace,
         mean_srsf=mean_srsf,
-        stop=c.stop,
+        stop=stop,
     )
 
 

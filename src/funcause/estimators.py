@@ -359,8 +359,8 @@ def _moving_average(v: np.ndarray, window: int) -> np.ndarray:
 
 def _register_sets(sets, grid, max_iter=elastic.KARCHER_SWEEPS):
     """Warp every ``(rows, penalty, window)`` set on ``grid`` to its own
-    elastic Karcher mean of at most ``max_iter`` sweeps; the means run
-    together in one ``elastic._karcher_means`` call.
+    elastic Karcher mean of at most ``max_iter`` sweeps; the means run in
+    one ``elastic._karcher_means`` call, which checks every set first.
 
     With ``window`` > 1 each row is split into a moving-average smooth part
     and a rough residual: the warps are estimated from and applied to the
@@ -548,8 +548,7 @@ class IterativeResult:
 def _register_iterative(ds: Dataset, cfg: IterativeConfig):
     """The registration half of ``iterative_srvf_estimate``: the registered
     dataset, and whether every Karcher mean converged.  Covariate curves on
-    the outcome grid register in the outcomes' call, so both means share
-    each sweep's DP."""
+    the outcome grid register in the outcomes' call."""
     has_vcurves = ds.covariate_grid is not None
     sweeps = cfg.karcher_max_iter + (cfg.r_max - 1 if has_vcurves else 0)
     window = max(3, len(ds.outcome_grid) // 10) | 1

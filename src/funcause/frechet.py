@@ -131,8 +131,8 @@ def _euclidean_mean(ymat: np.ndarray, w: np.ndarray, grid: Grid) -> FrechetMeanR
 def _fisher_rao_means(sets, grid: Grid) -> list:
     """The Fisher-Rao SRSF ``frechet_mean`` of each ``(ymat, w)`` set, whose
     weights ``w`` are already normalised, at ``elastic.karcher_mean``'s
-    defaults; the Karcher means run together in one
-    ``elastic._karcher_means`` call.  That call normalises ``w`` once more,
+    defaults; the Karcher means run in one ``elastic._karcher_means``
+    call.  That call normalises ``w`` once more,
     as ``karcher_mean`` does, which can move the last bit of a weight, so
     the means are those that ``karcher_mean(ymat, weights=w)`` gives."""
     means = elastic._karcher_means([(ymat, w, 0.0) for ymat, w in sets], grid)

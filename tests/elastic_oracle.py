@@ -2,9 +2,15 @@
 that the alignment tests hold ``align_batch`` against.
 
 No band, no batching, no node tables: every cell of the T x T lattice is
-visited in row order and every step is costed on the spot, with the same
-floating-point operations in the same order as the library, so the two
-must agree bit for bit.
+visited in row order and every step is costed on the spot, in direct form:
+each node term w (q1 - v)^2, summed in node order.  The library sums the
+same costs as expanded squares in one BLAS product per DP row, so its
+totals round otherwise.  Where one path is best by more than rounding the
+two choose the same path and agree bit for bit; where several paths tie
+to rounding (as on a stretch where a curve is zero) they may choose
+different ones, which ``path_cost`` shows to cost the same.  The identity
+fallback compares a path's direct cost on both sides, so distances always
+agree bit for bit.
 """
 import math
 
@@ -30,6 +36,21 @@ def step_cost(q1, q2, grid, i, j, di, dj, penalty):
     if penalty > 0.0:
         cost += penalty * (dj / di - 1.0) ** 2 * (di * h)
     return cost
+
+
+def path_cost(q1, q2, grid, gamma, penalty=0.0):
+    """Direct cost of the lattice path that the warp ``gamma`` follows: its
+    steps' costs summed in row order, as ``align_oracle`` sums a path's
+    total.  Every lattice point on a path is one of its nodes, since no step
+    passes through another, so the nodes are the rows where ``gamma`` sits
+    on a grid column."""
+    cols = np.asarray(gamma) * (len(grid) - 1)
+    nodes = [(r, round(c)) for r, c in enumerate(cols) if abs(c - round(c)) < 1e-6]
+    total = 0.0
+    for (ia, ja), (ib, jb) in zip(nodes, nodes[1:]):
+        assert (ib - ia, jb - ja) in _STEPS
+        total += step_cost(q1, q2, grid, ib, jb, ib - ia, jb - ja, penalty)
+    return total
 
 
 def align_oracle(q1, q2, grid, penalty=0.0):
