@@ -190,12 +190,9 @@ def cmd_benchmark(args) -> int:
     sizes = [int(x) for x in args.sizes.split(",")]
     if args.replicates < 1:
         raise ValueError("replicates must be >= 1")
-    for est in names:
-        if est not in ESTIMATOR_NAMES:
-            raise ValueError(f"unknown estimator: {est}")
-    for what, values in (("estimators", names), ("sizes", sizes)):
-        if len(set(values)) < len(values):
-            raise ValueError(f"repeated {what}: {', '.join(map(str, values))}")
+    estimators.estimator_groups(names)  # rejects unknown and repeated names
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"repeated sizes: {', '.join(map(str, sizes))}")
     for n in sizes:  # a rejected scenario knob fails before anything is written
         _scenario_config(args, n)
     outdir = args.output

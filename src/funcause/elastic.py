@@ -11,15 +11,16 @@ The DP visits only the band of lattice cells that a path of slopes in
 the full lattice.  A step's cost is the expanded square of its node
 residuals, so each DP row costs one matrix product of the template's
 coefficients with the curves' side of the DP (``_node_tables``), which
-does not depend on the template.  A Karcher mean takes its curves as one
-(n, T) matrix and returns their warps as one, and the whole sweep (DP,
-backtrack, warp read-off, norms, centring) works on (n, T) matrices, with
-no per-curve objects.  It aligns its curves in cache-sized blocks of at
-most ``_DP_BLOCK`` curves, one DP program and one template per block, and
-builds each block's side of the DP once.  Several means on one grid
-(``_karcher_means``) run one after another.  Every registration stops its
-Karcher means by the one rule of ``KARCHER_SWEEPS`` and ``KARCHER_TOL``,
-and each result says why it stopped.
+does not depend on the template.  ``align_batch`` and every Karcher
+sweep align their curves in cache-sized blocks of at most ``_DP_BLOCK``
+curves (``_blocks``), one DP program and one template per block.  A
+Karcher mean takes its curves as one (n, T) matrix and returns their warps
+as one, builds each block's side of the DP once, and runs the whole sweep
+(DP, backtrack, warp read-off, norms, centring) on (n, T) matrices, with
+no per-curve objects.  Every registration takes each of its Karcher means
+from ``karcher_mean``, one curve set per call, stopped by the one rule of
+``KARCHER_SWEEPS`` and ``KARCHER_TOL``, and each result says why it
+stopped.
 """
 from __future__ import annotations
 
@@ -401,31 +402,30 @@ def _align_rows(q1: np.ndarray, Q: np.ndarray, grid: Grid, stack: np.ndarray, pe
 def align_batch(template: SrsfCurve, Q, penalty: float = 0.0):
     """Optimal warping of every row of ``Q`` toward ``template``.
 
-    ``Q`` is an (n, T) matrix of SRSF values on the template's grid.  One
-    dynamic program over a monotone lattice of paths aligns all n curves,
-    one DP row at a time, over the band of cells that some path from
-    (0, 0) to (T-1, T-1) can cross.  A path's cost is the trapezoidal
-    integral of (q1 - (q2 o g) sqrt(g'))^2 along its linear warp segments,
-    plus ``penalty`` (s - 1)^2 per unit of template time on a segment of
-    slope s.
+    ``Q`` is an (n, T) matrix of SRSF values on the template's grid.  A
+    dynamic program over a monotone lattice of paths aligns the curves, one
+    DP row at a time, over the band of cells that some path from (0, 0) to
+    (T-1, T-1) can cross.  A path's cost is the trapezoidal integral of
+    (q1 - (q2 o g) sqrt(g'))^2 along its linear warp segments, plus
+    ``penalty`` (s - 1)^2 per unit of template time on a segment of slope s.
 
     Returns ``(gammas, aligned, distances)`` of shapes (n, T), (n, T) and
     (n,): the warps, the warped SRSFs and the post-alignment trapezoidal L2
     norms of the residuals.  Each curve falls back to the identity warp
     whenever the direct cost of its path does not beat the identity's, so
-    row c is exactly what ``align_pair`` gives for ``Q[c]`` alone.  All n
-    curves run as one program; a Karcher sweep instead splits its curves
-    into blocks of at most ``_DP_BLOCK``.  The step costs are expanded
-    squares summed by one BLAS product per DP row, so where several paths
-    tie to rounding the choice among them can differ from a direct sum's.
+    row c is exactly what ``align_pair`` gives for ``Q[c]`` alone.  The
+    curves run in blocks of at most ``_DP_BLOCK``, one DP program each, as
+    in a Karcher sweep.  The step costs are expanded squares summed by one
+    BLAS product per DP row, so where several paths tie to rounding the
+    choice among them can differ from a direct sum's.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != len(template.grid):
         raise ValueError("Q must hold one row of grid values per curve")
     if not np.all(np.isfinite(Q)):
         raise ValueError("srsf values must be finite")
-    stack = _node_tables(Q, template.grid, penalty)
-    return _align_rows(template.values, Q, template.grid, stack, penalty)
+    grid = template.grid
+    return _align_blocks(template.values, _blocks(Q, grid, penalty), grid, penalty)
 
 
 def align_pair(q1: SrsfCurve, q2: SrsfCurve, penalty: float = 0.0):
@@ -483,27 +483,13 @@ def karcher_mean(
     sweep lowers the objective by at most ``KARCHER_TOL`` relative or
     raises it; ``stop`` says which.  A sweep that raises the objective is
     dropped, so the objective trace is non-increasing.  The curves are
-    split into blocks of at most ``_DP_BLOCK``; each block's side of the DP
-    (``_node_tables``) is built once, and each sweep aligns every block to
-    the mean in one banded dynamic program, as ``align_batch`` does.
-    ``warps`` is one read-only (n, T) matrix.  This is the one-set case of
-    ``_karcher_means``, through which the registrations run the means of
-    several curve sets on one grid.
+    split into blocks of at most ``_DP_BLOCK`` (``_blocks``); each block's
+    side of the DP (``_node_tables``) is built once, and each sweep aligns
+    every block to the mean in one banded dynamic program, as
+    ``align_batch`` does.  ``warps`` is one read-only (n, T) matrix.  Every
+    registration runs its means through this function, one curve set per
+    call.
     """
-    return _karcher_means([(fmat, weights, penalty)], grid, max_iter)[0]
-
-
-# Curves per DP program.  A set of more curves is split into blocks of
-# about equal size, each with its own contiguous node stack.  Measured with
-# one BLAS thread at T=100 (2-vCPU Xeon VM, min of 7), one Karcher mean of
-# 250 curves took 0.119 s in 3 blocks of 83-84 (96-112), 0.130 s in 4 of
-# 62-63 (64-80), 0.136 s in 2 of 125 (128), 0.150 s in one (256) and 0.168 s
-# in 8 of 31-32 (32); one of 100 curves took 0.051 s in one block (112)
-# against 0.057 s in 2 of 50 (96).
-_DP_BLOCK = 112
-
-
-def _checked_curves(fmat, grid: Grid) -> np.ndarray:
     # C order, so that the weighted sums do not depend on the caller's layout
     fmat = np.ascontiguousarray(fmat, dtype=float)
     if fmat.ndim != 2 or fmat.shape[1] != len(grid):
@@ -512,36 +498,7 @@ def _checked_curves(fmat, grid: Grid) -> np.ndarray:
         raise ValueError("need at least one curve")
     if not np.all(np.isfinite(fmat)):
         raise ValueError("curve values must be finite")
-    return fmat
-
-
-def _blocks(qmat: np.ndarray, grid: Grid, penalty: float) -> list:
-    """The DP blocks of one curve set, each its curves and node stack: the
-    set split into blocks of about equal size, at most ``_DP_BLOCK`` curves
-    each."""
-    n = len(qmat)
-    count = -(-n // _DP_BLOCK)
-    bounds = [n * b // count for b in range(count + 1)]
-    return [
-        (qmat[lo:hi], _node_tables(qmat[lo:hi], grid, penalty))
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
-
-
-def _karcher_means(sets, grid: Grid, max_iter: int = KARCHER_SWEEPS) -> list:
-    """``karcher_mean`` of every ``(fmat, weights, penalty)`` set on ``grid``,
-    one set after another.  Every set is checked before any work starts."""
-    checked = []
-    for fmat, weights, penalty in sets:
-        fmat = _checked_curves(fmat, grid)
-        checked.append((fmat, _normalized_weights(len(fmat), weights), penalty))
-    return [_karcher_loop(fmat, w, penalty, grid, max_iter) for fmat, w, penalty in checked]
-
-
-def _karcher_loop(fmat, w, penalty, grid: Grid, max_iter: int) -> KarcherMeanResult:
-    """The Karcher sweeps of one checked set with normalised weights ``w``.
-    Its blocks' node stacks are built once; each sweep aligns every block
-    to the current mean."""
+    w = _normalized_weights(len(fmat), weights)
     qmat = _srsf_rows(fmat, grid)
     origin = float(w @ fmat[:, 0].copy())  # contiguous: a strided w @ moves the last bit
     mean = w @ qmat
@@ -550,8 +507,7 @@ def _karcher_loop(fmat, w, penalty, grid: Grid, max_iter: int) -> KarcherMeanRes
     blocks = _blocks(qmat, grid, penalty)
     stop = "budget"
     for _ in range(max_iter):
-        pieces = [_align_rows(mean, Q, grid, stack, penalty)[:2] for Q, stack in blocks]
-        new_gmat, new_aligned = (np.concatenate(p) for p in zip(*pieces))
+        new_gmat, new_aligned, _ = _align_blocks(mean, blocks, grid, penalty)
         new_mean = w @ new_aligned
         obj = _weighted_spread(new_mean, new_aligned, w, grid)
         prev = trace[-1]
@@ -585,6 +541,36 @@ def _karcher_loop(fmat, w, penalty, grid: Grid, max_iter: int) -> KarcherMeanRes
         mean_srsf=mean_srsf,
         stop=stop,
     )
+
+
+# Curves per DP program.  A set of more curves is split into blocks of
+# about equal size, each with its own contiguous node stack.  Measured with
+# one BLAS thread at T=100 (2-vCPU Xeon VM, min of 7), one Karcher mean of
+# 250 curves took 0.119 s in 3 blocks of 83-84 (96-112), 0.130 s in 4 of
+# 62-63 (64-80), 0.136 s in 2 of 125 (128), 0.150 s in one (256) and 0.168 s
+# in 8 of 31-32 (32); one of 100 curves took 0.051 s in one block (112)
+# against 0.057 s in 2 of 50 (96).
+_DP_BLOCK = 112
+
+
+def _blocks(qmat: np.ndarray, grid: Grid, penalty: float) -> list:
+    """The DP blocks of one curve set, each its curves and node stack: the
+    set split into blocks of about equal size, at most ``_DP_BLOCK`` curves
+    each."""
+    n = len(qmat)
+    count = -(-n // _DP_BLOCK)
+    bounds = [n * b // count for b in range(count + 1)]
+    return [
+        (qmat[lo:hi], _node_tables(qmat[lo:hi], grid, penalty))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+def _align_blocks(q1: np.ndarray, blocks: list, grid: Grid, penalty: float):
+    """``_align_rows`` of every block of ``_blocks`` toward the SRSF values
+    ``q1``: the warps, aligned SRSFs and distances of all curves, in order."""
+    pieces = [_align_rows(q1, Q, grid, stack, penalty) for Q, stack in blocks]
+    return tuple(np.concatenate(p) for p in zip(*pieces))
 
 
 def fr_distance_srsf(f: Curve, g: Curve) -> float:

@@ -357,32 +357,23 @@ def _moving_average(v: np.ndarray, window: int) -> np.ndarray:
     return np.convolve(padded, np.ones(window) / window, mode="same")[pad : pad + v.size]
 
 
-def _register_sets(sets, grid, max_iter=elastic.KARCHER_SWEEPS):
-    """Warp every ``(rows, penalty, window)`` set on ``grid`` to its own
-    elastic Karcher mean of at most ``max_iter`` sweeps; the means run in
-    one ``elastic._karcher_means`` call, which checks every set first.
+def _register(rows, grid, penalty, window, max_iter=elastic.KARCHER_SWEEPS):
+    """Warp ``rows`` on ``grid`` to their elastic Karcher mean of at most
+    ``max_iter`` sweeps with slope penalty ``penalty``.
 
     With ``window`` > 1 each row is split into a moving-average smooth part
     and a rough residual: the warps are estimated from and applied to the
-    smooth part only, and the residual is added back unwarped.  Returns per
-    set the registered rows, the read-only matrix of their warps and whether
-    its Karcher mean converged.
+    smooth part only, and the residual is added back unwarped.  Returns the
+    registered rows and the mean's ``KarcherMeanResult``, whose ``warps``
+    is the read-only matrix of their warps.
     """
-    splits = []
-    for rows, _, window in sets:
-        if window > 1:
-            smooth = np.array([_moving_average(row, window) for row in rows])
-            splits.append((smooth, rows - smooth))
-        else:
-            splits.append((rows, np.zeros_like(rows)))
-    means = elastic._karcher_means(
-        [(smooth, None, penalty) for (smooth, _), (_, penalty, _) in zip(splits, sets)],
-        grid, max_iter,
-    )
-    return [
-        (elastic._interp_rows(m.warps, grid.points, smooth) + resid, m.warps, m.converged)
-        for (smooth, resid), m in zip(splits, means)
-    ]
+    if window > 1:
+        smooth = np.array([_moving_average(row, window) for row in rows])
+        resid = rows - smooth
+    else:
+        smooth, resid = rows, np.zeros_like(rows)
+    mean = elastic.karcher_mean(smooth, grid, max_iter, penalty=penalty)
+    return elastic._interp_rows(mean.warps, grid.points, smooth) + resid, mean
 
 
 def register_outcomes(ds: Dataset, smooth_window: Optional[int] = None, per_arm: bool = False):
@@ -390,7 +381,7 @@ def register_outcomes(ds: Dataset, smooth_window: Optional[int] = None, per_arm:
     penalty ``REGISTER_PENALTY`` and ``elastic``'s stop rule.
 
     ``smooth_window`` (default about a fifth of the grid length) is the
-    window of ``_register_sets``' smooth/residual split: warping rough
+    window of ``_register``'s smooth/residual split: warping rough
     observation noise makes it locally smooth, which defeats downstream
     output smoothing.  ``per_arm`` registers each treatment arm to its own
     (phase-centered) mean, which preserves the arm contrast.  Returns the
@@ -404,10 +395,10 @@ def register_outcomes(ds: Dataset, smooth_window: Optional[int] = None, per_arm:
     else:
         groups = [np.arange(len(ds))]
     y = ds.outcome_matrix
-    sets = _register_sets([(y[idx], REGISTER_PENALTY, smooth_window) for idx in groups], grid)
     registered, warps = np.empty_like(y), np.empty_like(y)
-    for idx, (rows, group_warps, _) in zip(groups, sets):
-        registered[idx], warps[idx] = rows, group_warps
+    for idx in groups:
+        registered[idx], mean = _register(y[idx], grid, REGISTER_PENALTY, smooth_window)
+        warps[idx] = mean.warps
     return replace(ds, outcome_matrix=registered), elastic._read_only(warps)
 
 
@@ -415,10 +406,8 @@ def register_covariate_curves(ds: Dataset):
     """Register every covariate curve, unsmoothed, to their elastic Karcher
     mean, as ``register_outcomes`` does.  Returns the registered dataset
     and the read-only (n, Tc) matrix of its warps."""
-    ((v, warps, _),) = _register_sets(
-        [(ds.covariate_curve_matrix, REGISTER_PENALTY, 0)], ds.covariate_grid
-    )
-    return replace(ds, covariate_curve_matrix=v), warps
+    v, mean = _register(ds.covariate_curve_matrix, ds.covariate_grid, REGISTER_PENALTY, 0)
+    return replace(ds, covariate_curve_matrix=v), mean.warps
 
 
 def _holdout_split(ds: Dataset):
@@ -547,26 +536,17 @@ class IterativeResult:
 
 def _register_iterative(ds: Dataset, cfg: IterativeConfig):
     """The registration half of ``iterative_srvf_estimate``: the registered
-    dataset, and whether every Karcher mean converged.  Covariate curves on
-    the outcome grid register in the outcomes' call."""
+    dataset, and whether every Karcher mean converged."""
     has_vcurves = ds.covariate_grid is not None
     sweeps = cfg.karcher_max_iter + (cfg.r_max - 1 if has_vcurves else 0)
     window = max(3, len(ds.outcome_grid) // 10) | 1
-    sets = [(ds.outcome_matrix, REGISTER_PENALTY, window)]
+    y, mean = _register(ds.outcome_matrix, ds.outcome_grid, REGISTER_PENALTY, window, sweeps)
+    converged = mean.converged
     v = ds.covariate_curve_matrix
     if has_vcurves:
-        sets.append((v, 0.0, 0))
-    if has_vcurves and ds.covariate_grid != ds.outcome_grid:
-        out = [
-            *_register_sets(sets[:1], ds.outcome_grid, sweeps),
-            *_register_sets(sets[1:], ds.covariate_grid, sweeps),
-        ]
-    else:
-        out = _register_sets(sets, ds.outcome_grid, sweeps)
-    if has_vcurves:
-        v = out[1][0]
-    converged = all(c for *_, c in out)
-    return replace(ds, outcome_matrix=out[0][0], covariate_curve_matrix=v), converged
+        v, mean = _register(v, ds.covariate_grid, 0.0, 0, sweeps)
+        converged = converged and mean.converged
+    return replace(ds, outcome_matrix=y, covariate_curve_matrix=v), converged
 
 
 def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = None) -> IterativeResult:
@@ -612,7 +592,13 @@ def estimator_groups(names: Sequence[str]) -> list:
     """The lists of ``names`` that ``run_estimators`` runs together, in
     order of their first name: the kernel names that share a ``_KERNEL``
     registration (``kernel`` and ``operator-kernel``, which register
-    nothing) form one group, and every other name runs alone."""
+    nothing) form one group, and every other name runs alone.  An unknown
+    or repeated name is rejected."""
+    for name in names:
+        if name not in ESTIMATOR_NAMES:
+            raise ValueError(f"unknown estimator: {name}")
+    if len(set(names)) < len(names):
+        raise ValueError(f"repeated estimators: {', '.join(names)}")
     groups = {}
     for name in names:
         # a registration entry is None or a function, never a name
@@ -657,18 +643,14 @@ def run_estimators(
     Every name and ``lam`` are checked before any work: an unknown or
     repeated name, or ``lam`` with a name that takes none, is rejected.
     """
-    for name in names:
-        if name not in ESTIMATOR_NAMES:
-            raise ValueError(f"unknown estimator: {name}")
-    if len(set(names)) < len(names):
-        raise ValueError(f"repeated estimators: {', '.join(names)}")
+    groups = estimator_groups(names)
     if lam is not None:
         for name in names:
             if name not in _KERNEL:
                 raise ValueError(f"{name} takes no ridge penalty")
         _check_lam(lam)
     effects = {}
-    for group in estimator_groups(names):
+    for group in groups:
         effects.update(zip(group, _run_group(ds, group, lam, search)))
     return [effects[name] for name in names]
 

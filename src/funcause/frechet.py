@@ -103,43 +103,25 @@ def frechet_mean(
     if any(c.grid != grid for c in curves):
         raise ValueError("curves must share a grid")
     w = elastic._normalized_weights(len(curves), weights)
-    return _frechet_means([(np.array([c.values for c in curves]), w)], grid, metric)[0]
+    return _frechet_mean(np.array([c.values for c in curves]), w, grid, metric)
 
 
-def _frechet_means(sets, grid: Grid, metric: Metric) -> list:
-    """The ``frechet_mean`` under ``metric`` of each ``(ymat, w)`` set: the
-    rows of ``ymat`` on ``grid`` with weights ``w``, already normalised.
-    Euclidean means are closed-form, Fisher-Rao SRSF means run together in
-    ``_fisher_rao_means``, and sphere means run one by one."""
+def _frechet_mean(ymat: np.ndarray, w: np.ndarray, grid: Grid, metric: Metric):
+    """The ``frechet_mean`` under ``metric`` of the rows of ``ymat`` on
+    ``grid`` with weights ``w``, already normalised.  A Fisher-Rao SRSF
+    mean is ``elastic.karcher_mean`` at its defaults, which normalises
+    ``w`` once more; that can move the last bit of a weight, so the mean is
+    the one that ``karcher_mean(ymat, weights=w)`` gives."""
     if metric is Metric.EUCLIDEAN:
-        return [_euclidean_mean(ymat, w, grid) for ymat, w in sets]
+        mean = w @ ymat
+        obj = elastic._weighted_spread(mean, ymat, w, grid)
+        return FrechetMeanResult(Curve(grid, mean), metric, obj, True)
     if metric is Metric.FISHER_RAO_SRSF:
-        return _fisher_rao_means(sets, grid)
+        m = elastic.karcher_mean(ymat, grid, weights=w)
+        return FrechetMeanResult(m.mean, metric, m.objective_trace[-1], m.converged)
     if metric is Metric.FISHER_RAO_SPHERE:
-        return [_sphere_mean(ymat, grid, w) for ymat, w in sets]
+        return _sphere_mean(ymat, grid, w)
     raise ValueError(f"unknown metric: {metric}")
-
-
-def _euclidean_mean(ymat: np.ndarray, w: np.ndarray, grid: Grid) -> FrechetMeanResult:
-    """The weighted average ``w @ ymat``, with its weighted spread as the
-    objective."""
-    mean = w @ ymat
-    obj = elastic._weighted_spread(mean, ymat, w, grid)
-    return FrechetMeanResult(Curve(grid, mean), Metric.EUCLIDEAN, obj, True)
-
-
-def _fisher_rao_means(sets, grid: Grid) -> list:
-    """The Fisher-Rao SRSF ``frechet_mean`` of each ``(ymat, w)`` set, whose
-    weights ``w`` are already normalised, at ``elastic.karcher_mean``'s
-    defaults; the Karcher means run in one ``elastic._karcher_means``
-    call.  That call normalises ``w`` once more,
-    as ``karcher_mean`` does, which can move the last bit of a weight, so
-    the means are those that ``karcher_mean(ymat, weights=w)`` gives."""
-    means = elastic._karcher_means([(ymat, w, 0.0) for ymat, w in sets], grid)
-    return [
-        FrechetMeanResult(m.mean, Metric.FISHER_RAO_SRSF, m.objective_trace[-1], m.converged)
-        for m in means
-    ]
 
 
 def group_potential_outcomes(ds: Dataset, metric: Metric = Metric.EUCLIDEAN, propensity=None):
@@ -161,11 +143,10 @@ def group_potential_outcomes(ds: Dataset, metric: Metric = Metric.EUCLIDEAN, pro
         w1, w0 = w1[idx1], w0[idx0]
 
     y, grid = ds.outcome_matrix, ds.outcome_grid
-    sets = [
-        (y[idx], elastic._normalized_weights(len(idx), w)) for idx, w in ((idx1, w1), (idx0, w0))
-    ]
-    f1, f0 = _frechet_means(sets, grid, metric)
-    return f1, f0
+    return tuple(
+        _frechet_mean(y[idx], elastic._normalized_weights(len(idx), w), grid, metric)
+        for idx, w in ((idx1, w1), (idx0, w0))
+    )
 
 
 def _euclidean_effect(delta: np.ndarray, grid: Grid) -> DynamicEffect:

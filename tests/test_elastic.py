@@ -312,6 +312,24 @@ class TestAlignBatch:
         np.testing.assert_allclose(aligned, case["aligned"], rtol=0, atol=0)
         assert distances.tolist() == case["distances"]
 
+    def test_curves_run_in_blocks(self, monkeypatch):
+        # 25 curves in blocks of at most ten: 3 stacks, of 8, 8 and 9 curves
+        monkeypatch.setattr(elastic, "_DP_BLOCK", 10)
+        built = []
+        node_tables = elastic._node_tables
+
+        def counting_tables(Q, *args):
+            built.append(len(Q))
+            return node_tables(Q, *args)
+
+        monkeypatch.setattr(elastic, "_node_tables", counting_tables)
+        grid = Grid.uniform(30)
+        qmat = np.random.default_rng(3).standard_normal((26, 30))
+        mu = SrsfCurve(grid, qmat[0])
+        align_batch(mu, qmat[1:], 0.05)
+        assert built == [8, 8, 9]
+        self.assert_rows_match_pairs(mu, qmat[1:], 0.05)
+
     def test_rows_checked(self):
         grid = Grid.uniform(16)
         mu = srsf_transform(smooth_curve(grid, 0))
@@ -564,37 +582,6 @@ class TestKarcherMean:
         assert [r.converged for r in (tol, budget, rise)] == [True, False, False]
         assert rise.objective_trace == [1.0]
 
-    def karcher_sets(self, grid):
-        """Three sets of 2, 3 and 11 curves: two copies of one curve with a
-        slope penalty (they stop after one sweep), smooth curves and shifted
-        bumps with weights."""
-        copies = np.tile(smooth_curve(grid, 9).values, (2, 1))
-        smooth = np.array([smooth_curve(grid, s).values for s in range(3)])
-        bumps = self.make_shifted_family(grid, 11, seed=2)
-        weights = np.random.default_rng(5).uniform(0.5, 2.0, 11)
-        return [(copies, None, 0.05), (smooth, None, 0.0), (bumps, weights, 0.0)]
-
-    @pytest.mark.parametrize("count", [1, 2, 3])
-    def test_sets_together_equal_each_alone(self, monkeypatch, count):
-        # blocks of at most ten curves: the bumps run in two
-        monkeypatch.setattr(elastic, "_DP_BLOCK", 10)
-        grid = Grid.uniform(30)
-        sets = self.karcher_sets(grid)[:count]
-        together = elastic._karcher_means(sets, grid, max_iter=4)
-        assert len(together) == count
-        for (fmat, weights, penalty), res in zip(sets, together):
-            alone = karcher_mean(fmat, grid, max_iter=4, weights=weights, penalty=penalty)
-            assert np.array_equal(res.warps, alone.warps)
-            assert np.array_equal(res.mean.values, alone.mean.values)
-            assert np.array_equal(res.mean_srsf.values, alone.mean_srsf.values)
-            assert res.mean_srsf.origin == alone.mean_srsf.origin
-            assert res.objective_trace == alone.objective_trace
-            assert res.stop == alone.stop
-            assert_valid_warps(res.warps, grid)
-        if count > 1:
-            assert together[0].converged and len(together[0].objective_trace) == 2
-            assert len(together[1].objective_trace) > 2
-
     def test_stack_built_once_per_block_per_mean(self, monkeypatch):
         # 25 and 7 curves in blocks of at most ten: 3 blocks and 1; each
         # block's stack is built once per mean and aligned once per sweep
@@ -613,21 +600,12 @@ class TestKarcherMean:
 
         monkeypatch.setattr(elastic, "_node_tables", counting_tables)
         monkeypatch.setattr(elastic, "_align_rows", counting_align)
-        sets = [(self.make_shifted_family(grid, n, seed=n), None, 0.0) for n in (25, 7)]
-        results = elastic._karcher_means(sets, grid, max_iter=4)
+        fmats = [self.make_shifted_family(grid, n, seed=n) for n in (25, 7)]
+        results = [karcher_mean(fmat, grid, max_iter=4) for fmat in fmats]
         sweeps = [len(r.objective_trace) - 1 + (r.stop == "rise") for r in results]
         assert min(sweeps) >= 2
         assert [stack.shape[-1] for stack in built] == [8, 8, 9, 7]
         assert aligned == [0, 1, 2] * sweeps[0] + [3] * sweeps[1]
-
-    def test_sets_checked_before_work(self, monkeypatch):
-        self.forbid_work(monkeypatch)
-        grid = Grid.uniform(32)
-        good = (self.make_shifted_family(grid, 3), None, 0.0)
-        with pytest.raises(ValueError, match="finite"):
-            elastic._karcher_means([good, (np.full((2, 32), np.nan), None, 0.0)], grid)
-        with pytest.raises(WeightError):
-            elastic._karcher_means([good, (good[0], np.ones(2), 0.0)], grid)
 
     def test_layout_does_not_change_the_mean(self):
         # a Fortran-ordered or strided matrix gives the C-ordered result
@@ -642,10 +620,10 @@ class TestKarcherMean:
 
 
 # In a fresh interpreter: one Karcher mean of 256 noisy shifted bumps at
-# T=100, and one DP of 1,200 of them.  The products of a DP block do not
-# reach OpenBLAS's threading threshold (OpenBLAS 0.3.31 threads a 7 x 18
-# product from about 75,000 columns on), but the one-program DP's middle
-# rows do.
+# T=100, and one ``align_batch`` of 1,200 of them.  Both run in DP blocks,
+# whose products stay under OpenBLAS's threading threshold (OpenBLAS 0.3.31
+# threads a 7 x 18 product from about 75,000 columns on); a DP of all 1,200
+# curves in one program would cross it.
 BLAS_SCRIPT = """
 import hashlib
 import numpy as np

@@ -227,14 +227,13 @@ class TestNoPerCurveObjects:
                 post(obj)
 
             monkeypatch.setattr(cls, "__post_init__", counting)
-        karcher = elastic._karcher_means
+        karcher = elastic.karcher_mean
 
         def counting_karcher(*args, **kwargs):
-            means = karcher(*args, **kwargs)
-            counts["karcher_mean"] += len(means)
-            return means
+            counts["karcher_mean"] += 1
+            return karcher(*args, **kwargs)
 
-        monkeypatch.setattr(elastic, "_karcher_means", counting_karcher)
+        monkeypatch.setattr(elastic, "karcher_mean", counting_karcher)
         return counts
 
     def test_register_outcomes_per_arm(self, counts):
@@ -317,14 +316,13 @@ class TestIterativeEstimate:
     @staticmethod
     def record_karcher(monkeypatch):
         results = []
-        karcher = elastic._karcher_means
+        karcher = elastic.karcher_mean
 
         def recording(*args, **kwargs):
-            means = karcher(*args, **kwargs)
-            results.extend(means)
-            return means
+            results.append(karcher(*args, **kwargs))
+            return results[-1]
 
-        monkeypatch.setattr(elastic, "_karcher_means", recording)
+        monkeypatch.setattr(elastic, "karcher_mean", recording)
         return results
 
     def test_without_covariate_curves_single_pass(self, monkeypatch):
@@ -349,18 +347,9 @@ class TestIterativeEstimate:
         assert res.converged is False
 
     @pytest.mark.parametrize("tc", [None, 31])
-    def test_curve_sets_share_one_call_on_one_grid(self, monkeypatch, tc):
+    def test_covariate_curves_take_their_own_mean_warps(self, tc):
         ds = self.curve_covariate_ds(tc=tc)
-        calls = []
-        karcher = elastic._karcher_means
-
-        def recording(sets, *args):
-            calls.append(len(sets))
-            return karcher(sets, *args)
-
-        monkeypatch.setattr(elastic, "_karcher_means", recording)
         res = iterative_srvf_estimate(ds, IterativeConfig(r_max=2, karcher_max_iter=2))
-        assert calls == ([2] if tc is None else [1, 1])
         # the covariate curves get exactly their own Karcher mean's warps
         vc, vgrid = ds.covariate_curve_matrix, ds.covariate_grid
         alone = elastic.karcher_mean(vc, vgrid, 3)
@@ -409,13 +398,14 @@ class TestIterativeEstimate:
 
 
 class TestSharedStopRule:
-    """Every registration runs its Karcher means under ``elastic``'s one
-    stop rule and its one sweep budget."""
+    """Every registration runs its Karcher means through the public
+    ``elastic.karcher_mean``, under ``elastic``'s one stop rule and its one
+    sweep budget."""
 
     @pytest.fixture
     def budgets(self, monkeypatch):
         seen = []
-        karcher = elastic._karcher_means
+        karcher = elastic.karcher_mean
         signature = inspect.signature(karcher)
 
         def recording(*args, **kwargs):
@@ -424,7 +414,7 @@ class TestSharedStopRule:
             seen.append(bound.arguments["max_iter"])
             return karcher(*args, **kwargs)
 
-        monkeypatch.setattr(elastic, "_karcher_means", recording)
+        monkeypatch.setattr(elastic, "karcher_mean", recording)
         return seen
 
     PATHS = {

@@ -40,3 +40,16 @@ def test_tiny_workload_runs_traced(name, tmp_path):
     assert all(out == 0 for out in outputs if isinstance(out, int))
     assert rec.spans
     tracing.layer_metrics(rec, 1.0, 1)
+
+
+def test_iterative_workload_records_karcher_spans(tmp_path):
+    # every registration reaches the span that perfbench wraps, with its sweeps
+    build, make_jobs, _ = workloads.WORKLOADS["iterative_continuous"]
+    jobs = make_jobs(build(0, str(tmp_path), tiny=True), str(tmp_path))
+    rec = tracing.Recorder()
+    with tracing.Tracing(rec):
+        for job in jobs:
+            job.run()
+    metrics = tracing.layer_metrics(rec, 1.0, 1)
+    assert metrics["elastic.karcher_mean.calls"] > 0
+    assert metrics["elastic.karcher_mean.sweeps"] > 0
