@@ -211,6 +211,35 @@ class TestRegisterOutcomes:
         assert warps.shape == ds.covariate_curve_matrix.shape
         assert_valid_warps(warps, ds.covariate_grid)
 
+    @pytest.mark.parametrize("window", [0, 5])
+    def test_register_returns_its_karcher_mean(self, window):
+        # the rows are the smooth parts warped by their own Karcher mean's
+        # warps, plus the unwarped residuals
+        ds = self.shifted_ds(seed=4)
+        rows, grid = ds.outcome_matrix, ds.outcome_grid
+        registered, mean = estimators._register(rows, grid, 0.05, window, max_iter=3)
+        if window > 1:
+            smooth = np.array([estimators._moving_average(row, window) for row in rows])
+        else:
+            smooth = rows
+        alone = elastic.karcher_mean(smooth, grid, 3, penalty=0.05)
+        assert np.array_equal(mean.warps, alone.warps)
+        assert mean.objective_trace == alone.objective_trace
+        assert not mean.warps.flags.writeable
+        warped = elastic._interp_rows(alone.warps, grid.points, smooth)
+        assert np.array_equal(registered, warped + (rows - smooth if window > 1 else 0.0))
+
+    def test_each_arm_registered_alone(self):
+        # per-arm registration equals registering each arm's rows by itself
+        ds = self.shifted_ds(seed=5)
+        registered, warps = register_outcomes(ds, smooth_window=5, per_arm=True)
+        y, grid = ds.outcome_matrix, ds.outcome_grid
+        for arm in (0.0, 1.0):
+            idx = ds.arm_indices(arm)
+            rows, mean = estimators._register(y[idx], grid, estimators.REGISTER_PENALTY, 5)
+            assert np.array_equal(registered.outcome_matrix[idx], rows)
+            assert np.array_equal(warps[idx], mean.warps)
+
 
 class TestNoPerCurveObjects:
     """Registration passes (n, T) matrices through: no ``WarpingFunction``

@@ -263,7 +263,7 @@ class TestGroupPotentialOutcomes:
             assert f.converged and f.metric is Metric.EUCLIDEAN
 
     def test_fisher_rao_arms_equal_their_frechet_means(self):
-        # the two arms' Karcher means run in one call and still give each
+        # each arm's Karcher mean, taken from the outcome matrix, gives that
         # arm's frechet_mean bit for bit
         ds = binary_dataset(n=30, seed=4)
         y, grid = ds.outcome_matrix, ds.outcome_grid
