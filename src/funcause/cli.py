@@ -141,8 +141,9 @@ def cmd_register(args) -> int:
 
 def _apply_config(parser: argparse.ArgumentParser, args) -> None:
     """Parse the ``[benchmark]`` entries of ``args.config`` as flags of the
-    same subcommand, and let each entry override its flag in ``args``."""
-    ini = configparser.ConfigParser()
+    same subcommand, and let each entry override its flag in ``args``.
+    Values are read literally, as flags are: a ``%`` is no interpolation."""
+    ini = configparser.ConfigParser(interpolation=None)
     try:
         found = ini.read(args.config)
     except configparser.Error as exc:

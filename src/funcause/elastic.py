@@ -238,15 +238,16 @@ def _node_weights(h: float) -> np.ndarray:
     return np.where((_NODE_M == 0) | (_NODE_M == _NODE_DI), 0.5 * h, h)
 
 
-def _node_tables(Q: np.ndarray, grid: Grid, penalty: float = 0.0) -> np.ndarray:
+def _node_tables(Q: np.ndarray, grid: Grid, penalty: float) -> np.ndarray:
     """The curves' side of the DP: a (_STACK, T, n) stack.
 
     Layer u < len(_POSITIONS) holds every curve at position u of each
     column: (q2 o pos) at pos = (j - dj + s m) h.  Node l of a step takes
     sqrt(s) times its position's layer.  Then come the steps' sums of
-    w_m v_m^2 over their nodes v_m, in node order, with the step penalty
-    added, and last a layer of ones.  The stack depends on the curves and
-    the penalty only, so a Karcher mean builds it once.
+    w_m v_m^2 over their nodes v_m, in node order, with the step's slope
+    penalty (none unless ``penalty`` is positive) added, and last a layer
+    of ones.  The stack depends on the curves and the penalty only, so a
+    Karcher mean builds it once.
     """
     t, n = len(grid), Q.shape[0]
     h = grid.spacing
@@ -255,8 +256,8 @@ def _node_tables(Q: np.ndarray, grid: Grid, penalty: float = 0.0) -> np.ndarray:
     stack = np.empty((_STACK, t, n))
     values = _interp_rows(pos, grid.points, Q).reshape(n, len(_POSITIONS), t)
     stack[: len(_POSITIONS)] = values.transpose(1, 2, 0)
-    weight, penalties = _node_weights(h), _step_penalties(penalty, h)
-    for k, di in enumerate(_DI):
+    weight = _node_weights(h)
+    for k, (di, dj) in enumerate(_STEPS):
         total = stack[len(_POSITIONS) + k]
         for m, l in enumerate(_NODE_AT[: di + 1, k]):
             v = _NODE_SCALE[l] * stack[_NODE_POS[l]]
@@ -266,50 +267,22 @@ def _node_tables(Q: np.ndarray, grid: Grid, penalty: float = 0.0) -> np.ndarray:
                 total[:] = term
             else:
                 total += term
-        total += penalties[k]
+        if penalty > 0.0:
+            total += penalty * (dj / di - 1.0) ** 2 * (di * h)
     stack[-1] = 1.0
     return stack
 
 
-def _step_penalties(penalty: float, h: float) -> np.ndarray:
-    """Every step's slope penalty; a penalty that is not positive is none."""
-    if penalty <= 0.0:
-        return np.zeros(len(_STEPS))
-    return np.array([penalty * (dj / di - 1.0) ** 2 * (di * h) for di, dj in _STEPS])
-
-
-def _path_costs(q1, stack, step_end, col_end, h, penalty) -> np.ndarray:
-    """The direct cost of every curve's backtracked path: each step's node
-    terms w (q1 - v)^2 summed in node order, plus its penalty, and the
-    steps summed in row order, as the DP once summed them."""
-    n, t = step_end.shape
-    curve = np.arange(n)[:, None]
-    rows = np.arange(t)
-    k = step_end
-    di = np.append(_DI, 0)[k]
-    # node -1 (no such node, or no step) weighs 0
-    weight = np.append(_node_weights(h), 0.0)
-    node_pos, scale = np.append(_NODE_POS, 0), np.append(_NODE_SCALE, 1.0)
-    cost = None
-    for m in range(4):
-        l = np.append(_NODE_AT[m], -1)[k]
-        v = scale[l] * stack[node_pos[l], col_end, curve]
-        diff = q1[np.clip(rows - di + m, 0, t - 1)] - v
-        term = weight[l] * diff
-        term *= diff
-        cost = term if m == 0 else cost + term
-    cost += np.append(_step_penalties(penalty, h), 0.0)[k]
-    return np.cumsum(cost, axis=1)[:, -1]
-
-
-def _align_rows(q1: np.ndarray, Q: np.ndarray, grid: Grid, stack: np.ndarray, penalty: float):
+def _align_rows(q1: np.ndarray, Q: np.ndarray, grid: Grid, stack: np.ndarray):
     """``align_batch`` toward the SRSF values ``q1``, on the node stack that
-    ``_node_tables(Q, grid, penalty)`` built.
+    ``_node_tables`` built of ``Q``, step penalties included.
 
     Every step's cost into a cell is the expanded square
     sum_m w_m q1_m^2 - 2 sum_m w_m q1_m v_m + sum_m w_m v_m^2, so a DP row's
     costs are one product of its (7, _STACK) template coefficients with the
-    row's band of the stack.
+    row's band of the stack.  The DP's minimum, the distance at the last
+    cell, is the chosen path's cost, and it alone decides the identity
+    fallback.
     """
     n, t = Q.shape
     h = grid.spacing
@@ -381,17 +354,12 @@ def _align_rows(q1: np.ndarray, Q: np.ndarray, grid: Grid, stack: np.ndarray, pe
     gamma[:, 0], gamma[:, -1] = 0.0, 1.0
 
     pre, post = _row_norms(q1 - Q, grid), _row_norms(q1 - warped, grid)
-    # Python's float power, as the identity path's cost was always compared
-    # with it; it can differ from pre * pre in the last bit
-    pre_sq = np.array([p**2 for p in pre.tolist()])
-    # fall back to the identity whenever the penalized path cost does not
-    # beat the identity path (whose cost is exactly pre^2 under the same
-    # quadrature), so a curve that no warp improves keeps the identity.  The
-    # expanded totals round otherwise, so the path is costed again directly.
-    # Repeated registration is still no fixed point: re-aligning warped
-    # curves to the same template moves most of them again
-    totals = _path_costs(q1, stack, step_end, col_end, h, penalty)
-    keep = ((post > pre) | (totals >= pre_sq - 1e-15))[:, None]
+    # fall back to the identity whenever the DP's minimum, the penalized
+    # cost of the chosen path, does not beat the identity path (whose cost
+    # is pre^2 under the same quadrature), so a curve that no warp improves
+    # keeps the identity.  Repeated registration is still no fixed point:
+    # re-aligning warped curves to the same template moves most of them again
+    keep = ((post > pre) | (ring[(t - 1) % 3 * t + t - 1] >= pre * pre - 1e-15))[:, None]
     return (
         np.where(keep, grid.points, gamma),
         np.where(keep, Q, warped),
@@ -412,12 +380,12 @@ def align_batch(template: SrsfCurve, Q, penalty: float = 0.0):
     Returns ``(gammas, aligned, distances)`` of shapes (n, T), (n, T) and
     (n,): the warps, the warped SRSFs and the post-alignment trapezoidal L2
     norms of the residuals.  Each curve falls back to the identity warp
-    whenever the direct cost of its path does not beat the identity's, so
-    row c is exactly what ``align_pair`` gives for ``Q[c]`` alone.  The
-    curves run in blocks of at most ``_DP_BLOCK``, one DP program each, as
-    in a Karcher sweep.  The step costs are expanded squares summed by one
-    BLAS product per DP row, so where several paths tie to rounding the
-    choice among them can differ from a direct sum's.
+    whenever the DP's minimum, its path's cost, does not beat the
+    identity's, so row c is exactly what ``align_pair`` gives for ``Q[c]``
+    alone.  The curves run in blocks of at most ``_DP_BLOCK``, one DP
+    program each, as in a Karcher sweep.  The step costs are expanded
+    squares summed by one BLAS product per DP row, so where several paths
+    tie to rounding the choice among them can differ from a direct sum's.
     """
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[1] != len(template.grid):
@@ -425,7 +393,7 @@ def align_batch(template: SrsfCurve, Q, penalty: float = 0.0):
     if not np.all(np.isfinite(Q)):
         raise ValueError("srsf values must be finite")
     grid = template.grid
-    return _align_blocks(template.values, _blocks(Q, grid, penalty), grid, penalty)
+    return _align_blocks(template.values, _blocks(Q, grid, penalty), grid)
 
 
 def align_pair(q1: SrsfCurve, q2: SrsfCurve, penalty: float = 0.0):
@@ -507,7 +475,7 @@ def karcher_mean(
     blocks = _blocks(qmat, grid, penalty)
     stop = "budget"
     for _ in range(max_iter):
-        new_gmat, new_aligned, _ = _align_blocks(mean, blocks, grid, penalty)
+        new_gmat, new_aligned, _ = _align_blocks(mean, blocks, grid)
         new_mean = w @ new_aligned
         obj = _weighted_spread(new_mean, new_aligned, w, grid)
         prev = trace[-1]
@@ -566,10 +534,10 @@ def _blocks(qmat: np.ndarray, grid: Grid, penalty: float) -> list:
     ]
 
 
-def _align_blocks(q1: np.ndarray, blocks: list, grid: Grid, penalty: float):
+def _align_blocks(q1: np.ndarray, blocks: list, grid: Grid):
     """``_align_rows`` of every block of ``_blocks`` toward the SRSF values
     ``q1``: the warps, aligned SRSFs and distances of all curves, in order."""
-    pieces = [_align_rows(q1, Q, grid, stack, penalty) for Q, stack in blocks]
+    pieces = [_align_rows(q1, Q, grid, stack) for Q, stack in blocks]
     return tuple(np.concatenate(p) for p in zip(*pieces))
 
 

@@ -50,9 +50,12 @@ class DynamicEffect:
     metric: Metric
 
 
-def _sphere_mean(
-    ymat: np.ndarray, grid: Grid, w: np.ndarray, max_iter: int = 50, tol: float = 1e-10
-) -> FrechetMeanResult:
+# iteration budget and step-norm tolerance of the sphere mean
+_SPHERE_MAX_ITER = 50
+_SPHERE_TOL = 1e-10
+
+
+def _sphere_mean(ymat: np.ndarray, grid: Grid, w: np.ndarray) -> FrechetMeanResult:
     """Karcher mean on the unit sphere of square-root densities (rows of ``ymat``).
 
     Each curve p enters as u = sqrt(p / sum(p)): inputs whose mass is
@@ -60,9 +63,9 @@ def _sphere_mean(
     mass raises ``DomainError``.  From the normalised weighted mean of the
     u, the iteration steps along the exponential map of the weighted mean
     of the log maps, log_mu u = theta / sin(theta) (u - cos(theta) mu),
-    until the step's norm is at most ``tol``.  Returns mu**2 and the
-    objective sum_i w_i (2 theta_i)**2, in the units of
-    ``fr_distance_sphere``.
+    until the step's norm is at most ``_SPHERE_TOL``, for at most
+    ``_SPHERE_MAX_ITER`` steps.  Returns mu**2 and the objective
+    sum_i w_i (2 theta_i)**2, in the units of ``fr_distance_sphere``.
     """
     mass = ymat.sum(axis=1)
     if np.any(ymat < 0) or np.any(mass <= 0):
@@ -71,12 +74,12 @@ def _sphere_mean(
     mu = w @ u
     mu /= np.linalg.norm(mu)
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_SPHERE_MAX_ITER):
         cos = np.clip(u @ mu, -1.0, 1.0)
         # theta / sin(theta), equal to 1 at theta = 0
         step = (w / np.sinc(np.arccos(cos) / np.pi)) @ (u - cos[:, None] * mu)
         norm = np.linalg.norm(step)
-        if norm <= tol:
+        if norm <= _SPHERE_TOL:
             converged = True
             break
         mu = np.cos(norm) * mu + np.sinc(norm / np.pi) * step
@@ -94,7 +97,8 @@ def frechet_mean(
 
     The curves must share a grid, and are stacked once for every metric.
     The two Fisher-Rao metrics run their iterative solvers
-    (``elastic.karcher_mean`` and ``_sphere_mean``) at their defaults.
+    (``elastic.karcher_mean`` and ``_sphere_mean``) at their module
+    constants.
     """
     curves = list(curves)
     if not curves:

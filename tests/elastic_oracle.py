@@ -8,9 +8,11 @@ same costs as expanded squares in one BLAS product per DP row, so its
 totals round otherwise.  Where one path is best by more than rounding the
 two choose the same path and agree bit for bit; where several paths tie
 to rounding (as on a stretch where a curve is zero) they may choose
-different ones, which ``path_cost`` shows to cost the same.  The identity
-fallback compares a path's direct cost on both sides, so distances always
-agree bit for bit.
+different ones, which ``path_cost`` shows to cost the same.  The library
+decides the identity fallback on its DP's minimum, an expanded total, and
+the oracle on its direct total; the two differ by rounding only, and no
+tested input puts the identity's cost between them, so distances agree bit
+for bit.
 """
 import math
 

@@ -399,6 +399,15 @@ class TestBenchmark:
         assert rows[0]["estimator"] == "ipw"
         assert rows[0]["n"] == "16"
 
+    def test_config_values_read_literally(self, tmp_path):
+        # a % in a value is no interpolation: the report lands at the path
+        # as written, as a flag's value would
+        ini = tmp_path / "bench.ini"
+        outdir = tmp_path / "runs" / "50%"
+        ini.write_text(f"[benchmark]\nestimators = ipw\nsizes = 16\noutput = {outdir}\n")
+        assert run(["benchmark", "--t", "8", "--replicates", "1", "--config", str(ini)]) == 0
+        assert (outdir / "summary.csv").exists()
+
     @pytest.mark.parametrize(
         "text", ["[other]\nsizes = 16\n", "sizes = 16\n"], ids=["other-section", "no-header"]
     )

@@ -18,6 +18,7 @@ from funcause import (
     effect_from_means,
     elastic,
     fit_propensity,
+    frechet,
     frechet_mean,
     fr_distance_sphere,
     fr_distance_srsf,
@@ -155,7 +156,7 @@ class TestSphereMean:
         curves = self.noisy_densities(15, seed=1)
         w = np.linspace(1.0, 4.0, 15)
         w = w / w.sum()
-        tol = 1e-10  # _sphere_mean's stopping tolerance
+        tol = frechet._SPHERE_TOL  # _sphere_mean's stopping tolerance
         res = frechet_mean(curves, weights=w, metric=Metric.FISHER_RAO_SPHERE)
         assert res.converged
         mu = np.sqrt(res.mean.values)
