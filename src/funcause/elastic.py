@@ -375,7 +375,9 @@ def align_batch(template: SrsfCurve, Q, penalty: float = 0.0):
     DP row at a time, over the band of cells that some path from (0, 0) to
     (T-1, T-1) can cross.  A path's cost is the trapezoidal integral of
     (q1 - (q2 o g) sqrt(g'))^2 along its linear warp segments, plus
-    ``penalty`` (s - 1)^2 per unit of template time on a segment of slope s.
+    ``penalty`` (s - 1)^2 per unit of template time on a segment of slope s;
+    a penalty that is not positive adds none, and one that is not finite
+    raises ``ValueError``.
 
     Returns ``(gammas, aligned, distances)`` of shapes (n, T), (n, T) and
     (n,): the warps, the warped SRSFs and the post-alignment trapezoidal L2
@@ -524,7 +526,9 @@ _DP_BLOCK = 112
 def _blocks(qmat: np.ndarray, grid: Grid, penalty: float) -> list:
     """The DP blocks of one curve set, each its curves and node stack: the
     set split into blocks of about equal size, at most ``_DP_BLOCK`` curves
-    each."""
+    each.  A penalty that is not finite raises ``ValueError``."""
+    if not math.isfinite(penalty):
+        raise ValueError("penalty must be finite")
     n = len(qmat)
     count = -(-n // _DP_BLOCK)
     bounds = [n * b // count for b in range(count + 1)]

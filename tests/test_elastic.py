@@ -318,6 +318,15 @@ class TestAlignBatch:
         np.testing.assert_allclose(aligned, case["aligned"], rtol=0, atol=0)
         assert distances.tolist() == case["distances"]
 
+    @pytest.mark.parametrize("penalty", [np.nan, np.inf])
+    def test_penalty_not_finite_rejected(self, penalty):
+        grid = Grid.uniform(30)
+        rows = np.random.default_rng(0).standard_normal((2, 30))
+        with pytest.raises(ValueError, match="penalty must be finite"):
+            align_batch(SrsfCurve(grid, rows[0]), rows[1:], penalty)
+        with pytest.raises(ValueError, match="penalty must be finite"):
+            karcher_mean(rows.cumsum(axis=1), grid, penalty=penalty)
+
     def test_curves_run_in_blocks(self, monkeypatch):
         # 25 curves in blocks of at most ten: 3 stacks, of 8, 8 and 9 curves
         monkeypatch.setattr(elastic, "_DP_BLOCK", 10)
