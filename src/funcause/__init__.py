@@ -71,7 +71,6 @@ from .estimators import (
     estimate,
     iterative_srvf_estimate,
     kernel_dynamic_effect,
-    kernel_setup,
     krr_fit,
     potential_outcome,
     register_outcomes,

@@ -49,6 +49,25 @@ def _git_hash() -> str:
     return "unknown"
 
 
+def _write_csv(path, header: list, rows) -> None:
+    """Write one report table to ``path``: ``header``, then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, obj) -> None:
+    """Write ``obj`` as indented JSON to ``path``, or print it to stdout
+    when no path is given."""
+    text = json.dumps(obj, indent=2)
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        print(text)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -69,17 +88,15 @@ def cmd_simulate(args) -> int:
     ds, truth = simgen.generate(cfg, replicate=args.replicate)
     save_dataset(ds, args.output)
     if args.truth:
-        with open(args.truth, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "scenario": cfg.scenario.value,
-                    "beta_x": truth.beta_x.values.tolist(),
-                    "true_phi_date": truth.true_phi_date,
-                },
-                fh,
-                indent=2,
-            )
+        _write_json(
+            args.truth,
+            {
+                "schema_version": SCHEMA_VERSION,
+                "scenario": cfg.scenario.value,
+                "beta_x": truth.beta_x.values.tolist(),
+                "true_phi_date": truth.true_phi_date,
+            },
+        )
     print(f"wrote {args.output} ({len(ds)} samples, T={len(ds.outcome_grid)})")
     return 0
 
@@ -107,12 +124,7 @@ def cmd_estimate(args) -> int:
             "regime": ci.regime.value,
             "pointwise": ci.pointwise.tolist(),
         }
-    text = json.dumps(result, indent=2)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        print(text)
+    _write_json(args.output, result)
     return 0
 
 
@@ -207,73 +219,59 @@ def cmd_benchmark(args) -> int:
         for rep in range(args.replicates):
             results = _benchmark_task(args, names, n, rep)
             mae[:, b, rep], wall[:, b, rep], per_t[:, b, rep] = zip(*results)
-    per_t_std, per_t_mean = per_t.std(axis=-1), per_t.mean(axis=2)
 
+    # the report's (estimator, size) cells, estimator-major, each with one
+    # row of replicates in every reshaped array
+    cells = [(est, n) for est in names for n in sizes]
+    maes, walls = mae.reshape(len(cells), -1), wall.reshape(len(cells), -1)
+    per_t = per_t.reshape(len(cells), args.replicates, -1)
+    curves, spreads = per_t.mean(axis=1), per_t.std(axis=-1).mean(axis=-1)
+    summary, timings, boxes = [], [], []
+    for (est, n), m, w, spread in zip(cells, maes, walls, spreads):
+        sd = m.std(ddof=1) if m.size > 1 else 0.0
+        summary.append([est, n, f"{m.mean():.6f}", f"{sd:.6f}", f"{spread:.6f}"])
+        timings.append([est, n, f"{w.sum():.3f}"])
+        boxes += ([est, n, rep, f"{v:.6f}"] for rep, v in enumerate(m))
+    tgrid = np.linspace(0.0, 1.0, args.t)
+    errors = (
+        [est, n, j, f"{tv:.6f}", f"{ev:.6f}"]
+        for (est, n), curve in zip(cells, curves)
+        for j, (tv, ev) in enumerate(zip(tgrid, curve))
+    )
     # wall times go to their own file, so every other report file is
     # deterministic given the config and seed
-    with (
-        open(os.path.join(outdir, "summary.csv"), "w", newline="", encoding="utf-8") as fh,
-        open(os.path.join(outdir, "timings.csv"), "w", newline="", encoding="utf-8") as th,
+    for name, header, rows in (
+        ("summary.csv", ["estimator", "n", "mae_mean", "mae_sd", "per_t_std_mean"], summary),
+        ("timings.csv", ["estimator", "n", "wall_time_s"], timings),
+        ("boxplot_data.csv", ["estimator", "n", "replicate", "mae"], sorted(boxes)),
+        ("per_t_error.csv", ["estimator", "n", "t_index", "t", "abs_error_mean"], errors),
     ):
-        writer, timings = csv.writer(fh), csv.writer(th)
-        writer.writerow(["estimator", "n", "mae_mean", "mae_sd", "per_t_std_mean"])
-        timings.writerow(["estimator", "n", "wall_time_s"])
-        for a, est in enumerate(names):
-            for b, n in enumerate(sizes):
-                maes = mae[a, b]
-                writer.writerow(
-                    [
-                        est,
-                        n,
-                        f"{maes.mean():.6f}",
-                        f"{maes.std(ddof=1) if maes.size > 1 else 0.0:.6f}",
-                        f"{per_t_std[a, b].mean():.6f}",
-                    ]
-                )
-                timings.writerow([est, n, f"{wall[a, b].sum():.3f}"])
-
-    with open(os.path.join(outdir, "boxplot_data.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "n", "replicate", "mae"])
-        for est, n in sorted((est, n) for est in names for n in sizes):
-            maes = mae[names.index(est), sizes.index(n)]
-            writer.writerows([est, n, rep, f"{m:.6f}"] for rep, m in enumerate(maes))
+        _write_csv(os.path.join(outdir, name), header, rows)
 
     n_max = max(sizes)
-    tgrid = np.linspace(0.0, 1.0, args.t)
-    with open(os.path.join(outdir, "per_t_error.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["estimator", "n", "t_index", "t", "abs_error_mean"])
-        for a, est in enumerate(names):
-            for b, n in enumerate(sizes):
-                for j, (tv, ev) in enumerate(zip(tgrid, per_t_mean[a, b])):
-                    writer.writerow([est, n, j, f"{tv:.6f}", f"{ev:.6f}"])
-
     plots.line_plot_svg(
         os.path.join(outdir, "per_t_error.svg"),
         tgrid,
-        per_t_mean[:, sizes.index(n_max)],
+        [curve for (_, n), curve in zip(cells, curves) if n == n_max],
         labels=names,
         title=f"Mean absolute error over time (n={n_max})",
     )
     plots.box_plot_svg(
         os.path.join(outdir, "mae_boxplot.svg"),
-        mae.reshape(-1, args.replicates),
-        labels=[f"{est}\u00a0n={n}" for est in names for n in sizes],
+        maes,
+        labels=[f"{est}\u00a0n={n}" for est, n in cells],
         title="MAE by estimator and sample size",
     )
 
     config = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
-    with open(os.path.join(outdir, "metadata.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "git_hash": _git_hash(),
-                "config": {**config, "estimators": names, "sizes": sizes},
-            },
-            fh,
-            indent=2,
-        )
+    _write_json(
+        os.path.join(outdir, "metadata.json"),
+        {
+            "schema_version": SCHEMA_VERSION,
+            "git_hash": _git_hash(),
+            "config": {**config, "estimators": names, "sizes": sizes},
+        },
+    )
     print(f"wrote benchmark report to {outdir}")
     return 0
 

@@ -107,10 +107,6 @@ class WarpingFunction:
         if np.any(np.diff(arr) <= 0):
             raise ValueError("warping must be strictly increasing")
 
-    @classmethod
-    def identity(cls, grid: Grid) -> "WarpingFunction":
-        return cls(grid, grid.points)
-
 
 # The Karcher stop rule of every registration: a mean stops once a sweep
 # lowers its objective by at most KARCHER_TOL relative or raises it, or
@@ -418,13 +414,13 @@ def align_pair(q1: SrsfCurve, q2: SrsfCurve, penalty: float = 0.0):
 
 def _normalized_weights(n: int, weights) -> np.ndarray:
     """Weights scaled to sum to one, uniform when ``weights`` is None;
-    ``WeightError`` unless there is one nonnegative weight per curve and
-    their sum is positive."""
+    ``WeightError`` unless there is one finite nonnegative weight per curve
+    and their sum is positive."""
     if weights is None:
         return np.full(n, 1.0 / n)
     w = np.asarray(weights, dtype=float)
-    if w.shape != (n,) or np.any(w < 0):
-        raise WeightError("weights must be nonnegative, one per curve")
+    if w.shape != (n,) or not np.all((w >= 0) & (w < np.inf)):
+        raise WeightError("weights must be nonnegative and finite, one per curve")
     total = w.sum()
     if total <= 0:
         raise WeightError("weights must not all be zero")

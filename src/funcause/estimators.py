@@ -32,7 +32,7 @@ heuristic from them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -65,7 +65,6 @@ __all__ = [
     "kernel_dynamic_effect",
     "dose_response",
     "register_outcomes",
-    "kernel_setup",
     "iterative_srvf_estimate",
     "run_estimator",
     "run_estimators",
@@ -122,13 +121,7 @@ class KrrModel:
 class DoseResponseCurve:
     levels: list
     effects: list
-    curves: list = field(default_factory=list)
-
-
-def kernel_setup(ds: Dataset):
-    """Default treatment and covariate kernel specs, with median-heuristic
-    bandwidths, for a dataset."""
-    return _default_kernels(ds)[1](1.0)
+    curves: list
 
 
 def _inputs(ds: Dataset, kv: Optional[KernelSpec]):
@@ -139,8 +132,9 @@ def _inputs(ds: Dataset, kv: Optional[KernelSpec]):
 
 def _default_kernels(ds: Dataset):
     """The kernel inputs of the default covariate kernel (SRSF features of
-    the covariate curves if there are any) and ``kernel_setup`` as a
-    function of the scale, from one median heuristic per input."""
+    the covariate curves if there are any), and the default treatment and
+    covariate kernel specs as a function of the bandwidth scale, from one
+    median heuristic per input; scale 1 gives the default kernels."""
     fisher_rao = ds.covariate_grid is not None
     inputs = xin, vin = _inputs(
         ds, KernelSpec(KernelFamily.FISHER_RAO_GAUSSIAN) if fisher_rao else None
@@ -192,8 +186,6 @@ class _RidgePath(NamedTuple):
         alpha = self.u1 @ (self.ytil / (self.denom + lam))
         if self.u2 is not None:
             alpha = alpha @ self.u2.T
-        if not np.all(np.isfinite(alpha)):
-            raise NumericalError("KRR solve produced non-finite coefficients")
         return alpha
 
     def holdout_errors(self, rows: np.ndarray, y_te: np.ndarray, lams) -> np.ndarray:
@@ -298,17 +290,12 @@ def _fit(ds, inputs, kx, kv, k_ys, lams) -> list:
     ]
 
 
-def _kernel_rows(model: KrrModel, x, points) -> np.ndarray:
-    """Input-kernel rows between units (x[j], points[j]) and the training units."""
-    return cross_gram(model.kx, x, model.treatments) * cross_gram(
-        model.kv, points, model.covariate_points
-    )
-
-
 def predict_curve(model: KrrModel, x: float, v_index: int) -> np.ndarray:
     """Predicted outcome curve at treatment x with training unit v_index's
     covariates."""
-    row = _kernel_rows(model, [x], model.covariate_points[v_index : v_index + 1])
+    row = cross_gram(model.kx, [x], model.treatments) * cross_gram(
+        model.kv, model.covariate_points[v_index : v_index + 1], model.covariate_points
+    )
     return _outputs(row, model.alpha, model.k_y)[0]
 
 
@@ -486,7 +473,7 @@ def _search(ds, inputs, setup, k_ys):
     eigenbasis for every output Gram of ``k_ys`` (``_holdout_errors``).
 
     Returns one (kx, kv, lam) per output Gram: the first minimum of its
-    errors in scale-major order, or ``kernel_setup``'s kernels with
+    errors in scale-major order, or the default kernels (``setup(1.0)``) with
     ``DEFAULT_LAM`` when the training units of the split do not form a
     valid dataset (as when the split leaves an arm without training units).
     """
@@ -555,7 +542,7 @@ def iterative_srvf_estimate(ds: Dataset, config: Optional[IterativeConfig] = Non
     Each curve set is aligned to its elastic Karcher mean from the raw
     curves within ``IterativeConfig``'s sweep budget (the outcomes with the
     smooth/residual split and ``REGISTER_PENALTY``), and the ridge
-    regression is fitted once with ``kernel_setup``'s kernels.  The effect
+    regression is fitted once with the default kernels.  The effect
     is ``kernel_dynamic_effect`` of the model; pass ``result.model`` to
     ``dose_response`` for a continuous treatment's dose response.
     """

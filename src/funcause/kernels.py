@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,8 +45,8 @@ class KernelSpec:
     lengthscale: float = 1.0
 
     def __post_init__(self):
-        if self.lengthscale <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.lengthscale < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

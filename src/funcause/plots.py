@@ -21,23 +21,25 @@ def _scale(vals, lo, hi, out_lo, out_hi):
     return out_lo + (np.asarray(vals, dtype=float) - lo) * (out_hi - out_lo) / span
 
 
-def _header(title: str) -> list:
+def _y_range(arrays) -> tuple:
+    """The lowest and highest value of ``arrays``, widened by 1 either way
+    when they are equal."""
+    all_y = np.concatenate(arrays)
+    lo_y, hi_y = float(all_y.min()), float(all_y.max())
+    return (lo_y - 1.0, hi_y + 1.0) if lo_y == hi_y else (lo_y, hi_y)
+
+
+def _write_svg(path, title: str, lo_x, hi_x, lo_y, hi_y, body: list) -> None:
+    """Write one chart to ``path``: the canvas with ``title``, the plot frame
+    with the ends of both axes labelled, and the elements of ``body``."""
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" font-family="sans-serif" '
         f'font-size="16">{title}</text>',
-    ]
-    parts.append(
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_WIDTH - 2 * _MARGIN}" '
-        f'height="{_HEIGHT - 2 * _MARGIN}" fill="none" stroke="#888"/>'
-    )
-    return parts
-
-
-def _axis_labels(lo_x, hi_x, lo_y, hi_y) -> list:
-    return [
+        f'height="{_HEIGHT - 2 * _MARGIN}" fill="none" stroke="#888"/>',
         f'<text x="{_MARGIN}" y="{_HEIGHT - _MARGIN + 18}" font-family="sans-serif" '
         f'font-size="11">{lo_x:.3g}</text>',
         f'<text x="{_WIDTH - _MARGIN}" y="{_HEIGHT - _MARGIN + 18}" text-anchor="end" '
@@ -46,7 +48,11 @@ def _axis_labels(lo_x, hi_x, lo_y, hi_y) -> list:
         f'font-family="sans-serif" font-size="11">{lo_y:.3g}</text>',
         f'<text x="{_MARGIN - 6}" y="{_MARGIN + 4}" text-anchor="end" '
         f'font-family="sans-serif" font-size="11">{hi_y:.3g}</text>',
+        *body,
+        "</svg>",
     ]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(parts))
 
 
 def line_plot_svg(
@@ -60,13 +66,8 @@ def line_plot_svg(
     x = np.asarray(x, dtype=float)
     mats = [np.asarray(s, dtype=float) for s in series]
     lo_x, hi_x = float(x.min()), float(x.max())
-    all_y = np.concatenate(mats)
-    lo_y, hi_y = float(all_y.min()), float(all_y.max())
-    if lo_y == hi_y:
-        lo_y, hi_y = lo_y - 1.0, hi_y + 1.0
-
-    parts = _header(title)
-    parts += _axis_labels(lo_x, hi_x, lo_y, hi_y)
+    lo_y, hi_y = _y_range(mats)
+    parts = []
     px = _scale(x, lo_x, hi_x, _MARGIN, _WIDTH - _MARGIN)
     for k, ys in enumerate(mats):
         py = _scale(ys, lo_y, hi_y, _HEIGHT - _MARGIN, _MARGIN)
@@ -78,9 +79,7 @@ def line_plot_svg(
                 f'<text x="{_WIDTH - _MARGIN - 4}" y="{_MARGIN + 16 + 14 * k}" text-anchor="end" '
                 f'font-family="sans-serif" font-size="11" fill="{color}">{labels[k]}</text>'
             )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+    _write_svg(path, title, lo_x, hi_x, lo_y, hi_y, parts)
 
 
 def box_plot_svg(
@@ -91,13 +90,8 @@ def box_plot_svg(
 ) -> None:
     """Write a box plot (median, quartiles, min/max whiskers) per group."""
     data = [np.asarray(g, dtype=float) for g in groups]
-    all_y = np.concatenate(data)
-    lo_y, hi_y = float(all_y.min()), float(all_y.max())
-    if lo_y == hi_y:
-        lo_y, hi_y = lo_y - 1.0, hi_y + 1.0
-
-    parts = _header(title)
-    parts += _axis_labels(0, len(data), lo_y, hi_y)
+    lo_y, hi_y = _y_range(data)
+    parts = []
     slot = (_WIDTH - 2 * _MARGIN) / len(data)
     box_w = slot * 0.5
 
@@ -123,6 +117,4 @@ def box_plot_svg(
             f'<text x="{cx:.1f}" y="{_HEIGHT - _MARGIN + 32}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{label}</text>'
         )
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(parts))
+    _write_svg(path, title, 0, len(data), lo_y, hi_y, parts)

@@ -96,6 +96,14 @@ class TestEstimate:
         assert ci["lower"] <= ci["upper"]
         assert ci["regime"] in ("nonzero_norm", "zero_norm")
 
+    def test_stdout_is_the_output_file(self, dataset_path, tmp_path, capsys):
+        out = tmp_path / "result.json"
+        argv = ["estimate", str(dataset_path), "--estimator", "kernel", "--ci"]
+        assert run(argv + ["--output", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8") + "\n"
+
     @pytest.mark.parametrize("estimator", ["ipw", "dr", "frechet-euclid", "frechet-fr"])
     def test_lam_without_ridge_penalty_exits_one(self, dataset_path, tmp_path, capsys, estimator):
         out = tmp_path / "result.json"
@@ -364,7 +372,13 @@ class TestBenchmark:
             outputs.append(
                 [
                     (outdir / name).read_bytes()
-                    for name in ("boxplot_data.csv", "summary.csv", "per_t_error.csv")
+                    for name in (
+                        "boxplot_data.csv",
+                        "summary.csv",
+                        "per_t_error.csv",
+                        "per_t_error.svg",
+                        "mae_boxplot.svg",
+                    )
                 ]
             )
         assert outputs[0] == outputs[1]

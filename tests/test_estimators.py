@@ -25,7 +25,6 @@ from funcause import (
     input_gram,
     iterative_srvf_estimate,
     kernel_dynamic_effect,
-    kernel_setup,
     krr_fit,
     output_gram,
     potential_outcome,
@@ -553,7 +552,7 @@ class TestInputGramSymmetry:
     )
     def test_full_and_train_blocks(self, monkeypatch, scenario, families):
         ds, _ = generate(ScenarioConfig(n=60, t=20, scenario=scenario))
-        kx, kv = kernel_setup(ds)
+        kx, kv = estimators._default_kernels(ds)[1](1.0)
         assert (kx.family.value, kv.family.value) == families
         grams = []
         ridge_path = estimators._ridge_path
@@ -623,7 +622,7 @@ class TestHyperparameterSearch:
         ds = make_ds(n=2, t=5, seed=8)
         assert holdout_error(ds, BIN_KX, SE_KV) == math.inf
         kx, kv, lam = search(ds)
-        assert (kx, kv) == kernel_setup(ds)
+        assert (kx, kv) == estimators._default_kernels(ds)[1](1.0)
         assert lam == 1e-2
 
 
@@ -669,7 +668,8 @@ class TestGridScoring:
         # binary data: two groups; continuous: one
         ds, _ = generate(ScenarioConfig(n=60, t=20, scenario=scenario))
         k_y = output_gram(ds.outcome_grid) if operator else None
-        groups = estimators._levels(kernel_setup(ds)[0], ds.treatments)
+        kx, _ = estimators._default_kernels(ds)[1](1.0)
+        groups = estimators._levels(kx, ds.treatments)
         assert len(groups) == (2 if ds.is_binary() else 1)
         for grid, reference in self.scored(ds, estimators._holdout_split(ds), k_y):
             assert len(grid) == len(estimators._LAM_GRID)
@@ -694,7 +694,7 @@ class TestGridScoring:
 
     CALLS = {
         "search": lambda ds, k_y: search(ds, k_y),
-        "fit": lambda ds, k_y: krr_fit(ds, *kernel_setup(ds), k_y),
+        "fit": lambda ds, k_y: krr_fit(ds, *estimators._default_kernels(ds)[1](1.0), k_y),
     }
 
     @pytest.mark.parametrize("operator", [False, True])
@@ -735,7 +735,7 @@ class TestCovariateFeatureBuilds:
 
     def test_once_per_krr_fit(self, monkeypatch):
         ds = self.curve_ds()
-        kx, kv = kernel_setup(ds)
+        kx, kv = estimators._default_kernels(ds)[1](1.0)
         assert kv.family is KernelFamily.FISHER_RAO_GAUSSIAN
         builds = self.count_builds(monkeypatch)
         krr_fit(ds, kx, kv, lam=1e-2)

@@ -62,12 +62,11 @@ class TestEuclideanMean:
         np.testing.assert_allclose(res.mean.values, expected, atol=1e-12)
 
     def test_bad_weights_rejected(self):
-        grid = Grid.uniform(8)
-        curves = curve_family(grid, 3)
-        with pytest.raises(WeightError):
-            frechet_mean(curves, weights=np.array([1.0, 1.0]))
-        with pytest.raises(WeightError):
-            frechet_mean(curves, weights=np.array([-1.0, 1.0, 1.0]))
+        curves = curve_family(Grid.uniform(8), 3)
+        for weights in ([1.0, 1.0], [-1.0, 1.0, 1.0], [np.nan, 1.0, 1.0], [1.0, np.inf, 1.0]):
+            for metric in Metric:
+                with pytest.raises(WeightError):
+                    frechet_mean(curves, weights=np.array(weights), metric=metric)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -79,6 +79,14 @@ class TestScalarKernels:
         assert fr_kernel(a, b, zeta=1.0) < 1.0
 
 
+class TestKernelSpec:
+    @pytest.mark.parametrize("family", list(KernelFamily))
+    @pytest.mark.parametrize("bandwidth", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_bandwidth_rejected(self, family, bandwidth):
+        with pytest.raises(ValueError, match="bandwidth must be positive and finite"):
+            KernelSpec(family, bandwidth)
+
+
 class TestGramMatrix:
     def test_symmetrization(self):
         m = np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]])
