@@ -415,13 +415,18 @@ def align_pair(q1: SrsfCurve, q2: SrsfCurve, penalty: float = 0.0):
 def _normalized_weights(n: int, weights) -> np.ndarray:
     """Weights scaled to sum to one, uniform when ``weights`` is None;
     ``WeightError`` unless there is one finite nonnegative weight per curve
-    and their sum is positive."""
+    and their sum is positive.  Weights whose sum overflows are divided by
+    the largest first."""
     if weights is None:
         return np.full(n, 1.0 / n)
     w = np.asarray(weights, dtype=float)
     if w.shape != (n,) or not np.all((w >= 0) & (w < np.inf)):
         raise WeightError("weights must be nonnegative and finite, one per curve")
-    total = w.sum()
+    with np.errstate(over="ignore"):
+        total = w.sum()
+    if total == np.inf:
+        w = w / w.max()
+        total = w.sum()
     if total <= 0:
         raise WeightError("weights must not all be zero")
     return w / total

@@ -11,6 +11,7 @@ import csv
 import io
 import itertools
 import json
+import types
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -236,7 +237,9 @@ def _is_json(path) -> bool:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write a dataset as JSON when ``path`` ends in ``.json``, else as CSV."""
+    """Write a dataset as JSON (one ``json.dumps``) when ``path`` ends in
+    ``.json``, else as CSV, one row at a time, each in one pass to the bytes
+    of ``csv.writer``: the id quoted as ``csv`` quotes it, numbers as ``repr``."""
     vc = ds.covariate_curve_matrix
     if _is_json(path):
         payload = {
@@ -253,19 +256,23 @@ def save_dataset(ds: Dataset, path) -> None:
                 for i in range(len(ds))
             ],
         }
+        # json.dump runs the pure-Python encoder; dumps runs the C one
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
         return
     blocks = [ds.treatments[:, None], ds.covariate_matrix, ds.outcome_matrix]
     header = _csv_header(
         ds.covariate_matrix.shape[1], len(ds.outcome_grid), None if vc is None else vc.shape[1]
     )
-    rows = np.hstack(blocks if vc is None else blocks + [vc]).tolist()
+    mat = np.hstack(blocks if vc is None else blocks + [vc])
+    # writerow returns what write returns: here the text "<quoted id>,\r\n"
+    quote = csv.writer(types.SimpleNamespace(write=lambda text: text)).writerow
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        # csv writes a float as its repr
-        writer.writerows([uid] + row for uid, row in zip(ds.ids, rows))
+        csv.writer(fh).writerow(header)
+        fh.writelines(
+            quote([uid, ""])[:-2] + ",".join(map(repr, row.tolist())) + "\r\n"
+            for uid, row in zip(ds.ids, mat)
+        )
 
 
 def _parse_csv_header(header: list):

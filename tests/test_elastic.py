@@ -488,6 +488,13 @@ class TestKarcherMean:
             with pytest.raises(WeightError):
                 karcher_mean(curves, grid, weights=np.array(weights))
 
+    def test_weights_whose_sum_overflows(self):
+        grid = Grid.uniform(16)
+        curves = self.make_shifted_family(grid, 3)
+        big = karcher_mean(curves, grid, weights=[1e308, 1e308, 1.0]).mean.values
+        small = karcher_mean(curves, grid, weights=[1.0, 1.0, 1e-308]).mean.values
+        assert np.all(np.isfinite(big)) and big.tobytes() == small.tobytes()
+
     def test_weight_count_checked_before_alignment(self, monkeypatch):
         def no_alignment(*args, **kwargs):
             raise AssertionError("alignment ran before the weights were checked")

@@ -324,6 +324,16 @@ class TestDatasetIO:
             load_dataset(path)
         assert err.value.row == 2
 
+    @pytest.mark.parametrize("with_vcurves", [False, True])
+    def test_json_bytes_equal_json_dump(self, tmp_path, with_vcurves):
+        # floats, -0.0 and every id load back exactly, so this is the payload
+        path = tmp_path / "data.json"
+        save_dataset(awkward_dataset(with_vcurves), path)
+        text = path.read_text(encoding="utf-8")
+        with open(tmp_path / "dump.json", "w", encoding="utf-8") as fh:
+            json.dump(json.loads(text), fh)
+        assert (tmp_path / "dump.json").read_text(encoding="utf-8") == text
+
     def test_mixed_treatment_column_loads(self, tmp_path):
         ds = make_dataset(n=4, t=8, d=1)
         x = ds.treatments.copy()
@@ -463,6 +473,37 @@ def write_rows_one_by_one(ds, path):
             writer.writerow([uid] + [repr(x) for x in row.tolist()])
 
 
+# any text that the csv module writes and reads back; ids are kept short
+ID_TEXT = st.text(
+    st.sampled_from([",", '"', "\r", "\n", " ", "#", "a", "Z", "0", "é", "\u20ac"]), max_size=6
+)
+EDGE_FLOATS = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    + [-1.7976931348623157e308, 0.1, 1 / 3]
+)
+
+
+@st.composite
+def datasets_to_save(draw):
+    n, t, d = draw(st.integers(2, 5)), draw(st.integers(2, 4)), draw(st.integers(0, 2))
+    tc = draw(st.sampled_from([None, 2, 3]))
+    values = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
+
+    def matrix(cols):
+        return np.array(draw(st.lists(values, min_size=n * cols, max_size=n * cols))).reshape(n, cols)
+
+    arms = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n - 2, max_size=n - 2))
+    return Dataset(
+        draw(st.lists(ID_TEXT, min_size=n, max_size=n)),
+        np.array([0.0, 1.0] + arms),
+        matrix(d),
+        Grid.uniform(t),
+        matrix(t),
+        None if tc is None else Grid.uniform(tc),
+        None if tc is None else matrix(tc),
+    )
+
+
 def csv_lines(tmp_path, n=4):
     """A saved dataset's CSV file and its lines; ``save_dataset`` ends
     every line with CRLF."""
@@ -584,36 +625,13 @@ class TestCsvLoaderContract:
         write_rows_one_by_one(ds, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
-
-# any text that the csv module writes and reads back; ids are kept short
-ID_TEXT = st.text(
-    st.sampled_from([",", '"', "\r", "\n", " ", "#", "a", "Z", "0", "é", "\u20ac"]), max_size=6
-)
-EDGE_FLOATS = st.sampled_from(
-    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
-    + [-1.7976931348623157e308, 0.1, 1 / 3]
-)
-
-
-@st.composite
-def datasets_to_save(draw):
-    n, t, d = draw(st.integers(2, 5)), draw(st.integers(2, 4)), draw(st.integers(0, 2))
-    tc = draw(st.sampled_from([None, 2, 3]))
-    values = EDGE_FLOATS | st.floats(allow_nan=False, allow_infinity=False)
-
-    def matrix(cols):
-        return np.array(draw(st.lists(values, min_size=n * cols, max_size=n * cols))).reshape(n, cols)
-
-    arms = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n - 2, max_size=n - 2))
-    return Dataset(
-        draw(st.lists(ID_TEXT, min_size=n, max_size=n)),
-        np.array([0.0, 1.0] + arms),
-        matrix(d),
-        Grid.uniform(t),
-        matrix(t),
-        None if tc is None else Grid.uniform(tc),
-        None if tc is None else matrix(tc),
-    )
+    @given(ds=datasets_to_save())
+    @settings(max_examples=150, deadline=None)
+    def test_writer_bytes_unchanged_on_any_dataset(self, tmp_path_factory, ds):
+        base = tmp_path_factory.getbasetemp()
+        save_dataset(ds, base / "new.csv")
+        write_rows_one_by_one(ds, base / "old.csv")
+        assert (base / "new.csv").read_bytes() == (base / "old.csv").read_bytes()
 
 
 class TestCsvRoundTrip:

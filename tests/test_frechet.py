@@ -68,6 +68,17 @@ class TestEuclideanMean:
                 with pytest.raises(WeightError):
                     frechet_mean(curves, weights=np.array(weights), metric=metric)
 
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_weights_whose_sum_overflows(self, metric):
+        # the sum of [1e308, 1e308, 1] is inf; divided by their largest
+        # they are [1, 1, 1e-308], which sum to 2 without overflow
+        curves = curve_family(Grid.uniform(16), 3, seed=3)
+        if metric is Metric.FISHER_RAO_SPHERE:
+            curves = [Curve(c.grid, c.values / c.values.sum()) for c in curves]
+        big = frechet_mean(curves, weights=[1e308, 1e308, 1.0], metric=metric).mean.values
+        small = frechet_mean(curves, weights=[1.0, 1.0, 1e-308], metric=metric).mean.values
+        assert np.all(np.isfinite(big)) and big.tobytes() == small.tobytes()
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             frechet_mean([])
